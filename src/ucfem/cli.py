@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fem, harmonic, mesh as meshmod, quadrature, sparse, studies
+from . import fem, harmonic, mesh as meshmod, quadrature, studies
 from .config import ConfigError, RunConfig, build_config, parse_entries
 from .fields import ConstantField
 from .geometry import Geometry
@@ -197,8 +197,8 @@ def _selftest_checks(cfg: RunConfig):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(B.shape[1])
         y = rng.standard_normal(B.shape[0])
-        lhs = sparse.matvec(B, x) @ y
-        rhs = x @ sparse.transpose_matvec(B, y)
+        lhs = (B @ x) @ y
+        rhs = x @ (B.T @ y)
         return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
     def mesh_valid():

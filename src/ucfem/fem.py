@@ -10,16 +10,17 @@ mesh-dependent regularization
 
 whose gradient-jump part penalizes the normal-derivative jump across
 interior faces and vanishes on globally polynomial fields of degree <= k.
-All symmetric matrices are assembled symmetrically: local upper-triangle
-entries are computed once and written to both slots, and global
-accumulation reduces over unordered index pairs, so A == A.T holds
-exactly (not by post-hoc symmetrization).
+Every form is assembled the same way: local Gram matrices
+sum_q w_q phi_i . phi_j are scattered into a sparse matrix A, whose
+duplicate entries are summed, and the result is 0.5 * (A + A.T).  Entry
+(i,j) of A + A.T is A[i,j] + A[j,i] and entry (j,i) is A[j,i] + A[i,j];
+IEEE addition commutes, so the assembled matrix is exactly symmetric
+whatever order the duplicates were summed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,20 +37,11 @@ FACE_RULE = quadrature.gauss_rule_01(2)
 _DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-class FormRole(Enum):
-    STIFFNESS = "stiffness"
-    MASS_REGION = "mass_region"
-    STAB = "stab"
-
-
 @dataclass(frozen=True)
 class FormMatrix:
-    """Assembled sparse form with role and space metadata."""
+    """Assembled sparse form."""
 
     matrix: sp.csr_matrix
-    role: FormRole
-    row_space: str
-    col_space: str
 
     @property
     def shape(self):
@@ -203,43 +195,30 @@ def _same_discretization(a: FeSpace, b: FeSpace):
         raise ValueError("spaces must share the same mesh and order")
 
 
-def _symmetric_csr(rows, cols, vals, n):
-    """Sum duplicate (i,j) contributions into an exactly symmetric CSR matrix.
+def _local_gram(weights, phi, scale):
+    """Local matrices scale_e * sum_q w_q phi_i . phi_j, shape (n, ndl, ndl).
 
-    Mirrored contributions carry bitwise-equal values, so reducing over the
-    unordered pair (min, max) and writing the one summed value to both slots
-    makes A == A.T exact regardless of accumulation internals.
+    `phi` holds the basis data per element and quadrature point, shape
+    (n, nq, ndl, c) with c the component count (1 for values, 2 for
+    gradients); a leading axis of 1 broadcasts against `scale`.
     """
-    if vals.size == 0:
-        return sp.csr_matrix((n, n))
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    order = np.lexsort((hi, lo))
-    lo, hi, vals = lo[order], hi[order], vals[order]
-    boundary = np.empty(lo.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(lo[1:], lo[:-1], out=boundary[1:])
-    np.logical_or(boundary[1:], hi[1:] != hi[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
-    sums = np.add.reduceat(vals, starts)
-    ulo, uhi = lo[starts], hi[starts]
-    off = ulo != uhi
-    sums = np.where(off, 0.5 * sums, sums)
-    out_rows = np.concatenate([ulo, uhi[off]])
-    out_cols = np.concatenate([uhi, ulo[off]])
-    out_vals = np.concatenate([sums, sums[off]])
-    mat = sp.coo_matrix((out_vals, (out_rows, out_cols)), shape=(n, n)).tocsr()
-    mat.sort_indices()
-    return mat
+    gram = np.einsum("q,nqic,nqjc->nij", weights, phi, phi)
+    return gram * scale[:, None, None]
 
 
-def _scatter_symmetric(local, full_map, n_full, elements=None):
-    """Accumulate per-element local matrices; local[i,j] == local[j,i] bitwise."""
-    emap = full_map if elements is None else full_map[elements]
-    nel, ndl = emap.shape
+def _scatter(local, emap, row: FeSpace, col: FeSpace | None = None) -> FormMatrix:
+    """Sum local matrices into the full dof numbering and restrict to the
+    active rows and columns; `emap` maps each local slot to a full dof."""
+    col = row if col is None else col
+    n = row.n_full
+    ndl = emap.shape[1]
     rows = np.repeat(emap, ndl, axis=1).ravel()
     cols = np.tile(emap, (1, ndl)).ravel()
-    return _symmetric_csr(rows, cols, local.reshape(nel * ndl * ndl), n_full)
+    full = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    full = 0.5 * (full + full.T)
+    mat = full[row.active][:, col.active].tocsr()
+    mat.sort_indices()
+    return FormMatrix(mat)
 
 
 def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> FormMatrix:
@@ -254,19 +233,8 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
     space = space_row
     rule = ASSEMBLY_RULE
     g = space.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
-    ndl = space.ndl
-    nt = space.mesh.n_triangles
-    local = np.empty((nt, ndl, ndl))
-    for i in range(ndl):
-        for j in range(i, ndl):
-            val = np.einsum("q,tqa,tqa->t", rule.weights, g[:, :, i, :], g[:, :, j, :])
-            val = val * space.det
-            local[:, i, j] = val
-            local[:, j, i] = val
-    full = _scatter_symmetric(local, space.full_map, space.n_full)
-    mat = full[space_row.active][:, space_col.active].tocsr()
-    mat.sort_indices()
-    return FormMatrix(mat, FormRole.STIFFNESS, space_row.name, space_col.name)
+    local = _local_gram(rule.weights, g, space.det)
+    return _scatter(local, space.full_map, space_row, space_col)
 
 
 def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
@@ -276,18 +244,8 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
         raise ValueError(f"empty region {region}")
     rule = ASSEMBLY_RULE
     vals = space.basis_values(rule.points)  # (nq, ndl)
-    ndl = space.ndl
-    ref = np.empty((ndl, ndl))
-    for i in range(ndl):
-        for j in range(i, ndl):
-            v = float(np.dot(rule.weights, vals[:, i] * vals[:, j]))
-            ref[i, j] = v
-            ref[j, i] = v
-    local = ref[None, :, :] * space.det[elements][:, None, None]
-    full = _scatter_symmetric(local, space.full_map, space.n_full, elements)
-    mat = full[space.active][:, space.active].tocsr()
-    mat.sort_indices()
-    return FormMatrix(mat, FormRole.MASS_REGION, space.name, space.name)
+    local = _local_gram(rule.weights, vals[None, :, :, None], space.det[elements])
+    return _scatter(local, space.full_map[elements], space)
 
 
 def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
@@ -298,11 +256,6 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     """
     mesh = space.mesh
     interior = mesh.interior_edges
-    n = space.n_dofs
-    if interior.size == 0:
-        return FormMatrix(
-            sp.csr_matrix((n, n)), FormRole.STAB, space.name, space.name
-        )
     tq, wq = FACE_RULE
     nqf = tq.size
     a = mesh.vertices[mesh.edges[interior, 0]]
@@ -329,50 +282,30 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
 
     # stacked local dof vector: side-0 dofs then side-1 dofs, jump = dn0 - dn1
     jump = np.concatenate([side_rows[0], -side_rows[1]], axis=2)  # (nf, nqf, 2ndl)
-    nfl = 2 * ndl
     weight = length**2  # |F| face weight times |F| from the line integral
-    local = np.empty((interior.size, nfl, nfl))
-    for i in range(nfl):
-        for j in range(i, nfl):
-            v = np.einsum("q,fq,fq->f", wq, jump[:, :, i], jump[:, :, j]) * weight
-            local[:, i, j] = v
-            local[:, j, i] = v
-
+    local = _local_gram(wq, jump[..., None], weight)
     emap = np.hstack(
         [
             space.full_map[mesh.edge_tris[interior, 0]],
             space.full_map[mesh.edge_tris[interior, 1]],
         ]
     )
-    rows = np.repeat(emap, nfl, axis=1).ravel()
-    cols = np.tile(emap, (1, nfl)).ravel()
-    full = _symmetric_csr(rows, cols, local.ravel(), space.n_full)
-    mat = full[space.active][:, space.active].tocsr()
-    mat.sort_indices()
-    return FormMatrix(mat, FormRole.STAB, space.name, space.name)
+    return _scatter(local, emap, space)
 
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     """Element term sum_T h_T^2 (Lap u, Lap v)_T; identically zero for k=1."""
     n = space.n_dofs
     if space.k == 1:
-        return FormMatrix(sp.csr_matrix((n, n)), FormRole.STAB, space.name, space.name)
+        return FormMatrix(sp.csr_matrix((n, n)))
     href = space.basis_ref_hessians()
     lap = np.einsum("tab,ibc,tca->ti", space.inv_jac_t, href, space.inv_jac)
     diam = element_diameters(space.mesh)
     areas = np.abs(signed_areas(space.mesh))
     scale = diam**2 * areas
-    ndl = space.ndl
-    local = np.empty((space.mesh.n_triangles, ndl, ndl))
-    for i in range(ndl):
-        for j in range(i, ndl):
-            v = scale * lap[:, i] * lap[:, j]
-            local[:, i, j] = v
-            local[:, j, i] = v
-    full = _scatter_symmetric(local, space.full_map, space.n_full)
-    mat = full[space.active][:, space.active].tocsr()
-    mat.sort_indices()
-    return FormMatrix(mat, FormRole.STAB, space.name, space.name)
+    # the Laplacian is constant per element: one point of unit weight
+    local = _local_gram(np.ones(1), lap[:, None, :, None], scale)
+    return _scatter(local, space.full_map, space)
 
 
 def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
@@ -389,7 +322,7 @@ def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     mass = assemble_region_mass(space, ALL_REGIONS).matrix
     mat = (jump + cell + tikhonov_scale ** (2 * space.k) * mass).tocsr()
     mat.sort_indices()
-    return FormMatrix(mat, FormRole.STAB, space.name, space.name)
+    return FormMatrix(mat)
 
 
 def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:

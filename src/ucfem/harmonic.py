@@ -32,9 +32,6 @@ from .geometry import Geometry
 class StabilityExponents:
     alpha: float
     beta: float
-    alpha1: float | None = None
-    alpha2: float | None = None
-    alpha_tilde: float | None = None
 
 
 def optimal_alpha(r1: float, r2: float, r3: float) -> StabilityExponents:

@@ -41,7 +41,6 @@ class Mesh:
     edges : (ne, 2) int, vertex pairs v0 < v1, lexicographically sorted
     tri_edges : (nt, 3) int, edge index of local edges (0,1), (1,2), (2,0)
     edge_tris : (ne, 2) int, adjacent triangles (-1 in slot 1 on the boundary)
-    edge_local : (ne, 2) int8, local edge slot within each adjacent triangle
     """
 
     vertices: np.ndarray
@@ -53,7 +52,6 @@ class Mesh:
     edges: np.ndarray = field(repr=False)
     tri_edges: np.ndarray = field(repr=False)
     edge_tris: np.ndarray = field(repr=False)
-    edge_local: np.ndarray = field(repr=False)
     edge_counts: np.ndarray = field(repr=False)
     boundary_edges: np.ndarray = field(repr=False)
     boundary_vertices: np.ndarray = field(repr=False)
@@ -67,7 +65,6 @@ class Mesh:
             "edges",
             "tri_edges",
             "edge_tris",
-            "edge_local",
             "edge_counts",
             "boundary_edges",
             "boundary_vertices",
@@ -139,15 +136,12 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
     # local-slot) occurrences of each edge without reordering them
     order = np.argsort(inverse, kind="stable")
     occ_tri = order // 3
-    occ_local = (order % 3).astype(np.int8)
     starts = np.concatenate([[0], np.cumsum(counts)])
     edge_tris = -np.ones((ne, 2), dtype=np.int64)
-    edge_local = -np.ones((ne, 2), dtype=np.int8)
     for slot in (0, 1):
         has = counts > slot
         pos = starts[:-1][has] + slot
         edge_tris[has, slot] = occ_tri[pos]
-        edge_local[has, slot] = occ_local[pos]
 
     boundary_edges = np.nonzero(counts == 1)[0]
     boundary_vertices = np.unique(edges[boundary_edges])
@@ -165,7 +159,6 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
         edges=edges,
         tri_edges=tri_edges,
         edge_tris=edge_tris,
-        edge_local=edge_local,
         edge_counts=counts,
         boundary_edges=boundary_edges,
         boundary_vertices=boundary_vertices,

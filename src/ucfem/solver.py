@@ -175,6 +175,16 @@ def make_perturbation(
     )
 
 
+def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float):
+    """The forms S, M_omega, A0 and B keyed by name, and the saddle matrix K of them."""
+    S = assemble_stabilization(space, tik)
+    M_omega = assemble_region_mass(space, Region.OMEGA_DATA)
+    A0 = assemble_stiffness(space0)
+    B = assemble_stiffness(space0, space)
+    K = compose_saddle(S.matrix + M_omega.matrix, B.matrix, A0.matrix)
+    return {"S": S, "M_omega": M_omega, "A0": A0, "B": B}, K
+
+
 def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSolution:
     """Assemble and solve the stabilized primal-dual system on a mesh."""
     space = build_space(mesh, problem.k, dirichlet=False)
@@ -182,10 +192,8 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
 
     h = mesh.h
     tik = h if problem.tikhonov_hmin is None else max(h, problem.tikhonov_hmin)
-    S = assemble_stabilization(space, tik)
-    M_omega = assemble_region_mass(space, Region.OMEGA_DATA)
-    A0 = assemble_stiffness(space0)
-    B = assemble_stiffness(space0, space)
+    forms, K = _assemble_saddle(space, space0, tik)
+    S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 
     pert = make_perturbation(
         problem.geometry,
@@ -199,7 +207,6 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
     if pert.epsilon > 0.0:
         load = load + assemble_load_region(space, pert.field, Region.OMEGA_DATA)
 
-    K = compose_saddle(S.matrix + M_omega.matrix, B.matrix, A0.matrix)
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
     x = solve_direct(K, rhs, rel_tol)
     u = x[: space.n_dofs]
@@ -223,7 +230,7 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
         diagnostics=diag,
         primal_space=space,
         dual_space=space0,
-        forms={"S": S, "M_omega": M_omega, "A0": A0, "B": B},
+        forms=forms,
         perturbation=pert,
     )
 
@@ -256,11 +263,8 @@ def verify_positivity(space: FeSpace, space0: FeSpace, trials: int, seed: int = 
     squared stability norm over seeded random coefficient pairs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    S = assemble_stabilization(space, space.mesh.h)
-    M_omega = assemble_region_mass(space, Region.OMEGA_DATA)
-    A0 = assemble_stiffness(space0)
-    B = assemble_stiffness(space0, space)
-    K = compose_saddle(S.matrix + M_omega.matrix, B.matrix, A0.matrix)
+    forms, K = _assemble_saddle(space, space0, space.mesh.h)
+    S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -42,20 +42,6 @@ def compose_saddle(S_uw, B, A0) -> sp.csr_matrix:
     return K
 
 
-def matvec(A, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {A.shape} @ {x.shape}")
-    return A @ x
-
-
-def transpose_matvec(A, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if A.shape[0] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {A.shape}^T @ {x.shape}")
-    return A.T @ x
-
-
 def solve_direct(K, b, rel_tol: float = 1e-10) -> np.ndarray:
     """LU solve with a residual contract.
 
@@ -109,11 +95,3 @@ def achieved_residual(K, x, b) -> float:
         return 0.0
     return float(np.linalg.norm(K @ x - b) / scale)
 
-
-def matrix_to_coo_text(A) -> str:
-    """Debug dump: one `i j value` line per entry, sorted by (i, j)."""
-    A = sp.csr_matrix(A)
-    A.sort_indices()
-    coo = A.tocoo()
-    lines = [f"{i} {j} {float(v)!r}" for i, j, v in zip(coo.row, coo.col, coo.data)]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -173,53 +173,45 @@ def _fit_columns(rows, window_levels) -> tuple[dict, dict]:
     return fitted, eoc
 
 
-def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
-    """Unperturbed h-refinement study; the main optimal-rate evidence table."""
+def _run_study(cfg: RunConfig, study: str, hmin_value: float | None = None) -> ConvergenceReport:
+    """Solve every configured level and fit the rate columns; the calling
+    study adds its own column, thresholds and verdicts to the report."""
     exact = exact_field_from_config(cfg)
-    rows = [_solve_level(cfg, mesh, exact, None) for mesh in _meshes_for_levels(cfg)]
+    rows = [_solve_level(cfg, mesh, exact, hmin_value) for mesh in _meshes_for_levels(cfg)]
     window = cfg.resolved_rate_window()
     fitted, eoc = _fit_columns(rows, window)
     return ConvergenceReport(
-        study="converge",
+        study=study,
         rows=rows,
         fitted_rates=fitted,
         eoc=eoc,
         rate_window=window,
         config_echo=config_echo(cfg),
     )
+
+
+def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
+    """Unperturbed h-refinement study; the main optimal-rate evidence table."""
+    return _run_study(cfg, "converge")
 
 
 def run_perturbation_study(cfg: RunConfig) -> ConvergenceReport:
     """Fixed perturbation amplitude across levels; records the normalized
     sensitivity err * h^{(1-alpha)k} / eps and checks its boundedness."""
-    exact = exact_field_from_config(cfg)
+    report = _run_study(cfg, "perturb")
     alpha = optimal_alpha(*cfg.geometry.radii).alpha
     eps = cfg.perturbation.epsilon
-    rows = [_solve_level(cfg, mesh, exact, None) for mesh in _meshes_for_levels(cfg)]
+    report.thresholds = {"sensitivity_ratio_bound": SENSITIVITY_RATIO_BOUND}
     if eps > 0:
-        for row in rows:
+        for row in report.rows:
             row.sensitivity = float(row.err_l2_B * row.h ** ((1.0 - alpha) * cfg.k) / eps)
-    window = cfg.resolved_rate_window()
-    fitted, eoc = _fit_columns(rows, window)
-    thresholds = {"sensitivity_ratio_bound": SENSITIVITY_RATIO_BOUND}
-    verdicts = {}
-    if eps > 0:
-        sens = [row.sensitivity for row in rows]
+        sens = [row.sensitivity for row in report.rows]
         ratio = max(sens) / min(sens) if min(sens) > 0 else math.inf
-        verdicts = {
+        report.verdicts = {
             "sensitivity_max_min_ratio": float(ratio),
             "sensitivity_bounded": bool(ratio <= SENSITIVITY_RATIO_BOUND),
         }
-    return ConvergenceReport(
-        study="perturb",
-        rows=rows,
-        fitted_rates=fitted,
-        eoc=eoc,
-        rate_window=window,
-        config_echo=config_echo(cfg),
-        thresholds=thresholds,
-        verdicts=verdicts,
-    )
+    return report
 
 
 def resolve_hmin(cfg: RunConfig) -> float:
@@ -248,22 +240,17 @@ def resolve_hmin(cfg: RunConfig) -> float:
 def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
     """Refine past the perturbation-dominated mesh size with the
     max(h, h_min) Tikhonov variant and verify the error stagnates."""
-    exact = exact_field_from_config(cfg)
     alpha = optimal_alpha(*cfg.geometry.radii).alpha
     eps = cfg.perturbation.epsilon
     hmin_value = resolve_hmin(cfg)
-    rows = [
-        _solve_level(cfg, mesh, exact, hmin_value if hmin_value > 0 else None)
-        for mesh in _meshes_for_levels(cfg)
-    ]
-    window = cfg.resolved_rate_window()
-    fitted, eoc = _fit_columns(rows, window)
+    report = _run_study(cfg, "stagnate", hmin_value if hmin_value > 0 else None)
+    rows = report.rows
 
-    thresholds = {
+    report.thresholds = {
         "stagnation_factor_bound": STAGNATION_FACTOR_BOUND,
         "plateau_decades": PLATEAU_DECADES,
     }
-    verdicts = {"h_min": float(hmin_value)}
+    verdicts = report.verdicts = {"h_min": float(hmin_value)}
     crossing = next((row for row in rows if row.h < hmin_value), None)
     if crossing is not None:
         factor = float(rows[-1].err_l2_B / crossing.err_l2_B)
@@ -280,16 +267,7 @@ def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
             verdicts["plateau_within_decade"] = bool(
                 plateau > 0 and abs(math.log10(plateau / reference)) <= PLATEAU_DECADES
             )
-    return ConvergenceReport(
-        study="stagnate",
-        rows=rows,
-        fitted_rates=fitted,
-        eoc=eoc,
-        rate_window=window,
-        config_echo=config_echo(cfg),
-        thresholds=thresholds,
-        verdicts=verdicts,
-    )
+    return report
 
 
 # --- report serialization ---------------------------------------------------

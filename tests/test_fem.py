@@ -55,10 +55,19 @@ class TestStiffness:
         assert np.abs(A @ ones).max() < 1e-13
 
     def test_exact_symmetry(self, mesh_l2):
+        # every symmetric form shares the stiffness scatter, so all are checked here
         for k in (1, 2):
             space = build_space(mesh_l2, k, False)
-            A = assemble_stiffness(space).matrix
-            assert abs(A - A.T).max() == 0.0
+            forms = {
+                "stiffness": assemble_stiffness(space),
+                "region mass": assemble_region_mass(space, [Region.OMEGA_DATA]),
+                "gradient jump": assemble_gradient_jump(space),
+                "cell laplacian": assemble_cell_laplacian(space),
+                "stabilization": assemble_stabilization(space, mesh_l2.h),
+            }
+            for name, form in forms.items():
+                A = form.matrix
+                assert abs(A - A.T).max() == 0.0, (name, k)
 
     def test_mixed_block_shape(self, base_mesh):
         space = build_space(base_mesh, 1, False)

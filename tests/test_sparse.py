@@ -4,14 +4,7 @@ import scipy.sparse as sp
 
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
 from ucfem.mesh import Region
-from ucfem.sparse import (
-    SolverError,
-    compose_saddle,
-    matrix_to_coo_text,
-    matvec,
-    solve_direct,
-    transpose_matvec,
-)
+from ucfem.sparse import SolverError, compose_saddle, solve_direct
 
 
 class TestComposeSaddle:
@@ -101,36 +94,3 @@ class TestSolveDirect:
         x1 = solve_direct(A0, b)
         x2 = solve_direct(A0, b)
         assert np.array_equal(x1, x2)
-
-
-class TestMatvec:
-    def test_zero_matrix(self):
-        A = sp.csr_matrix((3, 3))
-        assert np.array_equal(matvec(A, np.ones(3)), np.zeros(3))
-
-    def test_small_example(self):
-        A = sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(matvec(A, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            A = sp.random(12, 7, density=0.4, random_state=rng.integers(1 << 31))
-            x = rng.standard_normal(7)
-            y = rng.standard_normal(12)
-            lhs = matvec(A, x) @ y
-            rhs = x @ transpose_matvec(A, y)
-            assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
-
-    def test_shape_mismatch(self):
-        A = sp.csr_matrix((3, 2))
-        with pytest.raises(ValueError):
-            matvec(A, np.ones(3))
-        with pytest.raises(ValueError):
-            transpose_matvec(A, np.ones(2))
-
-
-def test_coo_text_sorted():
-    A = sp.csr_matrix(np.array([[0.0, 2.0], [1.5, 0.0]]))
-    text = matrix_to_coo_text(A)
-    assert text.splitlines() == ["0 1 2.0", "1 0 1.5"]
