@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fem, harmonic, mesh as meshmod, quadrature, studies
 from .config import ConfigError, RunConfig, build_config, parse_entries
-from .fields import ConstantField
+from .fields import ConstantField, RadialQuadratic
 from .geometry import Geometry
 from .solver import solve_poisson, verify_positivity
 from .sparse import SolverError
@@ -91,18 +91,8 @@ def _cmd_poisson(args, cfg: RunConfig) -> int:
     space0 = fem.build_space(msh, cfg.k, dirichlet=True)
     uh = solve_poisson(space0, ConstantField(4.0))
 
-    r3sq = cfg.geometry.r3**2
-
-    class _Paraboloid:
-        def value(self, pts):
-            pts = np.asarray(pts)
-            return r3sq - pts[:, 0] ** 2 - pts[:, 1] ** 2
-
-        def gradient(self, pts):
-            pts = np.asarray(pts)
-            return -2.0 * pts
-
-    err = fem.error_norms(space0, uh, _Paraboloid(), meshmod.ALL_REGIONS)
+    exact = RadialQuadratic(cfg.geometry.r3**2, -1.0)
+    err = fem.error_norms(space0, uh, exact, meshmod.ALL_REGIONS)
     print(
         f"poisson level={level} k={cfg.k} dofs={space0.n_dofs} h={msh.h:.6e} "
         f"err_l2={err.l2:.6e} err_h1semi={err.h1_semi:.6e}"

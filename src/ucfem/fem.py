@@ -89,7 +89,6 @@ class FeSpace:
         self.n_dofs = int(keep.size)
         self.dof_map = self.full_to_active[self.full_map]
         self.dof_coords = full_coords[keep]
-        self.eliminated = boundary_full if dirichlet else np.zeros(0, dtype=np.int64)
 
         # element geometry: jacobian columns are the edge vectors from v0
         v = mesh.vertices
@@ -113,10 +112,6 @@ class FeSpace:
     def ndl(self) -> int:
         """Local dofs per element."""
         return 3 if self.k == 1 else 6
-
-    @property
-    def name(self) -> str:
-        return f"P{self.k}" + ("0" if self.dirichlet else "")
 
     def basis_values(self, bary) -> np.ndarray:
         """Basis values at barycentric points, shape (nq, ndl)."""
@@ -181,9 +176,6 @@ class FeSpace:
         full = np.zeros(self.n_full)
         full[self.active] = coeffs
         return full
-
-    def restrict_full(self, full_values) -> np.ndarray:
-        return np.asarray(full_values)[self.active]
 
 
 def build_space(mesh: Mesh, k: int, dirichlet: bool = False) -> FeSpace:
@@ -330,11 +322,8 @@ def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:
     elements = space.mesh.region_elements(region)
     rule = ASSEMBLY_RULE
     vals = space.basis_values(rule.points)
-    if hasattr(g, "values_on_elements"):
-        gv = g.values_on_elements(elements, rule.points)
-    else:
-        pts = space.phys_points(elements, rule.points)
-        gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
+    pts = space.phys_points(elements, rule.points)
+    gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
     contrib = np.einsum("q,eq,qi->ei", rule.weights, gv, vals) * space.det[elements][:, None]
     out = np.zeros(space.n_full)
     np.add.at(out, space.full_map[elements].ravel(), contrib.ravel())
@@ -389,11 +378,8 @@ def region_l2_norm(space: FeSpace, g, region, rule=None) -> float:
     """Quadrature L2 norm of a field over tagged elements."""
     rule = rule or ASSEMBLY_RULE
     elements = space.mesh.region_elements(region)
-    if hasattr(g, "values_on_elements"):
-        gv = g.values_on_elements(elements, rule.points)
-    else:
-        pts = space.phys_points(elements, rule.points)
-        gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
+    pts = space.phys_points(elements, rule.points)
+    gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
     val = float(np.einsum("q,eq,e->", rule.weights, gv**2, space.det[elements]))
     return np.sqrt(max(val, 0.0))
 

@@ -1,8 +1,10 @@
-"""Scalar fields used as exact solutions, data and perturbations.
+"""Scalar fields used as exact solutions, loads and perturbation shapes.
 
 A field exposes `value(points)` on an (m, 2) array; fields that serve as
 exact solutions for error norms also expose `gradient(points)`.  Plain
-callables are accepted wherever only values are needed.
+callables are accepted wherever only values are needed.  A data
+perturbation is not a field: the solver takes it as a load vector (see
+`solver.make_perturbation`).
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ class ZeroField:
     def gradient(self, points):
         return np.zeros((len(points), 2))
 
-    def __call__(self, points):
-        return self.value(points)
-
 
 @dataclass(frozen=True)
 class ConstantField:
@@ -33,9 +32,6 @@ class ConstantField:
 
     def gradient(self, points):
         return np.zeros((len(points), 2))
-
-    def __call__(self, points):
-        return self.value(points)
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,20 @@ class AffineField:
         g[:, 1] = self.by
         return g
 
-    def __call__(self, points):
-        return self.value(points)
+
+@dataclass(frozen=True)
+class RadialQuadratic:
+    """a + b*|x|^2; with b = -1 the Poisson solution for f = 4."""
+
+    a: float
+    b: float
+
+    def value(self, points):
+        points = np.asarray(points)
+        return self.a + self.b * (points[:, 0] ** 2 + points[:, 1] ** 2)
+
+    def gradient(self, points):
+        return 2.0 * self.b * np.asarray(points)
 
 
 @dataclass(frozen=True)
@@ -69,74 +77,6 @@ class OscillatoryField:
     def value(self, points):
         points = np.asarray(points)
         return np.sin(self.kappa * points[:, 0]) * np.sin(self.kappa * points[:, 1])
-
-    def __call__(self, points):
-        return self.value(points)
-
-
-@dataclass(frozen=True)
-class ScaledField:
-    base: object
-    scale: float
-
-    def value(self, points):
-        return self.scale * _field_values(self.base, points)
-
-    def __call__(self, points):
-        return self.value(points)
-
-
-class FeField:
-    """A finite element function evaluated through its coefficient vector.
-
-    `values_on_elements` is the fast path used by load assembly; `value`
-    performs brute-force point location over the elements that carry the
-    field and is meant for spot checks, not bulk evaluation.
-    """
-
-    def __init__(self, space, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.n_dofs,):
-            raise ValueError(f"expected {space.n_dofs} coefficients, got {coeffs.shape}")
-        self.space = space
-        self.coeffs = coeffs
-
-    def values_on_elements(self, elements, bary):
-        """Field values at barycentric points `bary` (nq, 3) of each element."""
-        full = self.space.expand_coeffs(self.coeffs)
-        local = full[self.space.full_map[elements]]  # (nel, ndl)
-        vals = self.space.basis_values(bary)  # (nq, ndl)
-        return local @ vals.T  # (nel, nq)
-
-    def value(self, points):
-        points = np.asarray(points, dtype=float)
-        mesh = self.space.mesh
-        v = mesh.vertices
-        t = mesh.triangles
-        out = np.zeros(len(points))
-        found = np.zeros(len(points), dtype=bool)
-        a = v[t[:, 0]]
-        d1 = v[t[:, 1]] - a
-        d2 = v[t[:, 2]] - a
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        for p_idx, p in enumerate(points):
-            rel = p - a
-            lam1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-            lam2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-            lam0 = 1.0 - lam1 - lam2
-            inside = (lam0 >= -1e-12) & (lam1 >= -1e-12) & (lam2 >= -1e-12)
-            hits = np.nonzero(inside)[0]
-            if hits.size:
-                e = hits[0]
-                bary = np.array([[lam0[e], lam1[e], lam2[e]]])
-                out[p_idx] = self.values_on_elements(np.array([e]), bary)[0, 0]
-                found[p_idx] = True
-        if not found.all():
-            raise ValueError("point outside the mesh")
-        return out
-
-    def __call__(self, points):
-        return self.value(points)
 
 
 def _field_values(g, points) -> np.ndarray:

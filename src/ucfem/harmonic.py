@@ -110,9 +110,6 @@ class HarmonicMonomial:
             return np.column_stack([d.real, -d.imag])
         return np.column_stack([d.imag, d.real])
 
-    def __call__(self, points):
-        return self.value(points)
-
 
 def _norm_constant_3d(n: int) -> Fraction:
     """c_n / (2 pi) as an exact rational: Gamma(n) 4^n n! / ((2n+1) (2n)!)."""

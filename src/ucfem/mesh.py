@@ -96,7 +96,6 @@ class Mesh:
 @dataclass(frozen=True)
 class MeshMetrics:
     h: float
-    h_min_elem: float
     shape_ratio: float
 
 
@@ -106,7 +105,6 @@ class MeshDiagnostics:
 
     violations: list[str]
     shape_ratio: float
-    h: float
 
     @property
     def ok(self) -> bool:
@@ -124,24 +122,32 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
     else:
         vertex_circle = np.ascontiguousarray(vertex_circle, dtype=np.int8)
 
+    nv = vertices.shape[0]
+    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
+        raise ValueError(f"triangle vertex index outside 0..{nv - 1}")
+
+    # one int64 key lo*nv + hi per edge occurrence; its stable sort orders
+    # the edges lexicographically and groups the (triangle, local-slot)
+    # occurrences of each edge in construction order
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     sorted_pairs = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(sorted_pairs, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    key = sorted_pairs[:, 0] * nv + sorted_pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
+    starts = np.nonzero(first)[0]
+    edges = np.column_stack([sorted_key[starts] // nv, sorted_key[starts] % nv])
     ne = edges.shape[0]
+    counts = np.diff(np.append(starts, key.size))
+    inverse = np.empty(key.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
     tri_edges = inverse.reshape(nt, 3)
-    counts = np.bincount(inverse, minlength=ne)
 
-    # adjacency in construction order: stable sort groups the (triangle,
-    # local-slot) occurrences of each edge without reordering them
-    order = np.argsort(inverse, kind="stable")
-    occ_tri = order // 3
-    starts = np.concatenate([[0], np.cumsum(counts)])
     edge_tris = -np.ones((ne, 2), dtype=np.int64)
-    for slot in (0, 1):
-        has = counts > slot
-        pos = starts[:-1][has] + slot
-        edge_tris[has, slot] = occ_tri[pos]
+    edge_tris[:, 0] = order[starts] // 3
+    shared = counts > 1
+    edge_tris[shared, 1] = order[starts[shared] + 1] // 3
 
     boundary_edges = np.nonzero(counts == 1)[0]
     boundary_vertices = np.unique(edges[boundary_edges])
@@ -284,7 +290,7 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
 
 
 def mesh_metrics(mesh: Mesh) -> MeshMetrics:
-    """Mesh size, smallest element diameter and worst shape ratio.
+    """Mesh size and worst shape ratio.
 
     shape_ratio is element diameter over inscribed-circle diameter,
     maximized over elements (sqrt(3) for an equilateral triangle).
@@ -301,7 +307,6 @@ def mesh_metrics(mesh: Mesh) -> MeshMetrics:
     inscribed = 4.0 * np.abs(areas) / perim
     return MeshMetrics(
         h=float(diam.max()),
-        h_min_elem=float(diam.min()),
         shape_ratio=float((diam / inscribed).max()),
     )
 
@@ -325,8 +330,8 @@ def validate(mesh: Mesh) -> MeshDiagnostics:
     for i in bad_tags:
         violations.append(f"triangle {i}: invalid region tag {mesh.region_tag[i]}")
 
-    metrics = mesh_metrics(mesh) if mesh.n_triangles else MeshMetrics(0.0, 0.0, 0.0)
-    return MeshDiagnostics(violations=violations, shape_ratio=metrics.shape_ratio, h=metrics.h)
+    metrics = mesh_metrics(mesh) if mesh.n_triangles else MeshMetrics(0.0, 0.0)
+    return MeshDiagnostics(violations=violations, shape_ratio=metrics.shape_ratio)
 
 
 def write_mesh(mesh: Mesh, path) -> None:

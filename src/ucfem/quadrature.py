@@ -17,16 +17,10 @@ import numpy as np
 class TriangleRule:
     points: np.ndarray  # (nq, 3) barycentric coordinates
     weights: np.ndarray  # (nq,), sums to 1/2
-    exact_degree: int
 
     def __post_init__(self):
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
-
-    @property
-    def ref_xy(self) -> np.ndarray:
-        """Reference (xi, eta) coordinates, shape (nq, 2)."""
-        return self.points[:, 1:]
 
 
 def tri_rule_degree4() -> TriangleRule:
@@ -48,7 +42,7 @@ def tri_rule_degree4() -> TriangleRule:
         ]
     )
     wts = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
-    return TriangleRule(points=pts, weights=wts, exact_degree=4)
+    return TriangleRule(points=pts, weights=wts)
 
 
 def tri_rule_collapsed(degree: int) -> TriangleRule:
@@ -68,7 +62,7 @@ def tri_rule_collapsed(degree: int) -> TriangleRule:
     eta = np.tile(x_eta, n_xi) * (1.0 - xi)
     wts = np.repeat(w_xi * (1.0 - x_xi), n_eta) * np.tile(w_eta, n_xi)
     pts = np.column_stack([1.0 - xi - eta, xi, eta])
-    return TriangleRule(points=pts, weights=wts, exact_degree=degree)
+    return TriangleRule(points=pts, weights=wts)
 
 
 def gauss_rule_01(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,9 @@ where S is the mesh-dependent regularization, M_omega the data-region
 mass, B the mixed stiffness and A0 the Dirichlet stiffness.  Testing the
 system with (u, -z) reproduces the squared stability norm, which is what
 guarantees solvability and is checked numerically by `verify_positivity`.
+The data perturbation dq enters only through the right-hand side, so
+`make_perturbation` returns its load vector (dq, phi)_omega together with
+the certified norm ||dq||_{L2(omega)} on which the error estimates depend.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .fem import (
     assemble_stiffness,
     assemble_stabilization,
     build_space,
+    region_l2_norm,
 )
-from .fields import FeField, OscillatoryField, ScaledField, ZeroField, _field_values
+from .fields import OscillatoryField
 from .geometry import Geometry
 from .mesh import ALL_REGIONS, Mesh, Region
 from .sparse import achieved_residual, compose_saddle, solve_direct
@@ -66,17 +70,11 @@ class UcProblem:
 
 @dataclass
 class Perturbation:
-    """Data perturbation with a quadrature-certified L2(omega) norm."""
+    """Data perturbation: its load vector (dq, phi_i)_omega on the primal
+    space and its quadrature-certified L2(omega) norm."""
 
-    mode: str
-    epsilon: float
-    field: object
+    load: np.ndarray
     norm_l2_omega: float
-    kappa: float = 0.0
-    seed: int = 0
-
-    def __call__(self, points):
-        return _field_values(self.field, points)
 
 
 @dataclass
@@ -114,42 +112,27 @@ def solve_poisson(space0: FeSpace, f, rel_tol: float = 1e-10) -> np.ndarray:
     return solve_direct(A0, b, rel_tol)
 
 
-def make_perturbation(
-    geometry: Geometry,
-    mode: str,
-    epsilon: float,
-    kappa: float,
-    seed: int,
-    space: FeSpace,
-) -> Perturbation:
-    """Construct a data perturbation scaled to L2(omega) norm epsilon.
+def make_perturbation(spec: PerturbationSpec, space: FeSpace) -> Perturbation:
+    """The load vector (dq, phi_i)_omega of a data perturbation scaled to
+    L2(omega) norm epsilon.
 
-    oscillatory: eps * sin(kappa x) sin(kappa y) / (quadrature norm on the
-    polygonal omega).  nodal_noise: seeded uniform(-1,1) values on the
-    dofs of the data-region elements, mass-scaled to eps.  The norm is
-    recomputed after scaling and stored.
+    oscillatory: dq = eps * sin(kappa x) sin(kappa y) / (quadrature norm on
+    the polygonal omega).  nodal_noise: dq is the finite element function
+    with seeded uniform(-1,1) values on the dofs of the data-region
+    elements, mass-scaled to eps; its load is M_omega @ coeffs.  The stored
+    norm is the quadrature L2(omega) norm of the scaled dq.
     """
-    from .fem import region_l2_norm
-
-    spec = PerturbationSpec(mode=mode, epsilon=epsilon, kappa=kappa, seed=seed)
     if spec.mode == "none" or spec.epsilon == 0.0:
-        return Perturbation(mode="none", epsilon=0.0, field=ZeroField(), norm_l2_omega=0.0)
+        return Perturbation(load=np.zeros(space.n_dofs), norm_l2_omega=0.0)
 
     if spec.mode == "oscillatory":
         raw = OscillatoryField(kappa=spec.kappa)
         raw_norm = region_l2_norm(space, raw, Region.OMEGA_DATA)
         if raw_norm == 0.0:
-            raise ValueError(f"oscillatory perturbation with kappa={kappa} has zero norm")
-        fld = ScaledField(raw, spec.epsilon / raw_norm)
-        certified = region_l2_norm(space, fld, Region.OMEGA_DATA)
-        return Perturbation(
-            mode=spec.mode,
-            epsilon=spec.epsilon,
-            field=fld,
-            norm_l2_omega=certified,
-            kappa=spec.kappa,
-            seed=spec.seed,
-        )
+            raise ValueError(f"oscillatory perturbation with kappa={spec.kappa} has zero norm")
+        scale = spec.epsilon / raw_norm
+        load = scale * assemble_load_region(space, raw, Region.OMEGA_DATA)
+        return Perturbation(load=load, norm_l2_omega=scale * raw_norm)
 
     # nodal_noise
     elements = space.mesh.region_elements(Region.OMEGA_DATA)
@@ -163,16 +146,8 @@ def make_perturbation(
     if raw_norm == 0.0:
         raise ValueError("nodal noise degenerated to the zero field")
     coeffs *= spec.epsilon / raw_norm
-    fld = FeField(space, coeffs)
-    certified = float(np.sqrt(coeffs @ (M_omega @ coeffs)))
-    return Perturbation(
-        mode=spec.mode,
-        epsilon=spec.epsilon,
-        field=fld,
-        norm_l2_omega=certified,
-        kappa=spec.kappa,
-        seed=spec.seed,
-    )
+    load = M_omega @ coeffs
+    return Perturbation(load=load, norm_l2_omega=float(np.sqrt(coeffs @ load)))
 
 
 def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float):
@@ -195,17 +170,8 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
     forms, K = _assemble_saddle(space, space0, tik)
     S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 
-    pert = make_perturbation(
-        problem.geometry,
-        problem.perturbation.mode,
-        problem.perturbation.epsilon,
-        problem.perturbation.kappa,
-        problem.perturbation.seed,
-        space,
-    )
-    load = assemble_load_region(space, problem.exact, Region.OMEGA_DATA)
-    if pert.epsilon > 0.0:
-        load = load + assemble_load_region(space, pert.field, Region.OMEGA_DATA)
+    pert = make_perturbation(problem.perturbation, space)
+    load = assemble_load_region(space, problem.exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
     x = solve_direct(K, rhs, rel_tol)

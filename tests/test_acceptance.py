@@ -132,17 +132,9 @@ def test_criterion_3_exponent_arithmetic():
 
 def test_criterion_4_poisson_baseline():
     from ucfem.fem import error_norms
-    from ucfem.fields import ConstantField
+    from ucfem.fields import ConstantField, RadialQuadratic
     from ucfem.mesh import ALL_REGIONS, refine_uniform
     from ucfem.solver import solve_poisson
-
-    class Paraboloid:
-        def value(self, pts):
-            pts = np.asarray(pts)
-            return 1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2
-
-        def gradient(self, pts):
-            return -2.0 * np.asarray(pts)
 
     t0 = time.time()
     geo = Geometry(*RADII)
@@ -151,7 +143,7 @@ def test_criterion_4_poisson_baseline():
     for level in range(2, 6):
         space0 = build_space(mesh, 1, True)
         u = solve_poisson(space0, ConstantField(4.0))
-        err = error_norms(space0, u, Paraboloid(), ALL_REGIONS).h1_semi
+        err = error_norms(space0, u, RadialQuadratic(1.0, -1.0), ALL_REGIONS).h1_semi
         points.append((mesh.h, err))
         if level < 5:
             mesh = refine_uniform(mesh, geo)

@@ -16,7 +16,7 @@ from ucfem.fem import (
     region_l2_norm,
     triple_norm,
 )
-from ucfem.fields import AffineField, ConstantField, FeField, ZeroField
+from ucfem.fields import AffineField, ConstantField
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, element_diameters, refine_uniform, signed_areas
 
@@ -184,14 +184,12 @@ class TestLoads:
         omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         assert abs(load.sum() - omega_area) < 1e-13
 
-    def test_basis_function_load_equals_mass_column(self, base_mesh):
+    def test_unit_load_equals_mass_row_sums(self, base_mesh):
+        # (1, phi_i) = sum_j (phi_j, phi_i): the load and mass assemblies agree
         space = build_space(base_mesh, 1, False)
-        M = assemble_region_mass(space, B_REGIONS).matrix.toarray()
-        j = 3
-        e_j = np.zeros(space.n_dofs)
-        e_j[j] = 1.0
-        load = assemble_load_region(space, FeField(space, e_j), B_REGIONS)
-        assert np.allclose(load, M[:, j], atol=1e-14)
+        M = assemble_region_mass(space, B_REGIONS).matrix
+        load = assemble_load_region(space, ConstantField(1.0), B_REGIONS)
+        assert np.allclose(load, np.asarray(M.sum(axis=1)).ravel(), atol=1e-14)
 
     def test_odd_integrand_cancels(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)

@@ -159,6 +159,40 @@ class TestValidate:
         assert any("invalid region tag" in v for v in validate(bad).violations)
 
 
+def _assert_adjacency_matches_brute_force(mesh):
+    # every (triangle, local slot) occurrence of each edge, in construction order
+    occurrences = {}
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        for slot, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+            occurrences.setdefault((min(p, q), max(p, q)), []).append((t, slot))
+    keys = sorted(occurrences)
+    tri_edges = np.full(mesh.triangles.shape, -1)
+    for e, key in enumerate(keys):
+        for t, slot in occurrences[key]:
+            tri_edges[t, slot] = e
+    hits = [occurrences[key] for key in keys]
+    assert mesh.edges.tolist() == [list(key) for key in keys]
+    assert mesh.edge_counts.tolist() == [len(h) for h in hits]
+    assert mesh.tri_edges.tolist() == tri_edges.tolist()
+    assert mesh.edge_tris.tolist() == [[h[0][0], h[1][0] if len(h) > 1 else -1] for h in hits]
+
+
+class TestAdjacency:
+    def test_disk_level2_matches_brute_force(self, mesh_l2):
+        _assert_adjacency_matches_brute_force(mesh_l2)
+
+    def test_edge_of_three_triangles_matches_brute_force(self, base_mesh):
+        tris = np.vstack([base_mesh.triangles, base_mesh.triangles[0:1]])
+        tags = np.concatenate([base_mesh.region_tag, base_mesh.region_tag[0:1]])
+        mesh = mesh_from_arrays(base_mesh.vertices, tris, tags)
+        assert mesh.edge_counts.max() == 3
+        _assert_adjacency_matches_brute_force(mesh)
+
+    def test_vertex_index_out_of_range_rejected(self, unit_triangle_mesh):
+        with pytest.raises(ValueError, match="vertex index"):
+            mesh_from_arrays(unit_triangle_mesh.vertices, [[0, 1, 3]], [0])
+
+
 class TestMeshFile:
     def test_round_trip(self, geometry, tmp_path):
         mesh = build_disk_mesh(geometry, sectors=8, level=1)

@@ -12,7 +12,7 @@ from ucfem.fem import (
     error_norms,
     interpolate_nodal,
 )
-from ucfem.fields import AffineField, ConstantField, ZeroField
+from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
 from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh, refine_uniform
 from ucfem.solver import (
@@ -26,24 +26,9 @@ from ucfem.solver import (
 )
 
 
-class Paraboloid:
-    """1 - |x|^2, the f = 4 manufactured solution on the unit disk."""
-
-    def value(self, pts):
-        pts = np.asarray(pts)
-        return 1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2
-
-    def gradient(self, pts):
-        return -2.0 * np.asarray(pts)
-
-
-class RadiusSquared:
-    def value(self, pts):
-        pts = np.asarray(pts)
-        return pts[:, 0] ** 2 + pts[:, 1] ** 2
-
-    def gradient(self, pts):
-        return 2.0 * np.asarray(pts)
+#: 1 - |x|^2, the f = 4 manufactured solution on the unit disk
+PARABOLOID = RadialQuadratic(1.0, -1.0)
+RADIUS_SQUARED = RadialQuadratic(0.0, 1.0)
 
 
 class TestPoisson:
@@ -62,7 +47,7 @@ class TestPoisson:
         for _ in range(3):
             space0 = build_space(mesh, 1, True)
             u = solve_poisson(space0, ConstantField(4.0))
-            errs.append(error_norms(space0, u, Paraboloid(), ALL_REGIONS).h1_semi)
+            errs.append(error_norms(space0, u, PARABOLOID, ALL_REGIONS).h1_semi)
             hs.append(mesh.h)
             mesh = refine_uniform(mesh, geometry)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -76,7 +61,7 @@ class TestPoisson:
         for _ in range(3):
             space0 = build_space(mesh, 2, True)
             u = solve_poisson(space0, ConstantField(4.0))
-            errs.append(error_norms(space0, u, Paraboloid(), B_REGIONS).l2)
+            errs.append(error_norms(space0, u, PARABOLOID, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
         for coarse, fine in zip(errs, errs[1:]):
             assert fine < 0.5 * coarse
@@ -96,7 +81,7 @@ class TestHminus1Residual:
         # computed through the independent load-assembly path
         space = build_space(mesh_l2, 2, False)
         space0 = build_space(mesh_l2, 2, True)
-        u = interpolate_nodal(space, RadiusSquared())
+        u = interpolate_nodal(space, RADIUS_SQUARED)
         got = hminus1_residual(space0, space, u)
         phi = solve_poisson(space0, ConstantField(-4.0))
         A0 = assemble_stiffness(space0).matrix
@@ -106,46 +91,47 @@ class TestHminus1Residual:
     def test_cross_oracle_quadratic_k1_within_interpolation_error(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
         space0 = build_space(mesh_l2, 1, True)
-        u = interpolate_nodal(space, RadiusSquared())
+        u = interpolate_nodal(space, RADIUS_SQUARED)
         got = hminus1_residual(space0, space, u)
         phi = solve_poisson(space0, ConstantField(-4.0))
         A0 = assemble_stiffness(space0).matrix
         want = math.sqrt(phi @ (A0 @ phi))
-        gap = error_norms(space, u, RadiusSquared(), ALL_REGIONS).h1_semi
+        gap = error_norms(space, u, RADIUS_SQUARED, ALL_REGIONS).h1_semi
         assert abs(got - want) <= gap
 
 
 class TestPerturbation:
-    def test_zero_epsilon_gives_zero_field(self, mesh_l2, geometry):
+    def test_zero_epsilon_gives_zero_field(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
-        pert = make_perturbation(geometry, "oscillatory", 0.0, 10.0, 0, space)
+        pert = make_perturbation(PerturbationSpec("oscillatory", 0.0), space)
         assert pert.norm_l2_omega == 0.0
-        assert np.array_equal(pert(np.array([[0.1, 0.1]])), np.zeros(1))
+        assert np.array_equal(pert.load, np.zeros(space.n_dofs))
 
-    def test_oscillatory_norm_certified(self, mesh_l2, geometry):
+    def test_oscillatory_norm_certified(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
-        pert = make_perturbation(geometry, "oscillatory", 1e-3, 10.0, 0, space)
+        pert = make_perturbation(PerturbationSpec("oscillatory", 1e-3), space)
         assert abs(pert.norm_l2_omega - 1e-3) < 1e-10 * 1e-3
 
-    def test_degenerate_kappa_rejected(self, mesh_l2, geometry):
+    def test_degenerate_kappa_rejected(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
         with pytest.raises(ValueError):
-            make_perturbation(geometry, "oscillatory", 1e-3, 0.0, 0, space)
+            make_perturbation(PerturbationSpec("oscillatory", 1e-3, kappa=0.0), space)
 
-    def test_nodal_noise_deterministic(self, mesh_l2, geometry):
+    def test_nodal_noise_deterministic(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
-        a = make_perturbation(geometry, "nodal_noise", 1e-3, 10.0, 42, space)
-        b = make_perturbation(geometry, "nodal_noise", 1e-3, 10.0, 42, space)
-        c = make_perturbation(geometry, "nodal_noise", 1e-3, 10.0, 43, space)
-        assert np.array_equal(a.field.coeffs, b.field.coeffs)
-        assert not np.array_equal(a.field.coeffs, c.field.coeffs)
+        a = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=42), space)
+        b = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=42), space)
+        c = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=43), space)
+        assert np.array_equal(a.load, b.load)
+        assert not np.array_equal(a.load, c.load)
         assert abs(a.norm_l2_omega - 1e-3) < 1e-12
 
     def test_nodal_noise_supported_on_data_region(self, mesh_l2, geometry):
         space = build_space(mesh_l2, 1, False)
-        pert = make_perturbation(geometry, "nodal_noise", 1e-3, 10.0, 7, space)
+        pert = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=7), space)
         outside = np.linalg.norm(space.dof_coords, axis=1) > geometry.r1 + 1e-9
-        assert np.abs(pert.field.coeffs[outside]).max() == 0.0
+        assert np.abs(pert.load[outside]).max() == 0.0
+        assert np.abs(pert.load[~outside]).max() > 0.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -173,19 +159,20 @@ class TestSolveUc:
         sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=HarmonicMonomial(3)), mesh_l2)
         assert sol.diagnostics.solve_residual <= 1e-10
 
-    def test_linear_in_data(self, geometry, mesh_l2):
+    @pytest.mark.parametrize("mode", ["oscillatory", "nodal_noise"])
+    def test_linear_in_data(self, geometry, mesh_l2, mode):
         # with zero exact solution the scheme maps the perturbation linearly
         base = UcProblem(
             geometry=geometry,
             k=1,
             exact=ZeroField(),
-            perturbation=PerturbationSpec(mode="oscillatory", epsilon=1e-3),
+            perturbation=PerturbationSpec(mode=mode, epsilon=1e-3),
         )
         doubled = UcProblem(
             geometry=geometry,
             k=1,
             exact=ZeroField(),
-            perturbation=PerturbationSpec(mode="oscillatory", epsilon=2e-3),
+            perturbation=PerturbationSpec(mode=mode, epsilon=2e-3),
         )
         u1 = solve_uc(base, mesh_l2).u
         u2 = solve_uc(doubled, mesh_l2).u
