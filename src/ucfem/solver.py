@@ -34,7 +34,7 @@ from .fem import (
 from .fields import OscillatoryField
 from .geometry import Geometry
 from .mesh import ALL_REGIONS, Mesh, Region
-from .sparse import achieved_residual, compose_saddle, solve_direct
+from .sparse import achieved_residual, compose_saddle, nested_dissection, solve_direct
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,28 @@ def solve_poisson(space0: FeSpace, f, rel_tol: float = 1e-10) -> np.ndarray:
         raise ValueError("solve_poisson requires a Dirichlet space")
     A0 = assemble_stiffness(space0).matrix
     b = assemble_load_region(space0, f, ALL_REGIONS)
-    return solve_direct(A0, b, rel_tol)
+    return _solve_ordered(A0, b, space0.dof_coords, rel_tol)
 
 
-def make_perturbation(spec: PerturbationSpec, space: FeSpace) -> Perturbation:
+def _solve_ordered(K, b, coords, rel_tol: float = 1e-10) -> np.ndarray:
+    """`solve_direct` of K x = b in the nested-dissection order of K's graph
+    over the dof points coords, returned in the original order."""
+    p = nested_dissection(coords, K)
+    x = np.empty_like(b, dtype=float)
+    x[p] = solve_direct(K[p][:, p], b[p], rel_tol)
+    return x
+
+
+def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Perturbation:
     """The load vector (dq, phi_i)_omega of a data perturbation scaled to
     L2(omega) norm epsilon.
 
     oscillatory: dq = eps * sin(kappa x) sin(kappa y) / (quadrature norm on
     the polygonal omega).  nodal_noise: dq is the finite element function
     with seeded uniform(-1,1) values on the dofs of the data-region
-    elements, mass-scaled to eps; its load is M_omega @ coeffs.  The stored
-    norm is the quadrature L2(omega) norm of the scaled dq.
+    elements, mass-scaled to eps; its load is M_omega @ coeffs, with M_omega
+    the data-region mass matrix of space (the one in the saddle system).
+    The stored norm is the quadrature L2(omega) norm of the scaled dq.
     """
     if spec.mode == "none" or spec.epsilon == 0.0:
         return Perturbation(load=np.zeros(space.n_dofs), norm_l2_omega=0.0)
@@ -141,7 +151,6 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace) -> Perturbation:
     rng = np.random.default_rng(spec.seed)
     coeffs = np.zeros(space.n_dofs)
     coeffs[omega_dofs] = rng.uniform(-1.0, 1.0, omega_dofs.size)
-    M_omega = assemble_region_mass(space, Region.OMEGA_DATA).matrix
     raw_norm = np.sqrt(coeffs @ (M_omega @ coeffs))
     if raw_norm == 0.0:
         raise ValueError("nodal noise degenerated to the zero field")
@@ -170,11 +179,11 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
     forms, K = _assemble_saddle(space, space0, tik)
     S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 
-    pert = make_perturbation(problem.perturbation, space)
+    pert = make_perturbation(problem.perturbation, space, M_omega.matrix)
     load = assemble_load_region(space, problem.exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    x = solve_direct(K, rhs, rel_tol)
+    x = _solve_ordered(K, rhs, np.concatenate([space.dof_coords, space0.dof_coords]), rel_tol)
     u = x[: space.n_dofs]
     z = x[space.n_dofs :]
 
@@ -220,7 +229,7 @@ def hminus1_residual(
     if B is None:
         B = assemble_stiffness(space0, space)
     r = B.matrix @ u
-    phi = solve_direct(A0.matrix.tocsr(), r)
+    phi = _solve_ordered(A0.matrix, r, space0.dof_coords)
     return float(np.sqrt(max(phi @ r, 0.0)))
 
 

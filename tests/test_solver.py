@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from ucfem.fem import (
     assemble_gradient_jump,
@@ -24,6 +25,7 @@ from ucfem.solver import (
     solve_uc,
     verify_positivity,
 )
+from ucfem.sparse import compose_saddle
 
 
 #: 1 - |x|^2, the f = 4 manufactured solution on the unit disk
@@ -100,35 +102,44 @@ class TestHminus1Residual:
         assert abs(got - want) <= gap
 
 
+def region_mass(space):
+    return assemble_region_mass(space, Region.OMEGA_DATA).matrix
+
+
 class TestPerturbation:
     def test_zero_epsilon_gives_zero_field(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
-        pert = make_perturbation(PerturbationSpec("oscillatory", 0.0), space)
+        pert = make_perturbation(PerturbationSpec("oscillatory", 0.0), space, region_mass(space))
         assert pert.norm_l2_omega == 0.0
         assert np.array_equal(pert.load, np.zeros(space.n_dofs))
 
     def test_oscillatory_norm_certified(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
-        pert = make_perturbation(PerturbationSpec("oscillatory", 1e-3), space)
+        pert = make_perturbation(PerturbationSpec("oscillatory", 1e-3), space, region_mass(space))
         assert abs(pert.norm_l2_omega - 1e-3) < 1e-10 * 1e-3
 
     def test_degenerate_kappa_rejected(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
         with pytest.raises(ValueError):
-            make_perturbation(PerturbationSpec("oscillatory", 1e-3, kappa=0.0), space)
+            make_perturbation(
+                PerturbationSpec("oscillatory", 1e-3, kappa=0.0), space, region_mass(space)
+            )
 
     def test_nodal_noise_deterministic(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
-        a = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=42), space)
-        b = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=42), space)
-        c = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=43), space)
+        M_omega = region_mass(space)
+        a = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=42), space, M_omega)
+        b = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=42), space, M_omega)
+        c = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=43), space, M_omega)
         assert np.array_equal(a.load, b.load)
         assert not np.array_equal(a.load, c.load)
         assert abs(a.norm_l2_omega - 1e-3) < 1e-12
 
     def test_nodal_noise_supported_on_data_region(self, mesh_l2, geometry):
         space = build_space(mesh_l2, 1, False)
-        pert = make_perturbation(PerturbationSpec("nodal_noise", 1e-3, seed=7), space)
+        pert = make_perturbation(
+            PerturbationSpec("nodal_noise", 1e-3, seed=7), space, region_mass(space)
+        )
         outside = np.linalg.norm(space.dof_coords, axis=1) > geometry.r1 + 1e-9
         assert np.abs(pert.load[outside]).max() == 0.0
         assert np.abs(pert.load[~outside]).max() > 0.0
@@ -197,6 +208,17 @@ class TestSolveUc:
         )
         sol = solve_uc(prob, mesh_l2)
         assert sol.diagnostics.tikhonov_scale == 0.5
+
+    def test_ordered_solve_matches_unordered(self, geometry, mesh_l2):
+        # the nested-dissection order changes the factorization, not u
+        exact = HarmonicMonomial(3)
+        sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh_l2)
+        f = sol.forms
+        K = compose_saddle(f["S"].matrix + f["M_omega"].matrix, f["B"].matrix, f["A0"].matrix)
+        load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA)
+        x = spsolve(K.tocsc(), np.concatenate([load, np.zeros(sol.dual_space.n_dofs)]))
+        u = x[: sol.primal_space.n_dofs]
+        assert np.linalg.norm(sol.u - u) <= 1e-10 * np.linalg.norm(u)
 
     def test_a_priori_bound(self, geometry):
         # unperturbed primal solutions stay within twice the exact L2 size

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
-from ucfem.mesh import Region
-from ucfem.sparse import SolverError, compose_saddle, solve_direct
+from ucfem.mesh import Region, build_disk_mesh
+from ucfem.sparse import LEAF_SIZE, SolverError, compose_saddle, nested_dissection, solve_direct
+
+
+def saddle(space, space0):
+    """The saddle matrix [[S + M_omega, B^T], [B, -A0]] with Tikhonov scale h."""
+    S = assemble_stabilization(space, space.mesh.h).matrix
+    M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
+    B = assemble_stiffness(space0, space).matrix
+    return compose_saddle(S + M, B, assemble_stiffness(space0).matrix)
 
 
 class TestComposeSaddle:
@@ -17,13 +26,7 @@ class TestComposeSaddle:
         assert np.array_equal(K.toarray(), np.array([[2.0, 3.0], [3.0, -5.0]]))
 
     def test_exactly_symmetric(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
-        space0 = build_space(mesh_l2, 1, True)
-        S = assemble_stabilization(space, mesh_l2.h).matrix
-        M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
-        B = assemble_stiffness(space0, space).matrix
-        A0 = assemble_stiffness(space0).matrix
-        K = compose_saddle(S + M, B, A0)
+        K = saddle(build_space(mesh_l2, 1, False), build_space(mesh_l2, 1, True))
         assert abs(K - K.T).max() == 0.0
 
     def test_zero_coupling_decouples(self):
@@ -94,3 +97,91 @@ class TestSolveDirect:
         x1 = solve_direct(A0, b)
         x2 = solve_direct(A0, b)
         assert np.array_equal(x1, x2)
+
+
+class TestFallback:
+    def test_not_quasi_definite_solved_by_pivoted_retry(self):
+        # a zero diagonal: the unpivoted factorization cannot proceed
+        K = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        b = np.array([2.0, 3.0])
+        with pytest.warns(RuntimeWarning, match="pivoted COLAMD"):
+            x = solve_direct(K, b)
+        assert np.linalg.norm(K @ x - b) <= 1e-10 * (np.linalg.norm(x) + np.linalg.norm(b))
+        assert np.array_equal(x, [3.0, 2.0])
+
+    def test_tiny_pivot_contract_miss_falls_back(self):
+        # no zero pivot, but the 1e-20 pivot ruins the unpivoted solve even
+        # after the refinement step
+        K = sp.csr_matrix(np.array([[1e-20, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 3.0, 1.0]]))
+        b = np.array([1.0, 2.0, 3.0])
+        with pytest.warns(RuntimeWarning, match="pivoted COLAMD"):
+            x = solve_direct(K, b)
+        scale = np.abs(K.data).max() * np.linalg.norm(x) + np.linalg.norm(b)
+        assert np.linalg.norm(K @ x - b) <= 1e-10 * scale
+
+    def test_quasi_definite_needs_no_fallback(self, mesh_l2):
+        # filterwarnings turns the fallback warning into an error
+        space = build_space(mesh_l2, 1, False)
+        space0 = build_space(mesh_l2, 1, True)
+        K = saddle(space, space0)
+        rng = np.random.default_rng(2)
+        p = rng.permutation(K.shape[0])
+        b = rng.standard_normal(K.shape[0])
+        x = solve_direct(K[p][:, p], b, rel_tol=1e-10)
+        scale = np.abs(K.data).max() * np.linalg.norm(x) + np.linalg.norm(b)
+        assert np.linalg.norm(K[p][:, p] @ x - b) <= 1e-10 * scale
+
+
+class TestNestedDissection:
+    @pytest.fixture(scope="class")
+    def system(self, mesh_l2):
+        space = build_space(mesh_l2, 1, False)
+        space0 = build_space(mesh_l2, 1, True)
+        return np.concatenate([space.dof_coords, space0.dof_coords]), saddle(space, space0)
+
+    def test_is_permutation(self, system):
+        coords, K = system
+        p = nested_dissection(coords, K)
+        assert K.shape[0] > LEAF_SIZE
+        assert np.array_equal(np.sort(p), np.arange(K.shape[0]))
+
+    def test_deterministic(self, system):
+        coords, K = system
+        assert np.array_equal(nested_dissection(coords, K), nested_dissection(coords, K))
+
+    def test_small_graph_kept_in_order(self):
+        # a single leaf is numbered in index order
+        A = sp.eye(LEAF_SIZE, format="csr")
+        coords = np.random.default_rng(0).uniform(size=(LEAF_SIZE, 2))
+        assert np.array_equal(nested_dissection(coords, A), np.arange(LEAF_SIZE))
+
+    def test_separator_numbered_after_halves(self):
+        # a path graph on a line: the separator of the one split is the
+        # half-0 endpoint of the middle edge, numbered after both leaves
+        n = 2 * LEAF_SIZE
+        A = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+        coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+        p = nested_dissection(coords, A)
+        assert p[-1] == n // 2 - 1
+        assert np.array_equal(p[: n // 2 - 1], np.arange(n // 2 - 1))
+        assert np.array_equal(p[n // 2 - 1 : -1], np.arange(n // 2, n))
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            nested_dissection(np.zeros((3, 2)), sp.eye(4, format="csr"))
+
+    def test_less_fill_than_colamd(self, geometry):
+        mesh = build_disk_mesh(geometry, 8, 4)
+        space = build_space(mesh, 1, False)
+        space0 = build_space(mesh, 1, True)
+        K = saddle(space, space0)
+        coords = np.concatenate([space.dof_coords, space0.dof_coords])
+        p = nested_dissection(coords, K)
+        ordered = spla.splu(
+            sp.csc_matrix(K[p][:, p]),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        colamd = spla.splu(sp.csc_matrix(K))
+        assert ordered.nnz < colamd.nnz
