@@ -59,29 +59,6 @@ class RunConfig:
         return (lo, hi)
 
 
-_KEYS = (
-    "geometry.r1",
-    "geometry.r2",
-    "geometry.r3",
-    "k",
-    "sectors",
-    "levels",
-    "exact.kind",
-    "exact.n",
-    "exact.part",
-    "perturbation.mode",
-    "perturbation.epsilon",
-    "perturbation.kappa",
-    "perturbation.seed",
-    "hmin.mode",
-    "hmin.value",
-    "hmin.scale",
-    "rate_window",
-    "output.csv",
-    "output.json",
-)
-
-
 def parse_entries(text: str) -> dict:
     """Split config text into a key -> raw-value dict; duplicate keys error."""
     entries: dict[str, str] = {}
@@ -255,6 +232,10 @@ def config_echo(cfg: RunConfig) -> dict:
         "output.csv": cfg.output.csv,
         "output.json": cfg.output.json,
     }
+
+
+#: every config key, in echo order
+_KEYS = tuple(config_echo(RunConfig()))
 
 
 def config_to_text(cfg: RunConfig) -> str:

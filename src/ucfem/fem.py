@@ -374,16 +374,6 @@ def error_norms(space: FeSpace, coeffs, exact, region, rule=None) -> ErrorNorms:
     return ErrorNorms(l2=np.sqrt(max(l2sq, 0.0)), h1_semi=np.sqrt(max(h1sq, 0.0)))
 
 
-def region_l2_norm(space: FeSpace, g, region, rule=None) -> float:
-    """Quadrature L2 norm of a field over tagged elements."""
-    rule = rule or ASSEMBLY_RULE
-    elements = space.mesh.region_elements(region)
-    pts = space.phys_points(elements, rule.points)
-    gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
-    val = float(np.einsum("q,eq,e->", rule.weights, gv**2, space.det[elements]))
-    return np.sqrt(max(val, 0.0))
-
-
 def triple_norm(
     space_primal: FeSpace,
     space_dual: FeSpace,

@@ -29,7 +29,7 @@ from .fem import (
     assemble_stiffness,
     assemble_stabilization,
     build_space,
-    region_l2_norm,
+    error_norms,
 )
 from .fields import OscillatoryField
 from .geometry import Geometry
@@ -137,7 +137,7 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
 
     if spec.mode == "oscillatory":
         raw = OscillatoryField(kappa=spec.kappa)
-        raw_norm = region_l2_norm(space, raw, Region.OMEGA_DATA)
+        raw_norm = error_norms(space, np.zeros(space.n_dofs), raw, Region.OMEGA_DATA).l2
         if raw_norm == 0.0:
             raise ValueError(f"oscillatory perturbation with kappa={spec.kappa} has zero norm")
         scale = spec.epsilon / raw_norm

@@ -52,6 +52,10 @@ def solve_direct(K, b, rel_tol: float = 1e-10) -> np.ndarray:
 
     Guarantees ||K x - b||_2 <= rel_tol * (max|K| * ||x||_2 + ||b||_2),
     applying one step of iterative refinement if the first solve misses.
+    The contract bounds the backward error only; the forward error is set
+    by the conditioning of K.  At k=2 level 5 the `converge` study's error
+    columns differ by 6.1e-5 relative between this factorization and the
+    pivoted COLAMD one, though both meet the contract.
 
     K is factored in the order given and without pivoting, so callers pass
     it in a fill-reducing order (`nested_dissection`).  That is sound for

@@ -84,6 +84,7 @@ class LevelRecord:
     triple_norm: float
     residual_hminus1: float
     l2_Omega_of_uh: float
+    energy_ratio: float | None
     sensitivity: float | None = None
     tik_scale: float | None = None
 
@@ -141,6 +142,10 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float | None) ->
     )
     resid = hminus1_residual(dual, primal, sol.u, A0=sol.forms["A0"], B=sol.forms["B"])
     l2_uh = error_norms(primal, sol.u, ZeroField(), ALL_REGIONS).l2
+    # energy balance s(u_I,u_I) / |u_I|^2_omega: the data term engages the
+    # solver only once it falls below about 1; None when u_I = 0 on omega
+    reg_energy = float(u_interp @ (sol.forms["S"].matrix @ u_interp))
+    data_energy = float(u_interp @ (sol.forms["M_omega"].matrix @ u_interp))
     return LevelRecord(
         level=mesh.level,
         h=float(mesh.h),
@@ -152,6 +157,7 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float | None) ->
         triple_norm=float(tnorm),
         residual_hminus1=float(resid),
         l2_Omega_of_uh=float(l2_uh),
+        energy_ratio=reg_energy / data_energy if data_energy > 0 else None,
         tik_scale=None if hmin_value is None else float(max(mesh.h, hmin_value)),
     )
 
@@ -283,6 +289,7 @@ _BASE_COLUMNS = (
     "triple_norm",
     "residual_hminus1",
     "l2_Omega_of_uh",
+    "energy_ratio",
 )
 _INT_COLUMNS = {"level", "n_dofs_primal", "n_dofs_dual"}
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucfem.fem import (
     assemble_cell_laplacian,
@@ -13,12 +15,21 @@ from ucfem.fem import (
     build_space,
     error_norms,
     interpolate_nodal,
-    region_l2_norm,
     triple_norm,
 )
 from ucfem.fields import AffineField, ConstantField
 from ucfem.harmonic import HarmonicMonomial
-from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, element_diameters, refine_uniform, signed_areas
+from ucfem.mesh import (
+    ALL_REGIONS,
+    B_REGIONS,
+    Region,
+    build_disk_mesh,
+    element_diameters,
+    mesh_from_arrays,
+    refine_uniform,
+    signed_areas,
+)
+from ucfem.solver import verify_positivity
 
 
 class TestSpaces:
@@ -239,7 +250,8 @@ class TestInterpolationAndNorms:
     def test_region_l2_norm_constant(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
         omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
-        got = region_l2_norm(space, ConstantField(2.0), [Region.OMEGA_DATA])
+        zeros = np.zeros(space.n_dofs)
+        got = error_norms(space, zeros, ConstantField(2.0), [Region.OMEGA_DATA]).l2
         assert abs(got - 2.0 * math.sqrt(omega_area)) < 1e-13
 
 
@@ -275,3 +287,59 @@ class TestTripleNorm:
         one = triple_norm(space, space0, u, z, S, M, A0)
         ten = triple_norm(space, space0, 10 * u, 10 * z, S, M, A0)
         assert abs(ten - 10 * one) < 1e-10 * one
+
+
+def jittered_disk_mesh(geometry, level, seed, amplitude):
+    """Disk mesh with every non-boundary vertex moved by at most `amplitude`
+    times a fifth of the smallest triangle height: a displacement that keeps
+    every triangle positively oriented."""
+    mesh = build_disk_mesh(geometry, 8, level)
+    v, t = mesh.vertices, mesh.triangles
+    longest = np.max(
+        [np.linalg.norm(v[t[:, i]] - v[t[:, (i + 1) % 3]], axis=1) for i in range(3)], axis=0
+    )
+    reach = 0.2 * (2.0 * signed_areas(mesh) / longest).min()
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-1.0, 1.0, v.shape)
+    shift *= amplitude * reach / np.maximum(np.linalg.norm(shift, axis=1), 1.0)[:, None]
+    shift[mesh.boundary_vertices] = 0.0
+    return mesh_from_arrays(v + shift, t, mesh.region_tag, mesh.level, mesh.vertex_circle)
+
+
+class TestAssemblyProperties:
+    @given(
+        level=st.sampled_from([1, 2]),
+        k=st.sampled_from([1, 2]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        amplitude=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_invariants_on_jittered_meshes(self, geometry, level, k, seed, amplitude):
+        mesh = jittered_disk_mesh(geometry, level, seed, amplitude)
+        assert signed_areas(mesh).min() > 0.0
+        space = build_space(mesh, k, False)
+
+        # exact symmetry of every form built by the shared scatter
+        regions = (Region.OMEGA_DATA, Region.TARGET_ANNULUS, Region.OUTER_ANNULUS)
+        masses = [assemble_region_mass(space, [region]).matrix for region in regions]
+        jump = assemble_gradient_jump(space).matrix
+        stab = assemble_stabilization(space, mesh.h).matrix
+        for A in (stab, jump, *masses):
+            assert abs(A - A.T).max() == 0.0
+
+        # the region masses partition the all-domain mass
+        total = assemble_region_mass(space, ALL_REGIONS).matrix
+        assert abs(sum(masses) - total).max() <= 1e-14 * abs(total).max()
+
+        # the jump penalty sees no global polynomial of degree <= k
+        c = np.random.default_rng(seed).uniform(-1.0, 1.0, 6)
+
+        def poly(p):
+            x, y = np.asarray(p).T
+            quad = c[3] * x * x + c[4] * x * y + c[5] * y * y if k == 2 else 0.0
+            return c[0] + c[1] * x + c[2] * y + quad
+
+        assert np.abs(jump @ interpolate_nodal(space, poly)).max() <= 1e-12
+
+        space0 = build_space(mesh, k, True)
+        assert verify_positivity(space, space0, trials=3, seed=seed) <= 1e-12

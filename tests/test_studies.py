@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ucfem.config import parse_config
 from ucfem.fem import error_norms
 from ucfem.fields import AffineField
-from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed
+from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed, optimal_alpha
 from ucfem.mesh import build_disk_mesh
 from ucfem.studies import (
     ball_norm_sq_quadrature,
@@ -88,12 +88,20 @@ class TestConvergenceStudy:
         lines = report_to_csv(report).splitlines()
         assert lines[0] == (
             "level,h,n_dofs_primal,n_dofs_dual,err_l2_B,err_l2_omega,"
-            "err_h1semi_B,triple_norm,residual_hminus1,l2_Omega_of_uh"
+            "err_h1semi_B,triple_norm,residual_hminus1,l2_Omega_of_uh,energy_ratio"
         )
         assert len(lines) == 1 + len(report.rows)
         first = lines[1].split(",")
         assert first[0] == "1"
         assert "e" in first[1]  # %.12e formatting
+
+    def test_energy_ratio_at_pinned_geometry(self, quick_report):
+        # s(u_I,u_I) / |u_I|^2_omega for Re z^2 at radii 0.25/0.5/1.0
+        report, _ = quick_report
+        want = (23776.169999521957, 6837.216933972654)
+        for row, ratio in zip(report.rows, want):
+            assert abs(row.energy_ratio - ratio) <= 1e-10 * ratio
+        assert "energy_ratio" not in report.fitted_rates
 
     def test_json_mirrors_report(self, quick_report):
         report, _ = quick_report
@@ -140,9 +148,14 @@ class TestPerturbationStudy:
     def test_sensitivity_column_in_csv(self):
         cfg = parse_config("exact.kind = zero\nperturbation.epsilon = 1e-3\nlevels = 1..2\n")
         report = run_perturbation_study(cfg)
-        header = report_to_csv(report).splitlines()[0]
-        assert header.endswith(",sensitivity")
+        lines = report_to_csv(report).splitlines()
+        assert lines[0].endswith(",energy_ratio,sensitivity")
         assert "sensitivity_max_min_ratio" in report.verdicts
+        # a zero exact solution has no data energy: empty cell, JSON null
+        assert all(line.split(",")[-2] == "" for line in lines[1:])
+        text = report_to_json(report)
+        assert "NaN" not in text
+        assert all(row["energy_ratio"] is None for row in json.loads(text)["rows"])
 
 
 class TestStagnationStudy:
@@ -152,6 +165,7 @@ class TestStagnationStudy:
         stag = run_stagnation_study(cfg)
         for a, b in zip(plain.rows, stag.rows):
             assert a.err_l2_B == b.err_l2_B
+            assert a.energy_ratio == b.energy_ratio
         assert stag.verdicts["h_min"] == 0.0
 
     def test_floor_recorded_in_rows(self):
@@ -198,6 +212,21 @@ class TestBallNormOracle:
     def test_rejects_bad_circle(self, geometry, base_mesh):
         with pytest.raises(ValueError):
             ball_norm_sq_quadrature(base_mesh, geometry, HarmonicMonomial(1), 0)
+
+
+def test_engaged_regime_reaches_optimal_rate():
+    # a data disk of radius 0.8 carries O(1) mass: the energy ratio falls
+    # below 1 between levels 3 and 4 and the L2(B) error converges at the
+    # paper's rate h^{alpha k} or better
+    cfg = parse_config(
+        "geometry.r1 = 0.8\ngeometry.r2 = 0.9\nsectors = 16\nexact.n = 3\n"
+        "levels = 1..4\nrate_window = 2..4\n"
+    )
+    report = run_convergence_study(cfg)
+    ratios = [row.energy_ratio for row in report.rows]
+    assert ratios == sorted(ratios, reverse=True)
+    assert ratios[2] > 1.0 > ratios[3]
+    assert report.fitted_rates["err_l2_B"] >= optimal_alpha(0.8, 0.9, 1.0).alpha
 
 
 @pytest.mark.xfail(
