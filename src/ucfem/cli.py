@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import fem, harmonic, mesh as meshmod, quadrature, studies
 from .config import ConfigError, RunConfig, build_config, parse_entries
-from .fields import ConstantField, RadialQuadratic
+from .fields import AffineField, ConstantField, RadialQuadratic
 from .geometry import Geometry
 from .solver import solve_poisson, verify_positivity
 from .sparse import SolverError
@@ -106,13 +107,11 @@ def _cmd_uc(args, cfg: RunConfig) -> int:
     level = cfg.levels[-1]
     msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=level)
     exact = studies.exact_field_from_config(cfg)
-    hmin = studies.resolve_hmin(cfg)
     problem = UcProblem(
-        geometry=cfg.geometry,
         k=cfg.k,
         exact=exact,
         perturbation=cfg.perturbation,
-        tikhonov_hmin=hmin if hmin > 0 else None,
+        tikhonov_hmin=studies.resolve_hmin(cfg),
     )
     sol = solve_uc(problem, msh)
     err = fem.error_norms(sol.primal_space, sol.u, exact, meshmod.B_REGIONS)
@@ -179,17 +178,18 @@ def _selftest_checks(cfg: RunConfig):
         space0 = fem.build_space(msh, 1, dirichlet=True)
         return verify_positivity(space, space0, trials=20, seed=0) <= 1e-12
 
-    def adjoint_identity():
+    def consistency_identity():
+        # a(u_I, v) = 0 for an affine u and every zero-trace v, at k = 1 and 2
         msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=1)
-        space = fem.build_space(msh, 1, dirichlet=False)
-        space0 = fem.build_space(msh, 1, dirichlet=True)
-        B = fem.assemble_stiffness(space0, space).matrix
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(B.shape[1])
-        y = rng.standard_normal(B.shape[0])
-        lhs = (B @ x) @ y
-        rhs = x @ (B.T @ y)
-        return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+        for k in (1, 2):
+            space = fem.build_space(msh, k, dirichlet=False)
+            space0 = fem.build_space(msh, k, dirichlet=True)
+            B = fem.assemble_stiffness(space0, space).matrix
+            u_i = fem.interpolate_nodal(space, AffineField(0.3, -1.0, 2.0))
+            bound = 1e-12 * np.abs(B.data).max() * np.abs(u_i).max()
+            if np.abs(B @ u_i).max() > bound:
+                return False
+        return True
 
     def mesh_valid():
         msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=2)
@@ -208,7 +208,7 @@ def _selftest_checks(cfg: RunConfig):
         ("three_ball_equality", three_ball_equality),
         ("alpha_arithmetic", alpha_arithmetic),
         ("positivity_identity", positivity),
-        ("adjoint_identity", adjoint_identity),
+        ("consistency_identity", consistency_identity),
         ("mesh_validate", mesh_valid),
         ("partition_of_unity", partition_of_unity),
     ]
@@ -272,6 +272,9 @@ _COMMANDS = {
     "mesh": _cmd_mesh,
     "poisson": _cmd_poisson,
     "uc": _cmd_uc,
+    "converge": partial(_run_study, runner=studies.run_convergence_study, name="converge"),
+    "perturb": partial(_run_study, runner=studies.run_perturbation_study, name="perturb"),
+    "stagnate": partial(_run_study, runner=studies.run_stagnation_study, name="stagnate"),
     "selftest": _cmd_selftest,
 }
 
@@ -285,12 +288,6 @@ def main(argv=None) -> int:
         print(f"error=config {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "converge":
-            return _run_study(args, cfg, studies.run_convergence_study, "converge")
-        if args.command == "perturb":
-            return _run_study(args, cfg, studies.run_perturbation_study, "perturb")
-        if args.command == "stagnate":
-            return _run_study(args, cfg, studies.run_stagnation_study, "stagnate")
         return _COMMANDS[args.command](args, cfg)
     except SolverError as exc:
         print(f"error=solver {exc}", file=sys.stderr)

@@ -1,16 +1,20 @@
 """Flat `key = value` run configuration with validation and canonical echo.
 
-Dotted keys, `#` comments, defaults applied for every omitted key.  The
-echo emitted into reports re-parses to an equal RunConfig, which is what
-makes runs reproducible from their own output.
+The config keys are the fields of RunConfig and its nested dataclasses,
+walked in declaration order with dotted paths (`exact.n`); `geometry.dim`
+is not a key.  Each field's default is the key's default, its type how the
+raw value parses, and its position the key's place in the echo.  Dotted
+keys, `#` comments, defaults applied for every omitted key.  The echo
+emitted into reports re-parses to an equal RunConfig, which is what makes
+runs reproducible from their own output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .geometry import Geometry
-from .solver import PerturbationSpec
+from .solver import PERTURBATION_MODES, PerturbationSpec
 
 
 class ConfigError(ValueError):
@@ -19,14 +23,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExactConfig:
-    kind: str = "monomial"  # monomial | zero
+    kind: str = "monomial"
     n: int = 3
     part: str = "Re"
 
 
 @dataclass(frozen=True)
 class HminConfig:
-    mode: str = "off"  # off | auto | value
+    mode: str = "off"
     value: float = 0.0
     scale: float = 0.0  # 0 = derive from the exact solution when mode == auto
 
@@ -59,6 +63,61 @@ class RunConfig:
         return (lo, hi)
 
 
+def _walk(obj, prefix: str = ""):
+    """(dotted key, value) of every config field of a dataclass instance, in
+    declaration order."""
+    for f in fields(obj):
+        key = prefix + f.name
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _walk(value, key + ".")
+        elif key != "geometry.dim":
+            yield key, value
+
+
+def _rebuild(obj, values: dict, prefix: str = ""):
+    """A copy of a dataclass instance with every field set from its dotted key."""
+    changes = {}
+    for f in fields(obj):
+        key = prefix + f.name
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _rebuild(value, values, key + ".")
+        elif key in values:
+            changes[f.name] = values[key]
+    return replace(obj, **changes)
+
+
+#: every config key and its default, in echo order
+_DEFAULTS = dict(_walk(RunConfig()))
+
+_CHOICES = {
+    "exact.kind": ("monomial", "zero"),
+    "exact.part": ("Re", "Im"),
+    "perturbation.mode": PERTURBATION_MODES,
+    "hmin.mode": ("off", "auto", "value"),
+}
+
+#: (key, constraint, test on the parsed values); checked in this order
+_CONSTRAINTS = (
+    ("geometry.r1", "0 < r1", lambda v: 0 < v["geometry.r1"]),
+    ("geometry.r2", "r1 < r2", lambda v: v["geometry.r1"] < v["geometry.r2"]),
+    ("geometry.r2", "r2 < r3", lambda v: v["geometry.r2"] < v["geometry.r3"]),
+    ("k", "k in {1, 2}", lambda v: v["k"] in (1, 2)),
+    ("sectors", "even and >= 6", lambda v: v["sectors"] >= 6 and v["sectors"] % 2 == 0),
+    ("exact.n", "n >= 1", lambda v: v["exact.n"] >= 1),
+    ("perturbation.epsilon", "epsilon >= 0", lambda v: v["perturbation.epsilon"] >= 0),
+    ("perturbation.kappa", "kappa > 0", lambda v: v["perturbation.kappa"] > 0),
+    ("hmin.value", "value >= 0", lambda v: v["hmin.value"] >= 0),
+    (
+        "hmin.value",
+        "value > 0 for hmin.mode = value",
+        lambda v: v["hmin.mode"] != "value" or v["hmin.value"] > 0,
+    ),
+    ("hmin.scale", "scale >= 0", lambda v: v["hmin.scale"] >= 0),
+)
+
+
 def parse_entries(text: str) -> dict:
     """Split config text into a key -> raw-value dict; duplicate keys error."""
     entries: dict[str, str] = {}
@@ -69,39 +128,12 @@ def parse_entries(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
     return entries
-
-
-def _as_float(entries, key, default):
-    raw = entries.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _as_int(entries, key, default):
-    raw = entries.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _as_choice(entries, key, default, choices):
-    raw = entries.get(key, default)
-    if raw not in choices:
-        raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {raw!r}")
-    return raw
 
 
 def _as_level_list(raw: str, key: str) -> tuple:
@@ -122,120 +154,60 @@ def _as_level_list(raw: str, key: str) -> tuple:
     return values
 
 
+def _parse_value(key: str, raw: str):
+    """The raw text of one key parsed by the type of its default."""
+    if key == "levels":
+        return _as_level_list(raw, key)
+    if key == "rate_window":
+        if raw.strip() == "auto":
+            return ()
+        window = _as_level_list(raw, key)
+        return (window[0], window[-1])
+    if key in _CHOICES:
+        if raw not in _CHOICES[key]:
+            raise ConfigError(f"{key}: expected one of {sorted(_CHOICES[key])}, got {raw!r}")
+        return raw
+    kind = type(_DEFAULTS[key])
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+
+
 def build_config(entries: dict) -> RunConfig:
-    unknown = [key for key in entries if key not in _KEYS]
+    unknown = [key for key in entries if key not in _DEFAULTS]
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
-    r1 = _as_float(entries, "geometry.r1", 0.25)
-    r2 = _as_float(entries, "geometry.r2", 0.5)
-    r3 = _as_float(entries, "geometry.r3", 1.0)
-    if not r1 > 0:
-        raise ConfigError("geometry.r1: constraint 0 < r1 violated")
-    if not r1 < r2:
-        raise ConfigError("geometry.r2: constraint r1 < r2 violated")
-    if not r2 < r3:
-        raise ConfigError("geometry.r2: constraint r2 < r3 violated")
-    geometry = Geometry(r1, r2, r3)
-
-    k = _as_int(entries, "k", 1)
-    if k not in (1, 2):
-        raise ConfigError(f"k: constraint k in {{1, 2}} violated, got {k}")
-    sectors = _as_int(entries, "sectors", 8)
-    if sectors < 6 or sectors % 2 != 0:
-        raise ConfigError(f"sectors: constraint even and >= 6 violated, got {sectors}")
-
-    levels = _as_level_list(entries.get("levels", "1..5"), "levels")
-
-    kind = _as_choice(entries, "exact.kind", "monomial", {"monomial", "zero"})
-    n = _as_int(entries, "exact.n", 3)
-    if n < 1:
-        raise ConfigError(f"exact.n: constraint n >= 1 violated, got {n}")
-    part = _as_choice(entries, "exact.part", "Re", {"Re", "Im"})
-
-    epsilon = _as_float(entries, "perturbation.epsilon", 0.0)
-    if epsilon < 0:
-        raise ConfigError("perturbation.epsilon: constraint epsilon >= 0 violated")
-    default_mode = "oscillatory" if epsilon > 0 else "none"
-    mode = _as_choice(
-        entries, "perturbation.mode", default_mode, {"none", "oscillatory", "nodal_noise"}
-    )
-    kappa = _as_float(entries, "perturbation.kappa", 10.0)
-    if kappa <= 0:
-        raise ConfigError("perturbation.kappa: constraint kappa > 0 violated")
-    seed = _as_int(entries, "perturbation.seed", 0)
-    perturbation = PerturbationSpec(mode=mode, epsilon=epsilon, kappa=kappa, seed=seed)
-
-    hmin_mode = _as_choice(entries, "hmin.mode", "off", {"off", "auto", "value"})
-    hmin_value = _as_float(entries, "hmin.value", 0.0)
-    hmin_scale = _as_float(entries, "hmin.scale", 0.0)
-    if hmin_mode == "value" and hmin_value <= 0:
-        raise ConfigError("hmin.value: constraint value > 0 violated for hmin.mode = value")
-    if hmin_value < 0 or hmin_scale < 0:
-        raise ConfigError("hmin: values must be >= 0")
-    hmin = HminConfig(mode=hmin_mode, value=hmin_value, scale=hmin_scale)
-
-    window_raw = entries.get("rate_window", "auto").strip()
-    if window_raw == "auto":
-        rate_window = ()
-    else:
-        window = _as_level_list(window_raw, "rate_window")
-        rate_window = (window[0], window[-1])
-
-    output = OutputConfig(
-        csv=entries.get("output.csv", ""), json=entries.get("output.json", "")
-    )
-
-    return RunConfig(
-        geometry=geometry,
-        k=k,
-        sectors=sectors,
-        levels=levels,
-        exact=ExactConfig(kind=kind, n=n, part=part),
-        perturbation=perturbation,
-        hmin=hmin,
-        rate_window=rate_window,
-        output=output,
-    )
+    values = {
+        key: _parse_value(key, entries[key]) if key in entries else default
+        for key, default in _DEFAULTS.items()
+    }
+    if "perturbation.mode" not in entries and values["perturbation.epsilon"] > 0:
+        values["perturbation.mode"] = "oscillatory"
+    for key, constraint, holds in _CONSTRAINTS:
+        if not holds(values):
+            raise ConfigError(f"{key}: constraint {constraint} violated, got {values[key]!r}")
+    return _rebuild(RunConfig(), values)
 
 
 def parse_config(text: str) -> RunConfig:
     return build_config(parse_entries(text))
 
 
+def _echo_value(key: str, value) -> str:
+    if key == "levels":
+        if list(value) == list(range(value[0], value[-1] + 1)):
+            return f"{value[0]}..{value[-1]}"
+        return ",".join(str(v) for v in value)
+    if key == "rate_window":
+        return f"{value[0]}..{value[1]}" if value else "auto"
+    return repr(value) if isinstance(_DEFAULTS[key], float) else str(value)
+
+
 def config_echo(cfg: RunConfig) -> dict:
     """Canonical key -> string map; re-parses to an equal RunConfig."""
-    levels = cfg.levels
-    contiguous = list(levels) == list(range(levels[0], levels[-1] + 1))
-    levels_str = (
-        f"{levels[0]}..{levels[-1]}" if contiguous else ",".join(str(v) for v in levels)
-    )
-    window = cfg.rate_window
-    window_str = "auto" if not window else f"{window[0]}..{window[1]}"
-    return {
-        "geometry.r1": repr(cfg.geometry.r1),
-        "geometry.r2": repr(cfg.geometry.r2),
-        "geometry.r3": repr(cfg.geometry.r3),
-        "k": str(cfg.k),
-        "sectors": str(cfg.sectors),
-        "levels": levels_str,
-        "exact.kind": cfg.exact.kind,
-        "exact.n": str(cfg.exact.n),
-        "exact.part": cfg.exact.part,
-        "perturbation.mode": cfg.perturbation.mode,
-        "perturbation.epsilon": repr(cfg.perturbation.epsilon),
-        "perturbation.kappa": repr(cfg.perturbation.kappa),
-        "perturbation.seed": str(cfg.perturbation.seed),
-        "hmin.mode": cfg.hmin.mode,
-        "hmin.value": repr(cfg.hmin.value),
-        "hmin.scale": repr(cfg.hmin.scale),
-        "rate_window": window_str,
-        "output.csv": cfg.output.csv,
-        "output.json": cfg.output.json,
-    }
-
-
-#: every config key, in echo order
-_KEYS = tuple(config_echo(RunConfig()))
+    return {key: _echo_value(key, value) for key, value in _walk(cfg)}
 
 
 def config_to_text(cfg: RunConfig) -> str:

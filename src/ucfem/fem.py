@@ -341,7 +341,7 @@ class ErrorNorms:
     h1_semi: float
 
 
-def error_norms(space: FeSpace, coeffs, exact, region, rule=None) -> ErrorNorms:
+def error_norms(space: FeSpace, coeffs, exact, region) -> ErrorNorms:
     """Quadrature L2 and H1-seminorm of (exact - u_h) over tagged elements.
 
     `exact` needs a `gradient` method for the seminorm; without one the
@@ -350,7 +350,7 @@ def error_norms(space: FeSpace, coeffs, exact, region, rule=None) -> ErrorNorms:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.n_dofs,):
         raise ValueError(f"expected {space.n_dofs} coefficients, got {coeffs.shape}")
-    rule = rule or ASSEMBLY_RULE
+    rule = ASSEMBLY_RULE
     elements = space.mesh.region_elements(region)
     full = space.expand_coeffs(coeffs)
     local = full[space.full_map[elements]]  # (nel, ndl)

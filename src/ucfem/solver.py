@@ -32,20 +32,22 @@ from .fem import (
     error_norms,
 )
 from .fields import OscillatoryField
-from .geometry import Geometry
 from .mesh import ALL_REGIONS, Mesh, Region
 from .sparse import achieved_residual, compose_saddle, nested_dissection, solve_direct
 
 
+PERTURBATION_MODES = ("none", "oscillatory", "nodal_noise")
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
-    mode: str = "none"  # none | oscillatory | nodal_noise
+    mode: str = "none"
     epsilon: float = 0.0
     kappa: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("none", "oscillatory", "nodal_noise"):
+        if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
@@ -53,19 +55,18 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class UcProblem:
-    """Problem description: geometry, order, exact solution and data noise.
+    """Problem description: order, exact solution and data noise.
 
     `exact` is any field with value/gradient methods (harmonic monomial,
-    affine field, or ZeroField for pure-noise studies).  `tikhonov_hmin`
-    activates the stagnation variant: the Tikhonov scale becomes
-    max(h, tikhonov_hmin) instead of h.
+    affine field, or ZeroField for pure-noise studies).  The Tikhonov scale
+    is max(h, tikhonov_hmin): h itself for the default floor 0, the
+    stagnation variant for a positive floor.
     """
 
-    geometry: Geometry
     k: int
     exact: object
     perturbation: PerturbationSpec = PerturbationSpec()
-    tikhonov_hmin: float | None = None
+    tikhonov_hmin: float = 0.0
 
 
 @dataclass
@@ -175,7 +176,7 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
     space0 = build_space(mesh, problem.k, dirichlet=True)
 
     h = mesh.h
-    tik = h if problem.tikhonov_hmin is None else max(h, problem.tikhonov_hmin)
+    tik = max(h, problem.tikhonov_hmin)
     forms, K = _assemble_saddle(space, space0, tik)
     S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 

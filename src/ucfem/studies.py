@@ -21,7 +21,7 @@ from .fields import ZeroField
 from .geometry import Geometry
 from .harmonic import HarmonicMonomial, monomial_sobolev_norm, optimal_alpha
 from .mesh import ALL_REGIONS, B_REGIONS, Mesh, Region, build_disk_mesh, refine_uniform
-from .quadrature import TriangleRule, gauss_rule_01, tri_rule_collapsed
+from .quadrature import gauss_rule_01, tri_rule_collapsed
 from .solver import UcProblem, hminus1_residual, solve_uc
 
 #: boundedness constant for the normalized perturbation sensitivity
@@ -85,8 +85,8 @@ class LevelRecord:
     residual_hminus1: float
     l2_Omega_of_uh: float
     energy_ratio: float | None
+    tik_scale: float
     sensitivity: float | None = None
-    tik_scale: float | None = None
 
 
 @dataclass
@@ -118,9 +118,8 @@ def _meshes_for_levels(cfg: RunConfig):
         yield mesh
 
 
-def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float | None) -> LevelRecord:
+def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float) -> LevelRecord:
     problem = UcProblem(
-        geometry=cfg.geometry,
         k=cfg.k,
         exact=exact,
         perturbation=cfg.perturbation,
@@ -158,7 +157,7 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float | None) ->
         residual_hminus1=float(resid),
         l2_Omega_of_uh=float(l2_uh),
         energy_ratio=reg_energy / data_energy if data_energy > 0 else None,
-        tik_scale=None if hmin_value is None else float(max(mesh.h, hmin_value)),
+        tik_scale=float(sol.diagnostics.tikhonov_scale),
     )
 
 
@@ -179,7 +178,7 @@ def _fit_columns(rows, window_levels) -> tuple[dict, dict]:
     return fitted, eoc
 
 
-def _run_study(cfg: RunConfig, study: str, hmin_value: float | None = None) -> ConvergenceReport:
+def _run_study(cfg: RunConfig, study: str, hmin_value: float = 0.0) -> ConvergenceReport:
     """Solve every configured level and fit the rate columns; the calling
     study adds its own column, thresholds and verdicts to the report."""
     exact = exact_field_from_config(cfg)
@@ -249,7 +248,7 @@ def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
     alpha = optimal_alpha(*cfg.geometry.radii).alpha
     eps = cfg.perturbation.epsilon
     hmin_value = resolve_hmin(cfg)
-    report = _run_study(cfg, "stagnate", hmin_value if hmin_value > 0 else None)
+    report = _run_study(cfg, "stagnate", hmin_value)
     rows = report.rows
 
     report.thresholds = {
@@ -344,8 +343,6 @@ def ball_norm_sq_quadrature(
     geometry: Geometry,
     mono: HarmonicMonomial,
     circle: int,
-    rule: TriangleRule | None = None,
-    segment_order: int = 8,
 ) -> float:
     """Squared L2 norm of the complex monomial over B(r_circle) by quadrature.
 
@@ -357,7 +354,7 @@ def ball_norm_sq_quadrature(
     """
     if circle not in (1, 2, 3):
         raise ValueError(f"circle must be 1, 2 or 3, got {circle}")
-    rule = rule or tri_rule_collapsed(max(2 * (mono.n - 1), 2))
+    rule = tri_rule_collapsed(max(2 * (mono.n - 1), 2))
     regions = {1: (Region.OMEGA_DATA,), 2: B_REGIONS, 3: ALL_REGIONS}[circle]
     rho = {1: geometry.r1, 2: geometry.r2, 3: geometry.r3}[circle]
     p = mono.n - 1
@@ -386,7 +383,7 @@ def ball_norm_sq_quadrature(
     span = np.abs(delta)
     dist = rho * np.cos(0.5 * span)  # chord distance from the origin
 
-    tq, wq = gauss_rule_01(segment_order)
+    tq, wq = gauss_rule_01(8)
     theta = theta_lo[:, None] + span[:, None] * tq[None, :]
     r_chord = dist[:, None] / np.cos(theta - (theta_lo + 0.5 * span)[:, None])
     width = rho - r_chord  # (nc, nq)

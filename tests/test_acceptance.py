@@ -2,13 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Two checks are expected failures (criterion 6 and the residual-rate
-half of criterion 7): at the pinned configuration the regularization energy
-of the exact monomial's interpolant exceeds its data-region energy by 2-4
-orders of magnitude for every reachable mesh, so the solver cannot engage
-the data before level ~9.  README "Known limitations" has the analysis and
-the per-level `energy_ratio` column that shows it (23776, 6837, 1814, 466,
-118 at levels 1..5 with `exact.n = 3`); the tests assert the criteria
-exactly as stated.
+half of criterion 7): at the pinned configuration (`exact.n = 4`, Re z^3)
+the regularization energy of the exact monomial's interpolant exceeds its
+data-region energy by 4-6 orders of magnitude for every reachable mesh, so
+the solver cannot engage the data before level ~12.  README "Known
+limitations" has the analysis and the per-level `energy_ratio` column that
+shows it (2.13e6, 6.93e5, 1.92e5, 5.03e4, 1.28e4 at levels 1..5); the tests
+assert the criteria exactly as stated.
 """
 
 import math

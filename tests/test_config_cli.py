@@ -1,11 +1,23 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucfem.cli import main
-from ucfem.config import ConfigError, config_to_text, parse_config
+from ucfem.config import (
+    ConfigError,
+    RunConfig,
+    config_echo,
+    config_to_text,
+    parse_config,
+    parse_entries,
+)
+from ucfem.solver import PERTURBATION_MODES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParseConfig:
@@ -59,6 +71,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             parse_config("perturbation.epsilon = -1\n")
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("hmin.scale = -1", "hmin.scale"),
+            ("hmin.value = -1", "hmin.value"),
+            ("hmin.mode = value", "hmin.value"),
+            ("perturbation.kappa = 0", "perturbation.kappa"),
+            ("perturbation.epsilon = nan", "perturbation.epsilon"),
+            ("geometry.r1 = 0", "geometry.r1"),
+            ("geometry.r2 = 0.1", "geometry.r2"),
+            ("geometry.r1 = abc", "geometry.r1"),
+            ("exact.part = X", "exact.part"),
+            ("exact.kind = cubic", "exact.kind"),
+            ("perturbation.mode = white", "perturbation.mode"),
+            ("perturbation.seed = 1.5", "perturbation.seed"),
+            ("hmin.mode = bogus", "hmin.mode"),
+            ("k = x", "k"),
+            ("rate_window = 4..2", "rate_window"),
+        ],
+    )
+    def test_violation_names_its_key(self, line, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config(line + "\n")
+
     def test_level_list_forms(self):
         assert parse_config("levels = 2..4\n").levels == (2, 3, 4)
         assert parse_config("levels = 0,2,5\n").levels == (0, 2, 5)
@@ -82,30 +118,74 @@ class TestParseConfig:
         gap3=st.floats(min_value=1.01, max_value=5.0),
         k=st.sampled_from([1, 2]),
         sectors=st.sampled_from([6, 8, 12, 20]),
-        lo=st.integers(min_value=0, max_value=3),
-        span=st.integers(min_value=0, max_value=4),
+        levels=st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True).map(sorted),
         n=st.integers(min_value=1, max_value=40),
         part=st.sampled_from(["Re", "Im"]),
         kind=st.sampled_from(["monomial", "zero"]),
+        mode=st.sampled_from(PERTURBATION_MODES),
         epsilon=st.floats(min_value=0.0, max_value=1.0),
         kappa=st.floats(min_value=0.01, max_value=100.0),
         seed=st.integers(min_value=0, max_value=2**31),
+        hmin_mode=st.sampled_from(["off", "auto", "value"]),
+        hmin_value=st.floats(min_value=0.0, max_value=1.0),
+        hmin_scale=st.floats(min_value=0.0, max_value=1e3),
+        window=st.one_of(st.just("auto"), st.lists(st.integers(0, 9), min_size=1, max_size=4)),
+        paths=st.lists(
+            st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True), min_size=2, max_size=2
+        ),
     )
     @settings(max_examples=100)
     def test_echo_round_trips_arbitrary_configs(
-        self, r1, gap2, gap3, k, sectors, lo, span, n, part, kind, epsilon, kappa, seed
+        self,
+        r1,
+        gap2,
+        gap3,
+        k,
+        sectors,
+        levels,
+        n,
+        part,
+        kind,
+        mode,
+        epsilon,
+        kappa,
+        seed,
+        hmin_mode,
+        hmin_value,
+        hmin_scale,
+        window,
+        paths,
     ):
+        assume(hmin_mode != "value" or hmin_value > 0)
+        window_text = window if window == "auto" else ",".join(map(str, sorted(set(window))))
         text = (
             f"geometry.r1 = {r1!r}\n"
             f"geometry.r2 = {r1 * gap2!r}\n"
             f"geometry.r3 = {r1 * gap2 * gap3!r}\n"
-            f"k = {k}\nsectors = {sectors}\nlevels = {lo}..{lo + span}\n"
+            f"k = {k}\nsectors = {sectors}\nlevels = {','.join(map(str, levels))}\n"
             f"exact.kind = {kind}\nexact.n = {n}\nexact.part = {part}\n"
+            f"perturbation.mode = {mode}\n"
             f"perturbation.epsilon = {epsilon!r}\nperturbation.kappa = {kappa!r}\n"
             f"perturbation.seed = {seed}\n"
+            f"hmin.mode = {hmin_mode}\nhmin.value = {hmin_value!r}\n"
+            f"hmin.scale = {hmin_scale!r}\nrate_window = {window_text}\n"
+            f"output.csv = {paths[0]}\noutput.json = {paths[1]}\n"
         )
+        assert list(parse_entries(text)) == list(config_echo(RunConfig()))
         cfg = parse_config(text)
         assert parse_config(config_to_text(cfg)) == cfg
+
+    def test_readme_table_lists_every_key(self):
+        # the README Configuration table is the one key list kept by hand;
+        # `a.b/.c` abbreviates a.b, a.c
+        section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        keys = []
+        for cell in re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE):
+            head, *tails = cell.split("/")
+            keys.append(head)
+            keys += [head.rsplit(".", 1)[0] + tail for tail in tails]
+        assert keys == list(config_echo(RunConfig()))
 
 
 class TestCli:
@@ -221,5 +301,5 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "invariants:" in out
-        assert "0 failed" in out
+        assert "invariants: 7 passed, 0 failed" in out
+        assert "ok consistency_identity" in out

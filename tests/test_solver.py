@@ -161,26 +161,24 @@ class TestSolveUc:
         mesh = build_disk_mesh(geometry, 8, 2)
         errs = []
         for _ in range(3):
-            sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh)
+            sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
             errs.append(error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
-    def test_solve_residual_within_tolerance(self, geometry, mesh_l2):
-        sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=HarmonicMonomial(3)), mesh_l2)
+    def test_solve_residual_within_tolerance(self, mesh_l2):
+        sol = solve_uc(UcProblem(k=1, exact=HarmonicMonomial(3)), mesh_l2)
         assert sol.diagnostics.solve_residual <= 1e-10
 
     @pytest.mark.parametrize("mode", ["oscillatory", "nodal_noise"])
-    def test_linear_in_data(self, geometry, mesh_l2, mode):
+    def test_linear_in_data(self, mesh_l2, mode):
         # with zero exact solution the scheme maps the perturbation linearly
         base = UcProblem(
-            geometry=geometry,
             k=1,
             exact=ZeroField(),
             perturbation=PerturbationSpec(mode=mode, epsilon=1e-3),
         )
         doubled = UcProblem(
-            geometry=geometry,
             k=1,
             exact=ZeroField(),
             perturbation=PerturbationSpec(mode=mode, epsilon=2e-3),
@@ -196,23 +194,21 @@ class TestSolveUc:
         mesh = build_disk_mesh(geometry, 8, 2)
         errs = []
         for _ in range(3):
-            sol = solve_uc(UcProblem(geometry=geometry, k=2, exact=exact), mesh)
+            sol = solve_uc(UcProblem(k=2, exact=exact), mesh)
             errs.append(error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-2
 
-    def test_hmin_floor_applied(self, geometry, mesh_l2):
-        prob = UcProblem(
-            geometry=geometry, k=1, exact=HarmonicMonomial(3), tikhonov_hmin=0.5
-        )
+    def test_hmin_floor_applied(self, mesh_l2):
+        prob = UcProblem(k=1, exact=HarmonicMonomial(3), tikhonov_hmin=0.5)
         sol = solve_uc(prob, mesh_l2)
         assert sol.diagnostics.tikhonov_scale == 0.5
 
-    def test_ordered_solve_matches_unordered(self, geometry, mesh_l2):
+    def test_ordered_solve_matches_unordered(self, mesh_l2):
         # the nested-dissection order changes the factorization, not u
         exact = HarmonicMonomial(3)
-        sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh_l2)
+        sol = solve_uc(UcProblem(k=1, exact=exact), mesh_l2)
         f = sol.forms
         K = compose_saddle(f["S"].matrix + f["M_omega"].matrix, f["B"].matrix, f["A0"].matrix)
         load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA)
@@ -226,7 +222,7 @@ class TestSolveUc:
         limit = 2.0 * math.sqrt(real_part_norm_sq(exact, 1.0))
         mesh = build_disk_mesh(geometry, 8, 1)
         for _ in range(3):
-            sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh)
+            sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
             norm_uh = error_norms(sol.primal_space, sol.u, ZeroField(), ALL_REGIONS).l2
             assert norm_uh <= limit
             mesh = refine_uniform(mesh, geometry)
@@ -243,7 +239,7 @@ class TestConsistencyIdentity:
         exact = HarmonicMonomial(4)
         mesh = build_disk_mesh(geometry, 8, 1)
         for level in (1, 2, 3):
-            sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh)
+            sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
             sp = sol.primal_space
             S, Mw, B = (sol.forms[key].matrix for key in ("S", "M_omega", "B"))
             u_interp = interpolate_nodal(sp, exact)
@@ -326,7 +322,7 @@ def test_data_fit_rate_invariant(geometry):
     mesh = build_disk_mesh(geometry, 8, 2)
     errs, hs = [], []
     for _ in range(3):
-        sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh)
+        sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
         errs.append(error_norms(sol.primal_space, sol.u, exact, [Region.OMEGA_DATA]).l2)
         hs.append(mesh.h)
         mesh = refine_uniform(mesh, geometry)

@@ -167,6 +167,9 @@ class TestStagnationStudy:
             assert a.err_l2_B == b.err_l2_B
             assert a.energy_ratio == b.energy_ratio
         assert stag.verdicts["h_min"] == 0.0
+        # without a floor the Tikhonov scale is h itself, and the report says so
+        rows = json.loads(report_to_json(stag))["rows"]
+        assert [row["tik_scale"] for row in rows] == [row["h"] for row in rows]
 
     def test_floor_recorded_in_rows(self):
         cfg = parse_config(
@@ -242,7 +245,7 @@ def test_affine_near_exact_at_level_3(geometry):
 
     exact = AffineField(0.0, 1.0, 0.0)
     mesh = build_disk_mesh(geometry, 8, 3)
-    sol = solve_uc(UcProblem(geometry=geometry, k=1, exact=exact), mesh)
+    sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
     err = error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2
     norm_u = np.sqrt(0.5 * harmonic_norm_closed(HarmonicMonomial(2), geometry.r2))
     assert err < 1e-3 * norm_u
