@@ -20,7 +20,7 @@ from .harmonic import (
     optimal_alpha,
     three_ball_ratio,
 )
-from .mesh import build_disk_mesh, mesh_metrics, refine_uniform, validate
+from .mesh import build_disk_mesh, refine_uniform, validate
 from .solver import (
     PerturbationSpec,
     UcProblem,

@@ -115,13 +115,13 @@ def _cmd_uc(args, cfg: RunConfig) -> int:
     )
     sol = solve_uc(problem, msh)
     err = fem.error_norms(sol.primal_space, sol.u, exact, meshmod.B_REGIONS)
-    d = sol.diagnostics
+    s, dual, omega = fem.stability_terms(
+        sol.u, sol.z, sol.forms["S"], sol.forms["M_omega"], sol.forms["A0"]
+    )
     print(
-        f"uc level={level} k={cfg.k} dofs=({d.n_dofs_primal},{d.n_dofs_dual}) "
-        f"h={d.h:.6e} tik={d.tikhonov_scale:.6e} err_l2_B={err.l2:.6e} "
-        f"residual={d.solve_residual:.3e} "
-        f"s={d.triple_norm_parts['s']:.6e} dual={d.triple_norm_parts['dual']:.6e} "
-        f"omega={d.triple_norm_parts['omega']:.6e} "
+        f"uc level={level} k={cfg.k} dofs=({sol.primal_space.n_dofs},{sol.dual_space.n_dofs}) "
+        f"h={msh.h:.6e} tik={sol.tikhonov_scale:.6e} err_l2_B={err.l2:.6e} "
+        f"residual={sol.solve_residual:.3e} s={s:.6e} dual={dual:.6e} omega={omega:.6e} "
         f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e}"
     )
     return 0

@@ -98,23 +98,24 @@ _CHOICES = {
     "hmin.mode": ("off", "auto", "value"),
 }
 
-#: (key, constraint, test on the parsed values); checked in this order
+#: (keys, constraint, test on the values of those keys); checked in this order
 _CONSTRAINTS = (
-    ("geometry.r1", "0 < r1", lambda v: 0 < v["geometry.r1"]),
-    ("geometry.r2", "r1 < r2", lambda v: v["geometry.r1"] < v["geometry.r2"]),
-    ("geometry.r2", "r2 < r3", lambda v: v["geometry.r2"] < v["geometry.r3"]),
-    ("k", "k in {1, 2}", lambda v: v["k"] in (1, 2)),
-    ("sectors", "even and >= 6", lambda v: v["sectors"] >= 6 and v["sectors"] % 2 == 0),
-    ("exact.n", "n >= 1", lambda v: v["exact.n"] >= 1),
-    ("perturbation.epsilon", "epsilon >= 0", lambda v: v["perturbation.epsilon"] >= 0),
-    ("perturbation.kappa", "kappa > 0", lambda v: v["perturbation.kappa"] > 0),
-    ("hmin.value", "value >= 0", lambda v: v["hmin.value"] >= 0),
+    (("geometry.r1",), "0 < r1", lambda r1: 0 < r1),
+    (("geometry.r1", "geometry.r2"), "r1 < r2", lambda r1, r2: r1 < r2),
+    (("geometry.r2", "geometry.r3"), "r2 < r3", lambda r2, r3: r2 < r3),
+    (("k",), "k in {1, 2}", lambda k: k in (1, 2)),
+    (("sectors",), "even and >= 6", lambda m: m >= 6 and m % 2 == 0),
+    (("exact.n",), "n >= 1", lambda n: n >= 1),
+    (("perturbation.epsilon",), "epsilon >= 0", lambda eps: eps >= 0),
+    (("perturbation.kappa",), "kappa > 0", lambda kappa: kappa > 0),
+    (("perturbation.seed",), "seed >= 0", lambda seed: seed >= 0),
+    (("hmin.value",), "value >= 0", lambda value: value >= 0),
     (
-        "hmin.value",
+        ("hmin.mode", "hmin.value"),
         "value > 0 for hmin.mode = value",
-        lambda v: v["hmin.mode"] != "value" or v["hmin.value"] > 0,
+        lambda mode, value: mode != "value" or value > 0,
     ),
-    ("hmin.scale", "scale >= 0", lambda v: v["hmin.scale"] >= 0),
+    (("hmin.scale",), "scale >= 0", lambda scale: scale >= 0),
 )
 
 
@@ -185,9 +186,13 @@ def build_config(entries: dict) -> RunConfig:
     }
     if "perturbation.mode" not in entries and values["perturbation.epsilon"] > 0:
         values["perturbation.mode"] = "oscillatory"
-    for key, constraint, holds in _CONSTRAINTS:
-        if not holds(values):
-            raise ConfigError(f"{key}: constraint {constraint} violated, got {values[key]!r}")
+    for keys, constraint, holds in _CONSTRAINTS:
+        got = [values[key] for key in keys]
+        if not holds(*got):
+            raise ConfigError(
+                f"{', '.join(keys)}: constraint {constraint} violated, "
+                f"got {', '.join(map(repr, got))}"
+            )
     return _rebuild(RunConfig(), values)
 
 

@@ -43,10 +43,6 @@ class FormMatrix:
 
     matrix: sp.csr_matrix
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 class FeSpace:
     """Continuous piecewise-polynomial space of order k on a mesh.
@@ -374,19 +370,13 @@ def error_norms(space: FeSpace, coeffs, exact, region) -> ErrorNorms:
     return ErrorNorms(l2=np.sqrt(max(l2sq, 0.0)), h1_semi=np.sqrt(max(h1sq, 0.0)))
 
 
-def triple_norm(
-    space_primal: FeSpace,
-    space_dual: FeSpace,
-    u,
-    z,
-    S: FormMatrix,
-    M_omega: FormMatrix,
-    A0: FormMatrix,
-) -> float:
-    """Stability norm sqrt(s(u,u) + a(z,z) + |u|^2_{L2(omega)})."""
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if u.shape != (space_primal.n_dofs,) or z.shape != (space_dual.n_dofs,):
-        raise ValueError("coefficient sizes do not match the spaces")
-    val = u @ (S.matrix @ u) + z @ (A0.matrix @ z) + u @ (M_omega.matrix @ u)
-    return float(np.sqrt(max(val, 0.0)))
+def stability_terms(u, z, S, M_omega, A0) -> tuple[float, float, float]:
+    """The three terms s(u,u), a(z,z) and |u|^2_{L2(omega)} of the squared
+    stability norm, from the CSR matrices of s, of the data-region mass and
+    of the zero-trace stiffness."""
+    return float(u @ (S @ u)), float(z @ (A0 @ z)), float(u @ (M_omega @ u))
+
+
+def triple_norm(u, z, S, M_omega, A0) -> float:
+    """Stability norm |||(u,z)||| = sqrt(s(u,u) + a(z,z) + |u|^2_{L2(omega)})."""
+    return float(np.sqrt(max(sum(stability_terms(u, z, S, M_omega, A0)), 0.0)))

@@ -93,15 +93,13 @@ class Mesh:
         return np.nonzero(np.isin(self.region_tag, regions))[0]
 
 
-@dataclass(frozen=True)
-class MeshMetrics:
-    h: float
-    shape_ratio: float
-
-
 @dataclass
 class MeshDiagnostics:
-    """Validation report; `violations` is empty for a conforming mesh."""
+    """Validation report; `violations` is empty for a conforming mesh.
+
+    shape_ratio is element diameter over inscribed-circle diameter,
+    maximized over elements (sqrt(3) for an equilateral triangle).
+    """
 
     violations: list[str]
     shape_ratio: float
@@ -289,28 +287,6 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
     return child
 
 
-def mesh_metrics(mesh: Mesh) -> MeshMetrics:
-    """Mesh size and worst shape ratio.
-
-    shape_ratio is element diameter over inscribed-circle diameter,
-    maximized over elements (sqrt(3) for an equilateral triangle).
-    """
-    diam = element_diameters(mesh)
-    areas = signed_areas(mesh)
-    v = mesh.vertices
-    t = mesh.triangles
-    perim = (
-        np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-        + np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
-        + np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
-    )
-    inscribed = 4.0 * np.abs(areas) / perim
-    return MeshMetrics(
-        h=float(diam.max()),
-        shape_ratio=float((diam / inscribed).max()),
-    )
-
-
 def validate(mesh: Mesh) -> MeshDiagnostics:
     """Check mesh invariants; collect violations instead of raising."""
     violations = []
@@ -330,8 +306,16 @@ def validate(mesh: Mesh) -> MeshDiagnostics:
     for i in bad_tags:
         violations.append(f"triangle {i}: invalid region tag {mesh.region_tag[i]}")
 
-    metrics = mesh_metrics(mesh) if mesh.n_triangles else MeshMetrics(0.0, 0.0)
-    return MeshDiagnostics(violations=violations, shape_ratio=metrics.shape_ratio)
+    v = mesh.vertices
+    t = mesh.triangles
+    perim = (
+        np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
+        + np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
+        + np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
+    )
+    inscribed = 4.0 * np.abs(areas) / perim
+    shape_ratio = float((element_diameters(mesh) / inscribed).max(initial=0.0))
+    return MeshDiagnostics(violations=violations, shape_ratio=shape_ratio)
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -23,13 +23,13 @@ import numpy as np
 
 from .fem import (
     FeSpace,
-    FormMatrix,
     assemble_load_region,
     assemble_region_mass,
     assemble_stiffness,
     assemble_stabilization,
     build_space,
     error_norms,
+    stability_terms,
 )
 from .fields import OscillatoryField
 from .mesh import ALL_REGIONS, Mesh, Region
@@ -79,27 +79,22 @@ class Perturbation:
 
 
 @dataclass
-class SolveDiagnostics:
-    solve_residual: float
-    triple_norm_parts: dict
-    h: float
-    tikhonov_scale: float
-    n_dofs_primal: int
-    n_dofs_dual: int
-
-
-@dataclass
 class UcSolution:
+    """The primal and dual coefficients, the relative residual of the saddle
+    solve and the Tikhonov scale it used; `forms` holds the CSR matrices S,
+    M_omega, A0 and B of the saddle system."""
+
     u: np.ndarray
     z: np.ndarray
-    diagnostics: SolveDiagnostics
+    solve_residual: float
+    tikhonov_scale: float
     primal_space: FeSpace = dc_field(repr=False, default=None)
     dual_space: FeSpace = dc_field(repr=False, default=None)
     forms: dict = dc_field(repr=False, default=None)
     perturbation: Perturbation = dc_field(repr=False, default=None)
 
 
-def solve_poisson(space0: FeSpace, f, rel_tol: float = 1e-10) -> np.ndarray:
+def solve_poisson(space0: FeSpace, f) -> np.ndarray:
     """Galerkin solution of -Lap u = f with zero boundary values.
 
     The stiffness matrix on the zero-trace space is symmetric positive
@@ -110,15 +105,15 @@ def solve_poisson(space0: FeSpace, f, rel_tol: float = 1e-10) -> np.ndarray:
         raise ValueError("solve_poisson requires a Dirichlet space")
     A0 = assemble_stiffness(space0).matrix
     b = assemble_load_region(space0, f, ALL_REGIONS)
-    return _solve_ordered(A0, b, space0.dof_coords, rel_tol)
+    return _solve_ordered(A0, b, space0.dof_coords)
 
 
-def _solve_ordered(K, b, coords, rel_tol: float = 1e-10) -> np.ndarray:
+def _solve_ordered(K, b, coords) -> np.ndarray:
     """`solve_direct` of K x = b in the nested-dissection order of K's graph
     over the dof points coords, returned in the original order."""
     p = nested_dissection(coords, K)
     x = np.empty_like(b, dtype=float)
-    x[p] = solve_direct(K[p][:, p], b[p], rel_tol)
+    x[p] = solve_direct(K[p][:, p], b[p])
     return x
 
 
@@ -161,49 +156,33 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
 
 
 def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float):
-    """The forms S, M_omega, A0 and B keyed by name, and the saddle matrix K of them."""
-    S = assemble_stabilization(space, tik)
-    M_omega = assemble_region_mass(space, Region.OMEGA_DATA)
-    A0 = assemble_stiffness(space0)
-    B = assemble_stiffness(space0, space)
-    K = compose_saddle(S.matrix + M_omega.matrix, B.matrix, A0.matrix)
+    """The CSR forms S, M_omega, A0 and B keyed by name, and the saddle matrix K of them."""
+    S = assemble_stabilization(space, tik).matrix
+    M_omega = assemble_region_mass(space, Region.OMEGA_DATA).matrix
+    A0 = assemble_stiffness(space0).matrix
+    B = assemble_stiffness(space0, space).matrix
+    K = compose_saddle(S + M_omega, B, A0)
     return {"S": S, "M_omega": M_omega, "A0": A0, "B": B}, K
 
 
-def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSolution:
+def solve_uc(problem: UcProblem, mesh: Mesh) -> UcSolution:
     """Assemble and solve the stabilized primal-dual system on a mesh."""
     space = build_space(mesh, problem.k, dirichlet=False)
     space0 = build_space(mesh, problem.k, dirichlet=True)
 
-    h = mesh.h
-    tik = max(h, problem.tikhonov_hmin)
+    tik = max(mesh.h, problem.tikhonov_hmin)
     forms, K = _assemble_saddle(space, space0, tik)
-    S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 
-    pert = make_perturbation(problem.perturbation, space, M_omega.matrix)
+    pert = make_perturbation(problem.perturbation, space, forms["M_omega"])
     load = assemble_load_region(space, problem.exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    x = _solve_ordered(K, rhs, np.concatenate([space.dof_coords, space0.dof_coords]), rel_tol)
-    u = x[: space.n_dofs]
-    z = x[space.n_dofs :]
-
-    diag = SolveDiagnostics(
-        solve_residual=achieved_residual(K, x, rhs),
-        triple_norm_parts={
-            "s": float(u @ (S.matrix @ u)),
-            "dual": float(z @ (A0.matrix @ z)),
-            "omega": float(u @ (M_omega.matrix @ u)),
-        },
-        h=h,
-        tikhonov_scale=tik,
-        n_dofs_primal=space.n_dofs,
-        n_dofs_dual=space0.n_dofs,
-    )
+    x = _solve_ordered(K, rhs, np.concatenate([space.dof_coords, space0.dof_coords]))
     return UcSolution(
-        u=u,
-        z=z,
-        diagnostics=diag,
+        u=x[: space.n_dofs],
+        z=x[space.n_dofs :],
+        solve_residual=achieved_residual(K, x, rhs),
+        tikhonov_scale=tik,
         primal_space=space,
         dual_space=space0,
         forms=forms,
@@ -211,26 +190,18 @@ def solve_uc(problem: UcProblem, mesh: Mesh, rel_tol: float = 1e-10) -> UcSoluti
     )
 
 
-def hminus1_residual(
-    space0: FeSpace,
-    space: FeSpace,
-    u,
-    A0: FormMatrix = None,
-    B: FormMatrix = None,
-) -> float:
+def hminus1_residual(space0: FeSpace, u, A0, B) -> float:
     """Discrete dual norm of the equation residual of u.
 
     Riesz-represents v -> a(u, v) on the zero-trace space and returns the
     energy norm of the representer; a computable surrogate for the H^-1
-    norm of Lap u that scales identically in h.
+    norm of Lap u that scales identically in h.  A0 and B are the CSR
+    zero-trace and mixed stiffness matrices.  For the u of a `solve_uc`
+    solve the representer is its z (the saddle's second block row reads
+    B u = A0 z), so the result equals sqrt(a(z,z)) up to rounding.
     """
-    u = np.asarray(u, dtype=float)
-    if A0 is None:
-        A0 = assemble_stiffness(space0)
-    if B is None:
-        B = assemble_stiffness(space0, space)
-    r = B.matrix @ u
-    phi = _solve_ordered(A0.matrix, r, space0.dof_coords)
+    r = B @ u
+    phi = _solve_ordered(A0, r, space0.dof_coords)
     return float(np.sqrt(max(phi @ r, 0.0)))
 
 
@@ -240,7 +211,6 @@ def verify_positivity(space: FeSpace, space0: FeSpace, trials: int, seed: int = 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     forms, K = _assemble_saddle(space, space0, space.mesh.h)
-    S, M_omega, A0 = forms["S"], forms["M_omega"], forms["A0"]
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -249,7 +219,7 @@ def verify_positivity(space: FeSpace, space0: FeSpace, trials: int, seed: int = 
         z = rng.uniform(-1.0, 1.0, space0.n_dofs)
         test = np.concatenate([u, -z])
         lhs = float(test @ (K @ np.concatenate([u, z])))
-        rhs = float(u @ (S.matrix @ u) + z @ (A0.matrix @ z) + u @ (M_omega.matrix @ u))
+        rhs = sum(stability_terms(u, z, forms["S"], forms["M_omega"], forms["A0"]))
         denom = max(abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst

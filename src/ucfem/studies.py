@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, config_echo
-from .fem import error_norms, interpolate_nodal, triple_norm
+from .fem import error_norms, interpolate_nodal, stability_terms, triple_norm
 from .fields import ZeroField
 from .geometry import Geometry
 from .harmonic import HarmonicMonomial, monomial_sobolev_norm, optimal_alpha
@@ -127,24 +127,16 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float) -> LevelR
     )
     sol = solve_uc(problem, mesh)
     primal, dual = sol.primal_space, sol.dual_space
+    S, M_omega, A0, B = (sol.forms[key] for key in ("S", "M_omega", "A0", "B"))
     u_interp = interpolate_nodal(primal, exact)
     err_b = error_norms(primal, sol.u, exact, B_REGIONS)
     err_omega = error_norms(primal, sol.u, exact, [Region.OMEGA_DATA])
-    tnorm = triple_norm(
-        primal,
-        dual,
-        u_interp - sol.u,
-        sol.z,
-        sol.forms["S"],
-        sol.forms["M_omega"],
-        sol.forms["A0"],
-    )
-    resid = hminus1_residual(dual, primal, sol.u, A0=sol.forms["A0"], B=sol.forms["B"])
+    tnorm = triple_norm(u_interp - sol.u, sol.z, S, M_omega, A0)
+    resid = hminus1_residual(dual, sol.u, A0, B)
     l2_uh = error_norms(primal, sol.u, ZeroField(), ALL_REGIONS).l2
     # energy balance s(u_I,u_I) / |u_I|^2_omega: the data term engages the
     # solver only once it falls below about 1; None when u_I = 0 on omega
-    reg_energy = float(u_interp @ (sol.forms["S"].matrix @ u_interp))
-    data_energy = float(u_interp @ (sol.forms["M_omega"].matrix @ u_interp))
+    reg_energy, _, data_energy = stability_terms(u_interp, np.zeros(dual.n_dofs), S, M_omega, A0)
     return LevelRecord(
         level=mesh.level,
         h=float(mesh.h),
@@ -157,7 +149,7 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float) -> LevelR
         residual_hminus1=float(resid),
         l2_Omega_of_uh=float(l2_uh),
         energy_ratio=reg_energy / data_energy if data_energy > 0 else None,
-        tik_scale=float(sol.diagnostics.tikhonov_scale),
+        tik_scale=float(sol.tikhonov_scale),
     )
 
 

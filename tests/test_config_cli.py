@@ -81,19 +81,26 @@ class TestParseConfig:
             ("perturbation.epsilon = nan", "perturbation.epsilon"),
             ("geometry.r1 = 0", "geometry.r1"),
             ("geometry.r2 = 0.1", "geometry.r2"),
+            ("geometry.r3 = 0.4", "geometry.r3"),
             ("geometry.r1 = abc", "geometry.r1"),
             ("exact.part = X", "exact.part"),
             ("exact.kind = cubic", "exact.kind"),
             ("perturbation.mode = white", "perturbation.mode"),
             ("perturbation.seed = 1.5", "perturbation.seed"),
+            ("perturbation.seed = -1", "perturbation.seed"),
             ("hmin.mode = bogus", "hmin.mode"),
             ("k = x", "k"),
             ("rate_window = 4..2", "rate_window"),
         ],
     )
     def test_violation_names_its_key(self, line, key):
-        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        # the message opens with every key the failed check read, the one set
+        # among them, and its "got" part carries the value that was set
+        with pytest.raises(ConfigError) as info:
             parse_config(line + "\n")
+        keys, _, detail = str(info.value).partition(": ")
+        assert key in keys.split(", ")
+        assert line.split("=", 1)[1].strip() in detail.rpartition("got ")[2]
 
     def test_level_list_forms(self):
         assert parse_config("levels = 2..4\n").levels == (2, 3, 4)

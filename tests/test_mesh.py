@@ -11,7 +11,6 @@ from ucfem.mesh import (
     build_disk_mesh,
     element_diameters,
     mesh_from_arrays,
-    mesh_metrics,
     read_mesh,
     refine_uniform,
     signed_areas,
@@ -96,7 +95,7 @@ class TestRefinement:
 
 class TestMetrics:
     def test_unit_right_triangle_h(self, unit_triangle_mesh):
-        assert abs(mesh_metrics(unit_triangle_mesh).h - math.sqrt(2)) < 1e-15
+        assert abs(unit_triangle_mesh.h - math.sqrt(2)) < 1e-15
 
     def test_equilateral_shape_ratio(self):
         mesh = mesh_from_arrays(
@@ -104,14 +103,14 @@ class TestMetrics:
             np.array([[0, 1, 2]]),
             np.array([0]),
         )
-        assert abs(mesh_metrics(mesh).shape_ratio - math.sqrt(3)) < 1e-12
+        assert abs(validate(mesh).shape_ratio - math.sqrt(3)) < 1e-12
 
     def test_shape_ratio_stable_across_family(self, geometry, base_mesh):
-        base_ratio = mesh_metrics(base_mesh).shape_ratio
+        base_ratio = validate(base_mesh).shape_ratio
         mesh = base_mesh
         for _ in range(6):
             mesh = refine_uniform(mesh, geometry)
-            ratio = mesh_metrics(mesh).shape_ratio
+            ratio = validate(mesh).shape_ratio
             assert ratio <= 2 * base_ratio
             assert ratio >= base_ratio / 2
 

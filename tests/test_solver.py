@@ -12,6 +12,7 @@ from ucfem.fem import (
     build_space,
     error_norms,
     interpolate_nodal,
+    stability_terms,
 )
 from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
 from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed
@@ -69,13 +70,18 @@ class TestPoisson:
             assert fine < 0.5 * coarse
 
 
+def stiffness_pair(space, space0):
+    """The zero-trace stiffness A0 and the mixed stiffness B as CSR matrices."""
+    return assemble_stiffness(space0).matrix, assemble_stiffness(space0, space).matrix
+
+
 class TestHminus1Residual:
     def test_affine_is_harmonic(self, mesh_l2):
         # a(u, v) = 0 for affine u and zero-trace v
         space = build_space(mesh_l2, 1, False)
         space0 = build_space(mesh_l2, 1, True)
         u = interpolate_nodal(space, AffineField(1.0, -2.0, 0.5))
-        assert hminus1_residual(space0, space, u) < 1e-10
+        assert hminus1_residual(space0, u, *stiffness_pair(space, space0)) < 1e-10
 
     def test_cross_oracle_quadratic_k2(self, mesh_l2):
         # P2 reproduces |x|^2 exactly, so the residual of the interpolant must
@@ -84,9 +90,9 @@ class TestHminus1Residual:
         space = build_space(mesh_l2, 2, False)
         space0 = build_space(mesh_l2, 2, True)
         u = interpolate_nodal(space, RADIUS_SQUARED)
-        got = hminus1_residual(space0, space, u)
+        A0, B = stiffness_pair(space, space0)
+        got = hminus1_residual(space0, u, A0, B)
         phi = solve_poisson(space0, ConstantField(-4.0))
-        A0 = assemble_stiffness(space0).matrix
         want = math.sqrt(phi @ (A0 @ phi))
         assert abs(got - want) < 1e-8 * want
 
@@ -94,12 +100,26 @@ class TestHminus1Residual:
         space = build_space(mesh_l2, 1, False)
         space0 = build_space(mesh_l2, 1, True)
         u = interpolate_nodal(space, RADIUS_SQUARED)
-        got = hminus1_residual(space0, space, u)
+        A0, B = stiffness_pair(space, space0)
+        got = hminus1_residual(space0, u, A0, B)
         phi = solve_poisson(space0, ConstantField(-4.0))
-        A0 = assemble_stiffness(space0).matrix
         want = math.sqrt(phi @ (A0 @ phi))
         gap = error_norms(space, u, RADIUS_SQUARED, ALL_REGIONS).h1_semi
         assert abs(got - want) <= gap
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_dual_energy_of_the_solve(self, geometry, k):
+        # the saddle's second block row reads B u = A0 z, so z is the Riesz
+        # representer of the residual of u and residual^2 = a(z, z)
+        mesh = build_disk_mesh(geometry, 8, 1)
+        for level in (1, 2, 3):
+            sol = solve_uc(UcProblem(k=k, exact=HarmonicMonomial(3)), mesh)
+            f = sol.forms
+            resid = hminus1_residual(sol.dual_space, sol.u, f["A0"], f["B"])
+            dual = stability_terms(sol.u, sol.z, f["S"], f["M_omega"], f["A0"])[1]
+            assert abs(resid**2 - dual) <= 1e-9 * dual, level
+            if level < 3:
+                mesh = refine_uniform(mesh, geometry)
 
 
 def region_mass(space):
@@ -168,7 +188,7 @@ class TestSolveUc:
 
     def test_solve_residual_within_tolerance(self, mesh_l2):
         sol = solve_uc(UcProblem(k=1, exact=HarmonicMonomial(3)), mesh_l2)
-        assert sol.diagnostics.solve_residual <= 1e-10
+        assert sol.solve_residual <= 1e-10
 
     @pytest.mark.parametrize("mode", ["oscillatory", "nodal_noise"])
     def test_linear_in_data(self, mesh_l2, mode):
@@ -203,14 +223,14 @@ class TestSolveUc:
     def test_hmin_floor_applied(self, mesh_l2):
         prob = UcProblem(k=1, exact=HarmonicMonomial(3), tikhonov_hmin=0.5)
         sol = solve_uc(prob, mesh_l2)
-        assert sol.diagnostics.tikhonov_scale == 0.5
+        assert sol.tikhonov_scale == 0.5
 
     def test_ordered_solve_matches_unordered(self, mesh_l2):
         # the nested-dissection order changes the factorization, not u
         exact = HarmonicMonomial(3)
         sol = solve_uc(UcProblem(k=1, exact=exact), mesh_l2)
         f = sol.forms
-        K = compose_saddle(f["S"].matrix + f["M_omega"].matrix, f["B"].matrix, f["A0"].matrix)
+        K = compose_saddle(f["S"] + f["M_omega"], f["B"], f["A0"])
         load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA)
         x = spsolve(K.tocsc(), np.concatenate([load, np.zeros(sol.dual_space.n_dofs)]))
         u = x[: sol.primal_space.n_dofs]
@@ -241,7 +261,7 @@ class TestConsistencyIdentity:
         for level in (1, 2, 3):
             sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
             sp = sol.primal_space
-            S, Mw, B = (sol.forms[key].matrix for key in ("S", "M_omega", "B"))
+            S, Mw, B = (sol.forms[key] for key in ("S", "M_omega", "B"))
             u_interp = interpolate_nodal(sp, exact)
             M_all = assemble_region_mass(sp, ALL_REGIONS).matrix
             load = assemble_load_region(sp, exact, Region.OMEGA_DATA)
