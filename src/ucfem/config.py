@@ -11,6 +11,7 @@ runs reproducible from their own output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .geometry import Geometry
@@ -170,10 +171,13 @@ def _parse_value(key: str, raw: str):
         return raw
     kind = type(_DEFAULTS[key])
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         expected = "a number" if kind is float else "an integer"
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def build_config(entries: dict) -> RunConfig:

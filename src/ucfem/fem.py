@@ -16,6 +16,11 @@ duplicate entries are summed, and the result is 0.5 * (A + A.T).  Entry
 (i,j) of A + A.T is A[i,j] + A[j,i] and entry (j,i) is A[j,i] + A[i,j];
 IEEE addition commutes, so the assembled matrix is exactly symmetric
 whatever order the duplicates were summed in.
+
+On a straight triangle the barycentric gradients grad(lambda_i) are the
+whole element geometry: each is the edge opposite vertex i turned by +90
+degrees over det = 2 * signed area.  Every basis gradient, P2 cell
+Laplacian and face-point barycentric is built from them.
 """
 
 from __future__ import annotations
@@ -27,14 +32,15 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .fields import _field_gradient, _field_values
-from .mesh import ALL_REGIONS, Mesh, element_diameters, signed_areas
+from .mesh import ALL_REGIONS, Mesh, element_diameters
 
 #: fixed assembly rule, exact to degree 4 (= 2k for k = 2)
 ASSEMBLY_RULE = quadrature.tri_rule_degree4()
 #: 2-point Gauss rule on a face, exact for the P2 normal-derivative jump
 FACE_RULE = quadrature.gauss_rule_01(2)
 
-_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+#: the P2 edge slots (0,1), (1,2), (2,0) pair vertex a with vertex _NEXT[a]
+_NEXT = [1, 2, 0]
 
 
 @dataclass(frozen=True)
@@ -80,34 +86,20 @@ class FeSpace:
         else:
             keep = np.arange(self.n_full)
         self.active = keep
-        self.full_to_active = -np.ones(self.n_full, dtype=np.int64)
-        self.full_to_active[keep] = np.arange(keep.size)
+        full_to_active = -np.ones(self.n_full, dtype=np.int64)
+        full_to_active[keep] = np.arange(keep.size)
         self.n_dofs = int(keep.size)
-        self.dof_map = self.full_to_active[self.full_map]
+        self.dof_map = full_to_active[self.full_map]
         self.dof_coords = full_coords[keep]
 
-        # element geometry: jacobian columns are the edge vectors from v0
-        v = mesh.vertices
-        t = mesh.triangles
-        jac = np.empty((mesh.n_triangles, 2, 2))
-        jac[:, :, 0] = v[t[:, 1]] - v[t[:, 0]]
-        jac[:, :, 1] = v[t[:, 2]] - v[t[:, 0]]
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1] / det
-        inv[:, 0, 1] = -jac[:, 0, 1] / det
-        inv[:, 1, 0] = -jac[:, 1, 0] / det
-        inv[:, 1, 1] = jac[:, 0, 0] / det
-        self.jac = jac
-        self.inv_jac = inv
-        self.inv_jac_t = np.swapaxes(inv, 1, 2)
-        self.det = det
-        self.v0 = v[t[:, 0]]
-
-    @property
-    def ndl(self) -> int:
-        """Local dofs per element."""
-        return 3 if self.k == 1 else 6
+        # element geometry: grad(lambda_i) is the edge opposite vertex i,
+        # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
+        v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+        d1 = v[:, 1] - v[:, 0]
+        d2 = v[:, 2] - v[:, 0]
+        self.det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        edge = np.roll(v, -2, axis=1) - np.roll(v, -1, axis=1)
+        self.grad_lam = np.stack([-edge[..., 1], edge[..., 0]], axis=2) / self.det[:, None, None]
 
     def basis_values(self, bary) -> np.ndarray:
         """Basis values at barycentric points, shape (nq, ndl)."""
@@ -126,44 +118,23 @@ class FeSpace:
             ]
         )
 
-    def basis_ref_grads(self, bary) -> np.ndarray:
-        """Reference-coordinate basis gradients, shape (nq, ndl, 2)."""
-        bary = np.asarray(bary, dtype=float)
-        nq = bary.shape[0]
-        if self.k == 1:
-            return np.broadcast_to(_DLAM, (nq, 3, 2)).copy()
-        g = np.empty((nq, 6, 2))
-        lam = bary
-        for i in range(3):
-            g[:, i, :] = (4 * lam[:, i] - 1)[:, None] * _DLAM[i]
-        for slot, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            g[:, 3 + slot, :] = 4 * (
-                lam[:, a][:, None] * _DLAM[b] + lam[:, b][:, None] * _DLAM[a]
-            )
-        return g
-
-    def basis_ref_hessians(self) -> np.ndarray:
-        """Constant reference Hessians, shape (ndl, 2, 2)."""
-        if self.k == 1:
-            return np.zeros((3, 2, 2))
-        h = np.empty((6, 2, 2))
-        for i in range(3):
-            h[i] = 4 * np.outer(_DLAM[i], _DLAM[i])
-        for slot, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            h[3 + slot] = 4 * (np.outer(_DLAM[a], _DLAM[b]) + np.outer(_DLAM[b], _DLAM[a]))
-        return h
-
     def phys_points(self, elements, bary) -> np.ndarray:
-        """Physical coordinates of barycentric points, shape (nel, nq, 2)."""
-        ref_xy = np.asarray(bary)[:, 1:]
-        return self.v0[elements][:, None, :] + np.einsum(
-            "eab,qb->eqa", self.jac[elements], ref_xy
-        )
+        """Physical coordinates sum_i lambda_i v_i, shape (nel, nq, 2)."""
+        v = self.mesh.vertices[self.mesh.triangles[elements]]
+        return np.einsum("qi,eia->eqa", np.asarray(bary), v)
 
     def phys_grads(self, elements, bary) -> np.ndarray:
-        """Physical basis gradients, shape (nel, nq, ndl, 2)."""
-        ref_g = self.basis_ref_grads(bary)
-        return np.einsum("eab,qib->eqia", self.inv_jac_t[elements], ref_g)
+        """Physical basis gradients, shape (nel, nq, ndl, 2).
+
+        `bary` is (nq, 3), shared by every element, or (nel, nq, 3).
+        """
+        bary = np.asarray(bary, dtype=float)
+        g = self.grad_lam[elements][:, None]  # (nel, 1, 3, 2)
+        if self.k == 1:
+            return np.broadcast_to(g, (g.shape[0], bary.shape[-2], 3, 2))
+        lam = bary[..., None]  # (nq | nel, nq, 3, 1)
+        lam_b, g_b = lam[..., _NEXT, :], g[..., _NEXT, :]
+        return np.concatenate([(4 * lam - 1) * g, 4 * (lam * g_b + lam_b * g)], axis=2)
 
     def expand_coeffs(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -215,14 +186,12 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
     Mixed pairs (Dirichlet rows, full columns) give the constraint
     coupling block of the saddle system.
     """
-    if space_col is None:
-        space_col = space_row
-    _same_discretization(space_row, space_col)
-    space = space_row
+    if space_col is not None:
+        _same_discretization(space_row, space_col)
     rule = ASSEMBLY_RULE
-    g = space.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
-    local = _local_gram(rule.weights, g, space.det)
-    return _scatter(local, space.full_map, space_row, space_col)
+    g = space_row.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
+    local = _local_gram(rule.weights, g, space_row.det)
+    return _scatter(local, space_row.full_map, space_row, space_col)
 
 
 def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
@@ -245,7 +214,6 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     mesh = space.mesh
     interior = mesh.interior_edges
     tq, wq = FACE_RULE
-    nqf = tq.size
     a = mesh.vertices[mesh.edges[interior, 0]]
     b = mesh.vertices[mesh.edges[interior, 1]]
     tangent = b - a
@@ -253,32 +221,20 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / length[:, None]
     pts = a[:, None, :] + tq[None, :, None] * tangent[:, None, :]  # (nf, nqf, 2)
 
-    ndl = space.ndl
-    side_rows = []
-    for side in (0, 1):
-        tri = mesh.edge_tris[interior, side]
-        rel = pts - space.v0[tri][:, None, :]
-        ref_xy = np.einsum("fab,fqb->fqa", space.inv_jac[tri], rel)
-        bary = np.concatenate(
-            [1.0 - ref_xy.sum(axis=2, keepdims=True), ref_xy], axis=2
-        )  # (nf, nqf, 3)
-        # physical basis gradients at the face quadrature points, per side
-        flat = bary.reshape(-1, 3)
-        gflat = space.basis_ref_grads(flat).reshape(interior.size, nqf, ndl, 2)
-        grads = np.einsum("fab,fqib->fqia", space.inv_jac_t[tri], gflat)
-        side_rows.append(np.einsum("fqia,fa->fqi", grads, normal))
+    dn, emap = [], []
+    for tri in mesh.edge_tris[interior].T:
+        v0 = mesh.vertices[mesh.triangles[tri, 0]]
+        # lambda(x) = e_0 + grad(lambda) . (x - v_0) at the face points
+        bary = np.einsum("fia,fqa->fqi", space.grad_lam[tri], pts - v0[:, None, :])
+        bary[:, :, 0] += 1.0
+        dn.append(np.einsum("fqia,fa->fqi", space.phys_grads(tri, bary), normal))
+        emap.append(space.full_map[tri])
 
     # stacked local dof vector: side-0 dofs then side-1 dofs, jump = dn0 - dn1
-    jump = np.concatenate([side_rows[0], -side_rows[1]], axis=2)  # (nf, nqf, 2ndl)
+    jump = np.concatenate([dn[0], -dn[1]], axis=2)  # (nf, nqf, 2ndl)
     weight = length**2  # |F| face weight times |F| from the line integral
     local = _local_gram(wq, jump[..., None], weight)
-    emap = np.hstack(
-        [
-            space.full_map[mesh.edge_tris[interior, 0]],
-            space.full_map[mesh.edge_tris[interior, 1]],
-        ]
-    )
-    return _scatter(local, emap, space)
+    return _scatter(local, np.hstack(emap), space)
 
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
@@ -286,11 +242,11 @@ def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     n = space.n_dofs
     if space.k == 1:
         return FormMatrix(sp.csr_matrix((n, n)))
-    href = space.basis_ref_hessians()
-    lap = np.einsum("tab,ibc,tca->ti", space.inv_jac_t, href, space.inv_jac)
-    diam = element_diameters(space.mesh)
-    areas = np.abs(signed_areas(space.mesh))
-    scale = diam**2 * areas
+    # Lap(lambda_i (2 lambda_i - 1)) = 4 |grad lambda_i|^2 and
+    # Lap(4 lambda_a lambda_b) = 8 grad lambda_a . grad lambda_b
+    g = space.grad_lam
+    lap = np.concatenate([4 * (g * g).sum(axis=2), 8 * (g * g[:, _NEXT]).sum(axis=2)], axis=1)
+    scale = element_diameters(space.mesh) ** 2 * (0.5 * np.abs(space.det))
     # the Laplacian is constant per element: one point of unit weight
     local = _local_gram(np.ones(1), lap[:, None, :, None], scale)
     return _scatter(local, space.full_map, space)
@@ -343,9 +299,6 @@ def error_norms(space: FeSpace, coeffs, exact, region) -> ErrorNorms:
     `exact` needs a `gradient` method for the seminorm; without one the
     seminorm is reported as nan.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.n_dofs,):
-        raise ValueError(f"expected {space.n_dofs} coefficients, got {coeffs.shape}")
     rule = ASSEMBLY_RULE
     elements = space.mesh.region_elements(region)
     full = space.expand_coeffs(coeffs)

@@ -20,7 +20,15 @@ from .fem import error_norms, interpolate_nodal, stability_terms, triple_norm
 from .fields import ZeroField
 from .geometry import Geometry
 from .harmonic import HarmonicMonomial, monomial_sobolev_norm, optimal_alpha
-from .mesh import ALL_REGIONS, B_REGIONS, Mesh, Region, build_disk_mesh, refine_uniform
+from .mesh import (
+    ALL_REGIONS,
+    B_REGIONS,
+    Mesh,
+    Region,
+    build_disk_mesh,
+    refine_uniform,
+    signed_areas,
+)
 from .quadrature import gauss_rule_01, tri_rule_collapsed
 from .solver import UcProblem, hminus1_residual, solve_uc
 
@@ -353,13 +361,8 @@ def ball_norm_sq_quadrature(
 
     elements = mesh.region_elements(regions)
     v = mesh.vertices
-    t = mesh.triangles[elements]
-    v0 = v[t[:, 0]]
-    d1 = v[t[:, 1]] - v0
-    d2 = v[t[:, 2]] - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    ref = rule.points[:, 1:]
-    pts = v0[:, None, :] + np.einsum("qa,eab->eqb", ref, np.stack([d1, d2], axis=1))
+    det = 2 * signed_areas(mesh)[elements]
+    pts = np.einsum("qi,eia->eqa", rule.points, v[mesh.triangles[elements]])
     rsq = pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2
     tri_part = float(np.einsum("q,eq,e->", rule.weights, rsq**p, det))
 

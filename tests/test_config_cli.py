@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,24 @@ class TestParseConfig:
         keys, _, detail = str(info.value).partition(": ")
         assert key in keys.split(", ")
         assert line.split("=", 1)[1].strip() in detail.rpartition("got ")[2]
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "geometry.r1",
+            "geometry.r2",
+            "geometry.r3",
+            "perturbation.epsilon",
+            "perturbation.kappa",
+            "hmin.value",
+            "hmin.scale",
+        ],
+    )
+    def test_non_finite_float_rejected(self, key):
+        for raw in ("inf", "-inf", "nan"):
+            with pytest.raises(ConfigError) as info:
+                parse_config(f"{key} = {raw}\n")
+            assert str(info.value) == f"{key}: expected a finite number, got {raw!r}"
 
     def test_level_list_forms(self):
         assert parse_config("levels = 2..4\n").levels == (2, 3, 4)
@@ -222,6 +241,13 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["--set", "geometry.r2 = 2.0", "alpha"]) == 2
         assert "error=config" in capsys.readouterr().err
+
+    def test_non_finite_radius_exits_before_any_mesh(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--set", "geometry.r3=inf", "--set", "levels=1", "uc"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error=config geometry.r3: expected a finite number, got 'inf'\n"
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["--set", "nonsense = 1", "alpha"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucfem.fem import (
+    ASSEMBLY_RULE,
     assemble_cell_laplacian,
     assemble_gradient_jump,
     assemble_load_region,
@@ -247,6 +248,11 @@ class TestInterpolationAndNorms:
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.3 < coarse / fine < 4.7
 
+    def test_wrong_length_coefficients_rejected(self, mesh_l2):
+        space = build_space(mesh_l2, 1, False)
+        with pytest.raises(ValueError, match=f"expected {space.n_dofs} coefficients"):
+            error_norms(space, np.zeros(space.n_dofs + 1), ConstantField(1.0), ALL_REGIONS)
+
     def test_region_l2_norm_constant(self, mesh_l2):
         space = build_space(mesh_l2, 1, False)
         omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
@@ -343,3 +349,28 @@ class TestAssemblyProperties:
 
         space0 = build_space(mesh, k, True)
         assert verify_positivity(space, space0, trials=3, seed=seed) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_phys_grads_are_barycentric_derivatives(geometry, k):
+    # along a barycentric direction dlam (sum zero) a point moves by
+    # dx = sum_i dlam_i v_i, so grad(phi) . dx is the derivative of the basis
+    # values in the direction dlam, the same on every element
+    mesh = jittered_disk_mesh(geometry, level=1, seed=5, amplitude=0.8)
+    space = build_space(mesh, k, False)
+    assert np.array_equal(space.det, 2 * signed_areas(mesh))
+    elements = np.arange(mesh.n_triangles)
+    bary = ASSEMBLY_RULE.points
+    dlam = np.array([0.3, -0.5, 0.2])
+    dx = np.einsum("i,eia->ea", dlam, mesh.vertices[mesh.triangles])
+    grads = space.phys_grads(elements, bary)  # (nel, nq, ndl, 2)
+    got = np.einsum("eqia,ea->eqi", grads, dx)
+    step = 1e-5
+    central = (
+        space.basis_values(bary + step * dlam) - space.basis_values(bary - step * dlam)
+    ) / (2 * step)
+    assert np.abs(got - central).max() <= 1e-7 * np.abs(central).max()
+
+    # per-element points give what the shared points give
+    per_element = np.broadcast_to(bary, (elements.size, *bary.shape))
+    assert np.array_equal(space.phys_grads(elements, per_element), grads)
