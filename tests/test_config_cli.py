@@ -242,7 +242,7 @@ class TestCli:
         assert main(["--set", "geometry.r2 = 2.0", "alpha"]) == 2
         assert "error=config" in capsys.readouterr().err
 
-    def test_non_finite_radius_exits_before_any_mesh(self, capsys):
+    def test_non_finite_radius_is_a_config_error(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["--set", "geometry.r3=inf", "--set", "levels=1", "uc"]) == 2
