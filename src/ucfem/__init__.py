@@ -1,6 +1,6 @@
 """Stabilized primal-dual finite elements for unique continuation on disks."""
 
-from .config import RunConfig, parse_config
+from .config import PerturbationSpec, RunConfig, parse_config
 from .fem import (
     build_space,
     assemble_load_region,
@@ -22,8 +22,6 @@ from .harmonic import (
 )
 from .mesh import build_disk_mesh, refine_uniform, validate
 from .solver import (
-    PerturbationSpec,
-    UcProblem,
     hminus1_residual,
     make_perturbation,
     solve_poisson,

@@ -18,7 +18,7 @@ from . import fem, harmonic, mesh as meshmod, quadrature, studies
 from .config import ConfigError, RunConfig, build_config, parse_entries
 from .fields import AffineField, ConstantField, RadialQuadratic
 from .geometry import Geometry
-from .solver import solve_poisson, verify_positivity
+from .solver import solve_poisson, solve_uc, verify_positivity
 from .sparse import SolverError
 
 
@@ -45,9 +45,11 @@ def _out_path(args, cfg_path: str, default_name: str) -> Path:
 
 
 def _cmd_alpha(args, cfg: RunConfig) -> int:
+    if (args.alpha1 is None) != (args.alpha2 is None):
+        raise ConfigError("--alpha1 and --alpha2 must be given together")
     exps = harmonic.optimal_alpha(*cfg.geometry.radii)
     line = f"alpha={exps.alpha!r} beta={exps.beta!r}"
-    if args.alpha1 is not None and args.alpha2 is not None:
+    if args.alpha1 is not None:
         tilde = harmonic.combined_exponent(args.alpha1, args.alpha2)
         line += f" alpha_tilde={tilde!r}"
     print(line)
@@ -102,18 +104,10 @@ def _cmd_poisson(args, cfg: RunConfig) -> int:
 
 
 def _cmd_uc(args, cfg: RunConfig) -> int:
-    from .solver import UcProblem, solve_uc
-
     level = cfg.levels[-1]
     msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=level)
     exact = studies.exact_field_from_config(cfg)
-    problem = UcProblem(
-        k=cfg.k,
-        exact=exact,
-        perturbation=cfg.perturbation,
-        tikhonov_hmin=studies.resolve_hmin(cfg),
-    )
-    sol = solve_uc(problem, msh)
+    sol = solve_uc(msh, cfg.k, exact, cfg.perturbation, studies.resolve_hmin(cfg))
     err = fem.error_norms(sol.primal_space, sol.u, exact, meshmod.B_REGIONS)
     s, dual, omega = fem.stability_terms(
         sol.u, sol.z, sol.forms["S"], sol.forms["M_omega"], sol.forms["A0"]

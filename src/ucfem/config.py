@@ -15,11 +15,27 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .geometry import Geometry
-from .solver import PERTURBATION_MODES, PerturbationSpec
+
+
+PERTURBATION_MODES = ("none", "oscillatory", "nodal_noise")
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class PerturbationSpec:
+    mode: str = "none"
+    epsilon: float = 0.0
+    kappa: float = 10.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in PERTURBATION_MODES:
+            raise ValueError(f"unknown perturbation mode {self.mode!r}")
+        if self.epsilon < 0.0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

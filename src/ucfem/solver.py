@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .config import PerturbationSpec
 from .fem import (
     FeSpace,
     assemble_load_region,
@@ -34,39 +35,6 @@ from .fem import (
 from .fields import OscillatoryField
 from .mesh import ALL_REGIONS, Mesh, Region
 from .sparse import achieved_residual, compose_saddle, nested_dissection, solve_direct
-
-
-PERTURBATION_MODES = ("none", "oscillatory", "nodal_noise")
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    mode: str = "none"
-    epsilon: float = 0.0
-    kappa: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in PERTURBATION_MODES:
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class UcProblem:
-    """Problem description: order, exact solution and data noise.
-
-    `exact` is any field with value/gradient methods (harmonic monomial,
-    affine field, or ZeroField for pure-noise studies).  The Tikhonov scale
-    is max(h, tikhonov_hmin): h itself for the default floor 0, the
-    stagnation variant for a positive floor.
-    """
-
-    k: int
-    exact: object
-    perturbation: PerturbationSpec = PerturbationSpec()
-    tikhonov_hmin: float = 0.0
 
 
 @dataclass
@@ -165,16 +133,24 @@ def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float):
     return {"S": S, "M_omega": M_omega, "A0": A0, "B": B}, K
 
 
-def solve_uc(problem: UcProblem, mesh: Mesh) -> UcSolution:
-    """Assemble and solve the stabilized primal-dual system on a mesh."""
-    space = build_space(mesh, problem.k, dirichlet=False)
-    space0 = build_space(mesh, problem.k, dirichlet=True)
+def solve_uc(
+    mesh: Mesh,
+    k: int,
+    exact,
+    perturbation: PerturbationSpec = PerturbationSpec(),
+    tikhonov_hmin: float = 0.0,
+) -> UcSolution:
+    """Assemble and solve the order-k primal-dual system for the data
+    exact + perturbation on omega, with Tikhonov scale max(h, tikhonov_hmin);
+    `exact` is any field with value/gradient methods."""
+    space = build_space(mesh, k, dirichlet=False)
+    space0 = build_space(mesh, k, dirichlet=True)
 
-    tik = max(mesh.h, problem.tikhonov_hmin)
+    tik = max(mesh.h, tikhonov_hmin)
     forms, K = _assemble_saddle(space, space0, tik)
 
-    pert = make_perturbation(problem.perturbation, space, forms["M_omega"])
-    load = assemble_load_region(space, problem.exact, Region.OMEGA_DATA) + pert.load
+    pert = make_perturbation(perturbation, space, forms["M_omega"])
+    load = assemble_load_region(space, exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
     x = _solve_ordered(K, rhs, np.concatenate([space.dof_coords, space0.dof_coords]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .mesh import (
     signed_areas,
 )
 from .quadrature import gauss_rule_01, tri_rule_collapsed
-from .solver import UcProblem, hminus1_residual, solve_uc
+from .solver import hminus1_residual, solve_uc
 
 #: boundedness constant for the normalized perturbation sensitivity
 #: (max/min across levels); frozen at the first verified run of the
@@ -57,16 +57,10 @@ class RateFit:
     per_step_eoc: tuple
 
 
-def fit_rate(points, window=None) -> RateFit:
-    """Least-squares slope of log(err) against log(h).
-
-    `points` is a sequence of (h, err) with positive entries; `window`
-    optionally selects a contiguous index range (lo, hi) inclusive.
-    """
+def fit_rate(points) -> RateFit:
+    """Least-squares slope of log(err) against log(h) over a sequence of
+    (h, err) with positive entries."""
     pts = list(points)
-    if window is not None:
-        lo, hi = window
-        pts = pts[lo : hi + 1]
     if len(pts) < 2:
         raise ValueError("need at least two points to fit a rate")
     h = np.array([p[0] for p in pts], dtype=float)
@@ -97,10 +91,17 @@ class LevelRecord:
     sensitivity: float | None = None
 
 
+#: the columns of every report; a study may append one excluded column
+_BASE_COLUMNS = tuple(
+    f.name for f in fields(LevelRecord) if f.name not in ("tik_scale", "sensitivity")
+)
+
+
 @dataclass
 class ConvergenceReport:
     study: str
     rows: list
+    columns: tuple
     fitted_rates: dict
     eoc: dict
     rate_window: tuple
@@ -115,6 +116,11 @@ def exact_field_from_config(cfg: RunConfig):
     return HarmonicMonomial(n=cfg.exact.n, part=cfg.exact.part, dim=2)
 
 
+def _exact_scale(cfg: RunConfig) -> float:
+    """Closed-form H^{k+1} norm of the exact monomial on the outer disk."""
+    return monomial_sobolev_norm(exact_field_from_config(cfg), cfg.geometry.r3, cfg.k + 1)
+
+
 def _meshes_for_levels(cfg: RunConfig):
     mesh = build_disk_mesh(cfg.geometry, cfg.sectors, level=cfg.levels[0])
     yield mesh
@@ -126,14 +132,8 @@ def _meshes_for_levels(cfg: RunConfig):
         yield mesh
 
 
-def _solve_level(cfg: RunConfig, mesh: Mesh, exact, hmin_value: float) -> LevelRecord:
-    problem = UcProblem(
-        k=cfg.k,
-        exact=exact,
-        perturbation=cfg.perturbation,
-        tikhonov_hmin=hmin_value,
-    )
-    sol = solve_uc(problem, mesh)
+def _solve_level(cfg: RunConfig, mesh: Mesh, exact) -> LevelRecord:
+    sol = solve_uc(mesh, cfg.k, exact, cfg.perturbation, resolve_hmin(cfg))
     primal, dual = sol.primal_space, sol.dual_space
     S, M_omega, A0, B = (sol.forms[key] for key in ("S", "M_omega", "A0", "B"))
     u_interp = interpolate_nodal(primal, exact)
@@ -178,16 +178,17 @@ def _fit_columns(rows, window_levels) -> tuple[dict, dict]:
     return fitted, eoc
 
 
-def _run_study(cfg: RunConfig, study: str, hmin_value: float = 0.0) -> ConvergenceReport:
+def _run_study(cfg: RunConfig, study: str, column: str | None = None) -> ConvergenceReport:
     """Solve every configured level and fit the rate columns; the calling
-    study adds its own column, thresholds and verdicts to the report."""
+    study fills in its own column and adds its thresholds and verdicts."""
     exact = exact_field_from_config(cfg)
-    rows = [_solve_level(cfg, mesh, exact, hmin_value) for mesh in _meshes_for_levels(cfg)]
+    rows = [_solve_level(cfg, mesh, exact) for mesh in _meshes_for_levels(cfg)]
     window = cfg.resolved_rate_window()
     fitted, eoc = _fit_columns(rows, window)
     return ConvergenceReport(
         study=study,
         rows=rows,
+        columns=_BASE_COLUMNS + ((column,) if column else ()),
         fitted_rates=fitted,
         eoc=eoc,
         rate_window=window,
@@ -203,7 +204,7 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
 def run_perturbation_study(cfg: RunConfig) -> ConvergenceReport:
     """Fixed perturbation amplitude across levels; records the normalized
     sensitivity err * h^{(1-alpha)k} / eps and checks its boundedness."""
-    report = _run_study(cfg, "perturb")
+    report = _run_study(cfg, "perturb", "sensitivity")
     alpha = optimal_alpha(*cfg.geometry.radii).alpha
     eps = cfg.perturbation.epsilon
     report.thresholds = {"sensitivity_ratio_bound": SENSITIVITY_RATIO_BOUND}
@@ -237,18 +238,18 @@ def resolve_hmin(cfg: RunConfig) -> float:
     if scale == 0.0:
         if cfg.exact.kind == "zero":
             raise ValueError("hmin.mode = auto needs hmin.scale for a zero exact solution")
-        mono = HarmonicMonomial(n=cfg.exact.n, part=cfg.exact.part, dim=2)
-        scale = monomial_sobolev_norm(mono, cfg.geometry.r3, cfg.k + 1)
+        scale = _exact_scale(cfg)
     return (eps / scale) ** (1.0 / cfg.k)
 
 
 def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
     """Refine past the perturbation-dominated mesh size with the
-    max(h, h_min) Tikhonov variant and verify the error stagnates."""
+    max(h, h_min) Tikhonov variant and verify the error stagnates; a
+    verdict that would divide by zero (eps = 0 or a zero error) is left out."""
     alpha = optimal_alpha(*cfg.geometry.radii).alpha
     eps = cfg.perturbation.epsilon
     hmin_value = resolve_hmin(cfg)
-    report = _run_study(cfg, "stagnate", hmin_value)
+    report = _run_study(cfg, "stagnate", "tik_scale")
     rows = report.rows
 
     report.thresholds = {
@@ -258,14 +259,13 @@ def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
     verdicts = report.verdicts = {"h_min": float(hmin_value)}
     crossing = next((row for row in rows if row.h < hmin_value), None)
     if crossing is not None:
-        factor = float(rows[-1].err_l2_B / crossing.err_l2_B)
         verdicts["crossing_level"] = crossing.level
-        verdicts["stagnation_factor"] = factor
-        verdicts["stagnated"] = bool(factor <= STAGNATION_FACTOR_BOUND)
-        if cfg.exact.kind == "monomial":
-            mono = HarmonicMonomial(n=cfg.exact.n, part=cfg.exact.part, dim=2)
-            scale_ref = monomial_sobolev_norm(mono, cfg.geometry.r3, cfg.k + 1)
-            reference = eps**alpha * scale_ref ** (1.0 - alpha)
+        if crossing.err_l2_B > 0:
+            factor = float(rows[-1].err_l2_B / crossing.err_l2_B)
+            verdicts["stagnation_factor"] = factor
+            verdicts["stagnated"] = bool(factor <= STAGNATION_FACTOR_BOUND)
+        if cfg.exact.kind == "monomial" and eps > 0:
+            reference = eps**alpha * _exact_scale(cfg) ** (1.0 - alpha)
             plateau = float(rows[-1].err_l2_B)
             verdicts["plateau"] = plateau
             verdicts["plateau_reference"] = float(reference)
@@ -277,39 +277,13 @@ def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
 
 # --- report serialization ---------------------------------------------------
 
-_BASE_COLUMNS = (
-    "level",
-    "h",
-    "n_dofs_primal",
-    "n_dofs_dual",
-    "err_l2_B",
-    "err_l2_omega",
-    "err_h1semi_B",
-    "triple_norm",
-    "residual_hminus1",
-    "l2_Omega_of_uh",
-    "energy_ratio",
-)
-_INT_COLUMNS = {"level", "n_dofs_primal", "n_dofs_dual"}
-
-
-def _report_columns(report: ConvergenceReport):
-    cols = list(_BASE_COLUMNS)
-    if report.study == "perturb":
-        cols.append("sensitivity")
-    if report.study == "stagnate":
-        cols.append("tik_scale")
-    return cols
-
-
 def report_to_csv(report: ConvergenceReport) -> str:
-    cols = _report_columns(report)
-    lines = [",".join(cols)]
+    lines = [",".join(report.columns)]
     for row in report.rows:
         cells = []
-        for col in cols:
+        for col in report.columns:
             val = getattr(row, col)
-            if col in _INT_COLUMNS:
+            if isinstance(val, int):
                 cells.append(str(val))
             elif val is None:
                 cells.append("")
@@ -320,13 +294,12 @@ def report_to_csv(report: ConvergenceReport) -> str:
 
 
 def report_to_json(report: ConvergenceReport) -> str:
-    cols = _report_columns(report)
     payload = {
         "study": report.study,
         "config": report.config_echo,
         "rate_window": list(report.rate_window),
-        "columns": cols,
-        "rows": [{col: getattr(row, col) for col in cols} for row in report.rows],
+        "columns": list(report.columns),
+        "rows": [{col: getattr(row, col) for col in report.columns} for row in report.rows],
         "fitted_rates": report.fitted_rates,
         "eoc": report.eoc,
         "thresholds": report.thresholds,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ucfem.cli import main
 from ucfem.config import (
+    PERTURBATION_MODES,
     ConfigError,
     RunConfig,
     config_echo,
@@ -16,7 +17,6 @@ from ucfem.config import (
     parse_config,
     parse_entries,
 )
-from ucfem.solver import PERTURBATION_MODES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -224,6 +224,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "alpha_tilde=0.5454545454545454" in out
 
+    @pytest.mark.parametrize("flag", ["--alpha1", "--alpha2"])
+    def test_alpha_needs_both_exponents(self, capsys, flag):
+        assert main(["alpha", flag, "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error=config ")
+        assert "--alpha1" in err[0] and "--alpha2" in err[0]
+
     def test_three_ball_equality_column(self, capsys):
         assert main(["three-ball", "--n-max", "10"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -330,6 +339,21 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "stagnate.json").read_text())
         assert payload["verdicts"]["h_min"] == 0.2
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "exact.kind=zero"]])
+    def test_stagnate_without_perturbation(self, tmp_path, capsys, extra):
+        # epsilon = 0 makes the plateau reference 0, and a zero exact
+        # solution makes the error at the crossing level 0: both verdicts
+        # are left out instead of dividing by zero
+        argv = ["--out-dir", str(tmp_path), "--set", "hmin.mode=value", "--set", "hmin.value=0.3"]
+        assert main(argv + ["--set", "levels=1..2"] + extra + ["stagnate"]) == 0
+        assert "h_min=0.3" in capsys.readouterr().out.splitlines()
+        text = (tmp_path / "stagnate.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        verdicts = json.loads(text)["verdicts"]
+        assert verdicts["crossing_level"] == 2
+        assert "plateau" not in verdicts
+        assert ("stagnation_factor" in verdicts) == (extra == [])
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

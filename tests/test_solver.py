@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from ucfem.config import PerturbationSpec
 from ucfem.fem import (
     assemble_gradient_jump,
     assemble_load_region,
@@ -18,8 +19,6 @@ from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
 from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh, refine_uniform
 from ucfem.solver import (
-    PerturbationSpec,
-    UcProblem,
     hminus1_residual,
     make_perturbation,
     solve_poisson,
@@ -113,7 +112,7 @@ class TestHminus1Residual:
         # representer of the residual of u and residual^2 = a(z, z)
         mesh = build_disk_mesh(geometry, 8, 1)
         for level in (1, 2, 3):
-            sol = solve_uc(UcProblem(k=k, exact=HarmonicMonomial(3)), mesh)
+            sol = solve_uc(mesh, k, HarmonicMonomial(3))
             f = sol.forms
             resid = hminus1_residual(sol.dual_space, sol.u, f["A0"], f["B"])
             dual = stability_terms(sol.u, sol.z, f["S"], f["M_omega"], f["A0"])[1]
@@ -181,30 +180,22 @@ class TestSolveUc:
         mesh = build_disk_mesh(geometry, 8, 2)
         errs = []
         for _ in range(3):
-            sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
+            sol = solve_uc(mesh, 1, exact)
             errs.append(error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_solve_residual_within_tolerance(self, mesh_l2):
-        sol = solve_uc(UcProblem(k=1, exact=HarmonicMonomial(3)), mesh_l2)
+        sol = solve_uc(mesh_l2, 1, HarmonicMonomial(3))
         assert sol.solve_residual <= 1e-10
 
     @pytest.mark.parametrize("mode", ["oscillatory", "nodal_noise"])
     def test_linear_in_data(self, mesh_l2, mode):
         # with zero exact solution the scheme maps the perturbation linearly
-        base = UcProblem(
-            k=1,
-            exact=ZeroField(),
-            perturbation=PerturbationSpec(mode=mode, epsilon=1e-3),
-        )
-        doubled = UcProblem(
-            k=1,
-            exact=ZeroField(),
-            perturbation=PerturbationSpec(mode=mode, epsilon=2e-3),
-        )
-        u1 = solve_uc(base, mesh_l2).u
-        u2 = solve_uc(doubled, mesh_l2).u
+        base = PerturbationSpec(mode=mode, epsilon=1e-3)
+        doubled = PerturbationSpec(mode=mode, epsilon=2e-3)
+        u1 = solve_uc(mesh_l2, 1, ZeroField(), base).u
+        u2 = solve_uc(mesh_l2, 1, ZeroField(), doubled).u
         assert np.allclose(u2, 2.0 * u1, rtol=1e-9, atol=1e-16)
 
     def test_k2_quadratic_error_decreases(self, geometry):
@@ -214,21 +205,20 @@ class TestSolveUc:
         mesh = build_disk_mesh(geometry, 8, 2)
         errs = []
         for _ in range(3):
-            sol = solve_uc(UcProblem(k=2, exact=exact), mesh)
+            sol = solve_uc(mesh, 2, exact)
             errs.append(error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-2
 
     def test_hmin_floor_applied(self, mesh_l2):
-        prob = UcProblem(k=1, exact=HarmonicMonomial(3), tikhonov_hmin=0.5)
-        sol = solve_uc(prob, mesh_l2)
+        sol = solve_uc(mesh_l2, 1, HarmonicMonomial(3), tikhonov_hmin=0.5)
         assert sol.tikhonov_scale == 0.5
 
     def test_ordered_solve_matches_unordered(self, mesh_l2):
         # the nested-dissection order changes the factorization, not u
         exact = HarmonicMonomial(3)
-        sol = solve_uc(UcProblem(k=1, exact=exact), mesh_l2)
+        sol = solve_uc(mesh_l2, 1, exact)
         f = sol.forms
         K = compose_saddle(f["S"] + f["M_omega"], f["B"], f["A0"])
         load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA)
@@ -242,7 +232,7 @@ class TestSolveUc:
         limit = 2.0 * math.sqrt(real_part_norm_sq(exact, 1.0))
         mesh = build_disk_mesh(geometry, 8, 1)
         for _ in range(3):
-            sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
+            sol = solve_uc(mesh, 1, exact)
             norm_uh = error_norms(sol.primal_space, sol.u, ZeroField(), ALL_REGIONS).l2
             assert norm_uh <= limit
             mesh = refine_uniform(mesh, geometry)
@@ -259,7 +249,7 @@ class TestConsistencyIdentity:
         exact = HarmonicMonomial(4)
         mesh = build_disk_mesh(geometry, 8, 1)
         for level in (1, 2, 3):
-            sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
+            sol = solve_uc(mesh, 1, exact)
             sp = sol.primal_space
             S, Mw, B = (sol.forms[key] for key in ("S", "M_omega", "B"))
             u_interp = interpolate_nodal(sp, exact)
@@ -342,7 +332,7 @@ def test_data_fit_rate_invariant(geometry):
     mesh = build_disk_mesh(geometry, 8, 2)
     errs, hs = [], []
     for _ in range(3):
-        sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
+        sol = solve_uc(mesh, 1, exact)
         errs.append(error_norms(sol.primal_space, sol.u, exact, [Region.OMEGA_DATA]).l2)
         hs.append(mesh.h)
         mesh = refine_uniform(mesh, geometry)

@@ -40,11 +40,6 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(1.0, 1.0)])
 
-    def test_window_selects_points(self):
-        pts = [(1.0, 10.0), (0.5, 1.0), (0.25, 0.5), (0.125, 0.25)]
-        fit = fit_rate(pts, window=(1, 3))
-        assert abs(fit.slope - 1.0) < 1e-12
-
     @given(
         st.floats(min_value=0.1, max_value=3.0),
         st.floats(min_value=1e-3, max_value=1e3),
@@ -102,6 +97,12 @@ class TestConvergenceStudy:
         for row, ratio in zip(report.rows, want):
             assert abs(row.energy_ratio - ratio) <= 1e-10 * ratio
         assert "energy_ratio" not in report.fitted_rates
+
+    def test_configured_floor_applies(self):
+        cfg = parse_config("levels = 1..2\nhmin.mode = value\nhmin.value = 0.5\n")
+        report = run_convergence_study(cfg)
+        for row in report.rows:
+            assert row.tik_scale == max(row.h, 0.5)
 
     def test_json_mirrors_report(self, quick_report):
         report, _ = quick_report
@@ -241,11 +242,11 @@ def test_engaged_regime_reaches_optimal_rate():
 def test_affine_near_exact_at_level_3(geometry):
     # stated example: err_l2_B below 1e-3 * ||u|| at level 3 for affine exact
     from ucfem.mesh import B_REGIONS
-    from ucfem.solver import UcProblem, solve_uc
+    from ucfem.solver import solve_uc
 
     exact = AffineField(0.0, 1.0, 0.0)
     mesh = build_disk_mesh(geometry, 8, 3)
-    sol = solve_uc(UcProblem(k=1, exact=exact), mesh)
+    sol = solve_uc(mesh, 1, exact)
     err = error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2
     norm_u = np.sqrt(0.5 * harmonic_norm_closed(HarmonicMonomial(2), geometry.r2))
     assert err < 1e-3 * norm_u
