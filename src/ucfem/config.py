@@ -124,6 +124,11 @@ _CONSTRAINTS = (
     (("sectors",), "even and >= 6", lambda m: m >= 6 and m % 2 == 0),
     (("exact.n",), "n >= 1", lambda n: n >= 1),
     (("perturbation.epsilon",), "epsilon >= 0", lambda eps: eps >= 0),
+    (
+        ("perturbation.mode", "perturbation.epsilon"),
+        "epsilon = 0 for perturbation.mode = none",
+        lambda mode, eps: mode != "none" or eps == 0,
+    ),
     (("perturbation.kappa",), "kappa > 0", lambda kappa: kappa > 0),
     (("perturbation.seed",), "seed >= 0", lambda seed: seed >= 0),
     (("hmin.value",), "value >= 0", lambda value: value >= 0),

@@ -10,12 +10,11 @@ mesh-dependent regularization
 
 whose gradient-jump part penalizes the normal-derivative jump across
 interior faces and vanishes on globally polynomial fields of degree <= k.
-Every form is assembled the same way: local Gram matrices
-sum_q w_q phi_i . phi_j are scattered into a sparse matrix A, whose
-duplicate entries are summed, and the result is 0.5 * (A + A.T).  Entry
-(i,j) of A + A.T is A[i,j] + A[j,i] and entry (j,i) is A[j,i] + A[i,j];
-IEEE addition commutes, so the assembled matrix is exactly symmetric
-whatever order the duplicates were summed in.
+Every form is a weighted sum of squares and is assembled as D^T D, where
+the sparse operator D evaluates sqrt(weight) * (basis data) at the
+quadrature points, one row per element or face, point and component.
+D^T D is exactly symmetric: entries (i,j) and (j,i) sum the same products
+D[r,i] D[r,j] (IEEE multiplication commutes) in the same ascending r order.
 
 On a straight triangle the barycentric gradients grad(lambda_i) are the
 whole element geometry: each is the edge opposite vertex i turned by +90
@@ -154,28 +153,26 @@ def _same_discretization(a: FeSpace, b: FeSpace):
         raise ValueError("spaces must share the same mesh and order")
 
 
-def _local_gram(weights, phi, scale):
-    """Local matrices scale_e * sum_q w_q phi_i . phi_j, shape (n, ndl, ndl).
+def _gram(phi, weights, scale, emap, row: FeSpace, col: FeSpace | None = None) -> FormMatrix:
+    """The form D^T D, restricted to the active rows and columns.
 
     `phi` holds the basis data per element and quadrature point, shape
     (n, nq, ndl, c) with c the component count (1 for values, 2 for
-    gradients); a leading axis of 1 broadcasts against `scale`.
+    gradients); a leading axis of 1 broadcasts against `scale`.  Row
+    (e, q, c) of D holds sqrt(scale_e w_q) phi[e, q, :, c] at the full dofs
+    `emap[e]`; a dof listed twice in a row (a face dof seen from both
+    sides) is summed.
     """
-    gram = np.einsum("q,nqic,nqjc->nij", weights, phi, phi)
-    return gram * scale[:, None, None]
-
-
-def _scatter(local, emap, row: FeSpace, col: FeSpace | None = None) -> FormMatrix:
-    """Sum local matrices into the full dof numbering and restrict to the
-    active rows and columns; `emap` maps each local slot to a full dof."""
     col = row if col is None else col
-    n = row.n_full
+    # D's data and int32 columns, each filled once in (element, point,
+    # component, slot) order; D keeps both buffers, nothing is copied
     ndl = emap.shape[1]
-    rows = np.repeat(emap, ndl, axis=1).ravel()
-    cols = np.tile(emap, (1, ndl)).ravel()
-    full = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    full = 0.5 * (full + full.T)
-    mat = full[row.active][:, col.active].tocsr()
+    d = np.sqrt(scale[:, None] * weights)[:, :, None, None] * phi.swapaxes(2, 3)
+    idx = np.broadcast_to(emap.astype(np.int32)[:, None, None, :], d.shape).flatten()
+    nrows = d.size // ndl
+    D = sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, row.n_full))
+    D.sum_duplicates()
+    mat = (D.T @ D).tocsr()[row.active][:, col.active]
     mat.sort_indices()
     return FormMatrix(mat)
 
@@ -190,8 +187,7 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
         _same_discretization(space_row, space_col)
     rule = ASSEMBLY_RULE
     g = space_row.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
-    local = _local_gram(rule.weights, g, space_row.det)
-    return _scatter(local, space_row.full_map, space_row, space_col)
+    return _gram(g, rule.weights, np.abs(space_row.det), space_row.full_map, space_row, space_col)
 
 
 def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
@@ -201,8 +197,8 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
         raise ValueError(f"empty region {region}")
     rule = ASSEMBLY_RULE
     vals = space.basis_values(rule.points)  # (nq, ndl)
-    local = _local_gram(rule.weights, vals[None, :, :, None], space.det[elements])
-    return _scatter(local, space.full_map[elements], space)
+    scale = np.abs(space.det[elements])
+    return _gram(vals[None, :, :, None], rule.weights, scale, space.full_map[elements], space)
 
 
 def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
@@ -233,8 +229,7 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     # stacked local dof vector: side-0 dofs then side-1 dofs, jump = dn0 - dn1
     jump = np.concatenate([dn[0], -dn[1]], axis=2)  # (nf, nqf, 2ndl)
     weight = length**2  # |F| face weight times |F| from the line integral
-    local = _local_gram(wq, jump[..., None], weight)
-    return _scatter(local, np.hstack(emap), space)
+    return _gram(jump[..., None], wq, weight, np.hstack(emap), space)
 
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
@@ -248,8 +243,7 @@ def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     lap = np.concatenate([4 * (g * g).sum(axis=2), 8 * (g * g[:, _NEXT]).sum(axis=2)], axis=1)
     scale = element_diameters(space.mesh) ** 2 * (0.5 * np.abs(space.det))
     # the Laplacian is constant per element: one point of unit weight
-    local = _local_gram(np.ones(1), lap[:, None, :, None], scale)
-    return _scatter(local, space.full_map, space)
+    return _gram(lap[:, None, :, None], np.ones(1), scale, space.full_map, space)
 
 
 def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:

@@ -244,8 +244,8 @@ def resolve_hmin(cfg: RunConfig) -> float:
 
 def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
     """Refine past the perturbation-dominated mesh size with the
-    max(h, h_min) Tikhonov variant and verify the error stagnates; a
-    verdict that would divide by zero (eps = 0 or a zero error) is left out."""
+    max(h, h_min) Tikhonov variant and verify the error stagnates; a verdict
+    that would divide by zero or compare the finest row with itself is left out."""
     alpha = optimal_alpha(*cfg.geometry.radii).alpha
     eps = cfg.perturbation.epsilon
     hmin_value = resolve_hmin(cfg)
@@ -260,7 +260,7 @@ def run_stagnation_study(cfg: RunConfig) -> ConvergenceReport:
     crossing = next((row for row in rows if row.h < hmin_value), None)
     if crossing is not None:
         verdicts["crossing_level"] = crossing.level
-        if crossing.err_l2_B > 0:
+        if crossing is not rows[-1] and crossing.err_l2_B > 0:
             factor = float(rows[-1].err_l2_B / crossing.err_l2_B)
             verdicts["stagnation_factor"] = factor
             verdicts["stagnated"] = bool(factor <= STAGNATION_FACTOR_BOUND)

@@ -80,6 +80,7 @@ class TestParseConfig:
             ("hmin.mode = value", "hmin.value"),
             ("perturbation.kappa = 0", "perturbation.kappa"),
             ("perturbation.epsilon = nan", "perturbation.epsilon"),
+            ("perturbation.mode = none\nperturbation.epsilon = 0.001", "perturbation.epsilon"),
             ("geometry.r1 = 0", "geometry.r1"),
             ("geometry.r2 = 0.1", "geometry.r2"),
             ("geometry.r3 = 0.4", "geometry.r3"),
@@ -96,12 +97,12 @@ class TestParseConfig:
     )
     def test_violation_names_its_key(self, line, key):
         # the message opens with every key the failed check read, the one set
-        # among them, and its "got" part carries the value that was set
+        # among them, and its "got" part carries the (last) value that was set
         with pytest.raises(ConfigError) as info:
             parse_config(line + "\n")
         keys, _, detail = str(info.value).partition(": ")
         assert key in keys.split(", ")
-        assert line.split("=", 1)[1].strip() in detail.rpartition("got ")[2]
+        assert line.rpartition("=")[2].strip() in detail.rpartition("got ")[2]
 
     @pytest.mark.parametrize(
         "key",
@@ -183,6 +184,7 @@ class TestParseConfig:
         paths,
     ):
         assume(hmin_mode != "value" or hmin_value > 0)
+        assume(mode != "none" or epsilon == 0)
         window_text = window if window == "auto" else ",".join(map(str, sorted(set(window))))
         text = (
             f"geometry.r1 = {r1!r}\n"
@@ -346,7 +348,7 @@ class TestCli:
         # solution makes the error at the crossing level 0: both verdicts
         # are left out instead of dividing by zero
         argv = ["--out-dir", str(tmp_path), "--set", "hmin.mode=value", "--set", "hmin.value=0.3"]
-        assert main(argv + ["--set", "levels=1..2"] + extra + ["stagnate"]) == 0
+        assert main(argv + ["--set", "levels=1..3"] + extra + ["stagnate"]) == 0
         assert "h_min=0.3" in capsys.readouterr().out.splitlines()
         text = (tmp_path / "stagnate.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
@@ -354,6 +356,17 @@ class TestCli:
         assert verdicts["crossing_level"] == 2
         assert "plateau" not in verdicts
         assert ("stagnation_factor" in verdicts) == (extra == [])
+
+    def test_stagnate_needs_a_level_past_the_crossing(self, tmp_path, capsys):
+        # the crossing level is the finest level run: a factor would compare
+        # that row with itself, so neither stagnation verdict is given
+        argv = ["--out-dir", str(tmp_path), "--set", "hmin.mode=value", "--set", "hmin.value=0.3"]
+        assert main(argv + ["--set", "levels=1..2", "stagnate"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "crossing_level=2" in out
+        verdicts = json.loads((tmp_path / "stagnate.json").read_text())["verdicts"]
+        assert verdicts["crossing_level"] == 2
+        assert "stagnation_factor" not in verdicts and "stagnated" not in verdicts
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucfem import quadrature
 from ucfem.fem import (
     ASSEMBLY_RULE,
     assemble_cell_laplacian,
@@ -67,7 +68,7 @@ class TestStiffness:
         assert np.abs(A @ ones).max() < 1e-13
 
     def test_exact_symmetry(self, mesh_l2):
-        # every symmetric form shares the stiffness scatter, so all are checked here
+        # every form is D^T D from the one assembly kernel; all are checked here
         for k in (1, 2):
             space = build_space(mesh_l2, k, False)
             forms = {
@@ -325,7 +326,7 @@ class TestAssemblyProperties:
         assert signed_areas(mesh).min() > 0.0
         space = build_space(mesh, k, False)
 
-        # exact symmetry of every form built by the shared scatter
+        # exact symmetry of every form built by the shared D^T D kernel
         regions = (Region.OMEGA_DATA, Region.TARGET_ANNULUS, Region.OUTER_ANNULUS)
         masses = [assemble_region_mass(space, [region]).matrix for region in regions]
         jump = assemble_gradient_jump(space).matrix
@@ -374,3 +375,82 @@ def test_phys_grads_are_barycentric_derivatives(geometry, k):
     # per-element points give what the shared points give
     per_element = np.broadcast_to(bary, (elements.size, *bary.shape))
     assert np.array_equal(space.phys_grads(elements, per_element), grads)
+
+
+def _lagrange_element(nodes, k):
+    """The Lagrange basis on one element from its physical nodes (ndl, 2):
+    the callable returns basis values (ndl,), gradients (ndl, 2) and
+    Laplacians (ndl,) at a point, from monomials in coordinates centred on
+    the element and scaled by its size."""
+    centre, size = nodes.mean(axis=0), np.ptp(nodes, axis=0).max()
+
+    def monomials(x):
+        s, t = (x - centre) / size
+        if k == 1:
+            return np.array([1, s, t]), np.array([[0, 0], [1, 0], [0, 1]]), np.zeros(3)
+        val = np.array([1, s, t, s * s, s * t, t * t])
+        grad = np.array([[0, 0], [1, 0], [0, 1], [2 * s, 0], [t, s], [0, 2 * t]])
+        return val, grad, np.array([0, 0, 0, 2, 0, 2])
+
+    coef = np.linalg.inv(np.array([monomials(x)[0] for x in nodes]))  # column i: basis i
+
+    def basis(x):
+        val, grad, lap = monomials(x)
+        return val @ coef, (grad.T @ coef).T / size, lap @ coef / size**2
+
+    return basis
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_forms_match_dense_local_assembly(geometry, k):
+    # every form rebuilt with a per-element / per-face loop of dense local
+    # Gram matrices, from Lagrange bases fitted to the physical nodes and
+    # quadrature rules other than the assembly's own
+    mesh = jittered_disk_mesh(geometry, level=1, seed=3, amplitude=0.8)
+    space, space0 = build_space(mesh, k), build_space(mesh, k, True)
+    coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
+    basis = [_lagrange_element(coords[dofs], k) for dofs in space.full_map]
+    n = space.n_full
+    stiff, mass, cell, jump = (np.zeros((n, n)) for _ in range(4))
+
+    def add(A, dofs, vectors, weights):
+        local = np.einsum("q,qi,qj->ij", weights, vectors, vectors)
+        np.add.at(A, (dofs[:, None], dofs[None, :]), local)
+
+    rule = quadrature.tri_rule_collapsed(4)
+    omega = set(mesh.region_elements([Region.OMEGA_DATA]))
+    diam, areas = element_diameters(mesh), np.abs(signed_areas(mesh))
+    for e, dofs in enumerate(space.full_map):
+        corners = mesh.vertices[mesh.triangles[e]]
+        vals, grads, laps = zip(*(basis[e](lam @ corners) for lam in rule.points))
+        w = 2 * areas[e] * rule.weights
+        for c in range(2):
+            add(stiff, dofs, np.array(grads)[:, :, c], w)
+        if e in omega:
+            add(mass, dofs, np.array(vals), w)
+        add(cell, dofs, np.array(laps)[:1], np.array([diam[e] ** 2 * areas[e]]))
+
+    t, wt = quadrature.gauss_rule_01(3)
+    for f in mesh.interior_edges:
+        a, b = mesh.vertices[mesh.edges[f]]
+        length = np.linalg.norm(b - a)
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / length
+        sides = mesh.edge_tris[f]
+        dofs = np.concatenate([space.full_map[e] for e in sides])
+        rows = []
+        for x in a + t[:, None] * (b - a):
+            dn = [basis[e](x)[1] @ normal for e in sides]
+            rows.append(np.concatenate([dn[0], -dn[1]]))
+        add(jump, dofs, np.array(rows), length**2 * wt)
+
+    checks = [
+        (assemble_stiffness(space), stiff, space, space),
+        (assemble_stiffness(space0, space), stiff, space0, space),
+        (assemble_region_mass(space, [Region.OMEGA_DATA]), mass, space, space),
+        (assemble_gradient_jump(space), jump, space, space),
+        (assemble_cell_laplacian(space), cell, space, space),
+    ]
+    for form, dense, row, col in checks:
+        want = dense[np.ix_(row.active, col.active)]
+        got = form.matrix.toarray()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=0.0)
