@@ -54,7 +54,9 @@ class FeSpace:
 
     With `dirichlet=True` the dofs on the polygonal boundary are removed
     (the V_0h space); coefficient vectors then carry only the retained
-    dofs and `expand_coeffs` pads the eliminated ones with zero.
+    dofs and `expand_coeffs` pads the eliminated ones with zero.  On a mesh
+    with a recorded rotation, `rotation` maps each dof to the dof the turn
+    carries it to (None otherwise).
     """
 
     def __init__(self, mesh: Mesh, k: int, dirichlet: bool = False):
@@ -90,6 +92,13 @@ class FeSpace:
         self.n_dofs = int(keep.size)
         self.dof_map = full_to_active[self.full_map]
         self.dof_coords = full_coords[keep]
+        # the mesh rotation carried to the dofs: dof i turns into dof rotation[i]
+        self.rotation = None
+        if mesh.rotation is not None:
+            turn = mesh.rotation
+            if k == 2:
+                turn = np.concatenate([turn, nv + mesh.edge_rotation()])
+            self.rotation = full_to_active[turn[keep]]
 
         # element geometry: grad(lambda_i) is the edge opposite vertex i,
         # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
@@ -153,15 +162,19 @@ def _same_discretization(a: FeSpace, b: FeSpace):
         raise ValueError("spaces must share the same mesh and order")
 
 
-def _gram(phi, weights, scale, emap, row: FeSpace, col: FeSpace | None = None) -> FormMatrix:
+def _gram(
+    phi, weights, scale, emap, row: FeSpace, col: FeSpace | None = None, faces: bool = False
+) -> FormMatrix:
     """The form D^T D, restricted to the active rows and columns.
 
     `phi` holds the basis data per element and quadrature point, shape
     (n, nq, ndl, c) with c the component count (1 for values, 2 for
     gradients); a leading axis of 1 broadcasts against `scale`.  Row
     (e, q, c) of D holds sqrt(scale_e w_q) phi[e, q, :, c] at the full dofs
-    `emap[e]`; a dof listed twice in a row (a face dof seen from both
-    sides) is summed.
+    `emap[e]`.  Only a face row (`faces`: emap lists both sides' dofs)
+    holds a dof twice, and there the two entries are summed; an element
+    row lists each dof once, and D^T D reads its unsorted columns as they
+    are.
     """
     col = row if col is None else col
     # D's data and int32 columns, each filled once in (element, point,
@@ -171,7 +184,8 @@ def _gram(phi, weights, scale, emap, row: FeSpace, col: FeSpace | None = None) -
     idx = np.broadcast_to(emap.astype(np.int32)[:, None, None, :], d.shape).flatten()
     nrows = d.size // ndl
     D = sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, row.n_full))
-    D.sum_duplicates()
+    if faces:
+        D.sum_duplicates()
     mat = (D.T @ D).tocsr()[row.active][:, col.active]
     mat.sort_indices()
     return FormMatrix(mat)
@@ -229,7 +243,7 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     # stacked local dof vector: side-0 dofs then side-1 dofs, jump = dn0 - dn1
     jump = np.concatenate([dn[0], -dn[1]], axis=2)  # (nf, nqf, 2ndl)
     weight = length**2  # |F| face weight times |F| from the line integral
-    return _gram(jump[..., None], wq, weight, np.hstack(emap), space)
+    return _gram(jump[..., None], wq, weight, np.hstack(emap), space, faces=True)
 
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:

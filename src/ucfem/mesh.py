@@ -11,7 +11,7 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
@@ -41,6 +41,9 @@ class Mesh:
     edges : (ne, 2) int, vertex pairs v0 < v1, lexicographically sorted
     tri_edges : (nt, 3) int, edge index of local edges (0,1), (1,2), (2,0)
     edge_tris : (ne, 2) int, adjacent triangles (-1 in slot 1 on the boundary)
+    rotation : (nv,) int or None; vertex v turned by 2 pi / m about the
+        origin is vertex rotation[v], for a mesh that is m copies of one
+        sector (None: no symmetry recorded)
     """
 
     vertices: np.ndarray
@@ -55,6 +58,7 @@ class Mesh:
     edge_counts: np.ndarray = field(repr=False)
     boundary_edges: np.ndarray = field(repr=False)
     boundary_vertices: np.ndarray = field(repr=False)
+    rotation: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
         for name in (
@@ -70,6 +74,8 @@ class Mesh:
             "boundary_vertices",
         ):
             getattr(self, name).setflags(write=False)
+        if self.rotation is not None:
+            self.rotation.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -92,6 +98,13 @@ class Mesh:
         regions = [int(r) for r in (regions if hasattr(regions, "__iter__") else [regions])]
         return np.nonzero(np.isin(self.region_tag, regions))[0]
 
+    def edge_rotation(self) -> np.ndarray:
+        """Edge e turned by the recorded rotation is edge edge_rotation()[e]."""
+        ends = self.rotation[self.edges]
+        key = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
+        turned = ends.min(axis=1) * self.n_vertices + ends.max(axis=1)
+        return np.searchsorted(key, turned)
+
 
 @dataclass
 class MeshDiagnostics:
@@ -110,7 +123,8 @@ class MeshDiagnostics:
 
 
 def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=None) -> Mesh:
-    """Assemble a Mesh from raw arrays, computing adjacency and mesh size."""
+    """Assemble a Mesh from raw arrays, computing adjacency and mesh size;
+    no rotation is recorded."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     region_tag = np.ascontiguousarray(region_tag, dtype=np.int64)
@@ -191,7 +205,9 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
     """Mesh the disk of radius r3 with rings aligned to r1 and r2.
 
     `sectors` vertices per ring (>= 6, even), then `level` red refinements
-    with circle projection of new interface/boundary midpoints.
+    with circle projection of new interface/boundary midpoints.  The mesh
+    is `sectors` copies of one sector and records the rotation that maps
+    each copy onto the next.
     """
     if geometry.dim != 2:
         raise ValueError("disk meshing requires geometry.dim == 2")
@@ -229,7 +245,11 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
             tris.append((a_i, b_j, a_j))
             tags.extend([tag, tag])
 
+    # ring vertex start + i turns into start + (i + 1) % m; the centre stays
+    turn = np.roll(np.arange(m), -1)
+    rotation = np.concatenate([[0], 1 + turn, 1 + m + turn, 1 + 2 * m + turn])
     mesh = mesh_from_arrays(vertices, tris, tags, level=0, vertex_circle=vertex_circle)
+    mesh = replace(mesh, rotation=rotation)
     if signed_areas(mesh).min() <= 0.0:
         raise ValueError("degenerate base mesh; increase sectors")
     for _ in range(level):
@@ -240,10 +260,12 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
 def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
     """Red refinement; same-circle edge midpoints are projected radially.
 
-    The radial projection moves interface midpoints outward by
-    r_c * (1 - cos(pi/m)); if an annulus is thinner than that (coarse
-    sectors, nearly equal radii) a child triangle would invert, which is
-    rejected with the same remedy as at construction: more sectors.
+    A recorded rotation carries over: the midpoint of edge e turns into
+    the midpoint of the turned edge.  The radial projection moves
+    interface midpoints outward by r_c * (1 - cos(pi/m)); if an annulus is
+    thinner than that (coarse sectors, nearly equal radii) a child triangle
+    would invert, which is rejected with the same remedy as at
+    construction: more sectors.
     """
     radii = np.array([0.0, geometry.r1, geometry.r2, geometry.r3])
     nv = mesh.n_vertices
@@ -284,6 +306,8 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
             "circle projection inverted a triangle; the annuli are too thin "
             "for this sector count, rebuild with more sectors"
         )
+    if mesh.rotation is not None:
+        child = replace(child, rotation=np.concatenate([mesh.rotation, nv + mesh.edge_rotation()]))
     return child
 
 
@@ -333,7 +357,8 @@ def read_mesh(path, geometry: Geometry | None = None) -> Mesh:
 
     Circle markers are recovered by radius matching when a geometry is
     given (needed if the mesh is to be refined further); the refinement
-    level is not stored and resets to 0.
+    level and the rotation are not stored: the level resets to 0 and no
+    rotation is recorded.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().split()

@@ -34,7 +34,7 @@ from .fem import (
 )
 from .fields import OscillatoryField
 from .mesh import ALL_REGIONS, Mesh, Region
-from .sparse import achieved_residual, compose_saddle, nested_dissection, solve_direct
+from .sparse import CyclicModes, achieved_residual, compose_saddle, solve_direct
 
 
 @dataclass
@@ -73,16 +73,16 @@ def solve_poisson(space0: FeSpace, f) -> np.ndarray:
         raise ValueError("solve_poisson requires a Dirichlet space")
     A0 = assemble_stiffness(space0).matrix
     b = assemble_load_region(space0, f, ALL_REGIONS)
-    return _solve_ordered(A0, b, space0.dof_coords)
+    return _solve_ordered(A0, b, space0.dof_coords, space0.rotation)
 
 
-def _solve_ordered(K, b, coords) -> np.ndarray:
-    """`solve_direct` of K x = b in the nested-dissection order of K's graph
-    over the dof points coords, returned in the original order."""
-    p = nested_dissection(coords, K)
-    x = np.empty_like(b, dtype=float)
-    x[p] = solve_direct(K[p][:, p], b[p])
-    return x
+def _solve_ordered(K, b, coords, rotation) -> np.ndarray:
+    """K x = b for a K that commutes with the dof rotation (None: no
+    symmetry): one `solve_direct` of the excited Fourier modes, each in the
+    nested-dissection order of its representatives' points, recombined
+    and checked against K (`CyclicModes`)."""
+    modes = CyclicModes(K, b, coords, rotation)
+    return modes.recombine(solve_direct(modes.matrix, modes.rhs))
 
 
 def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Perturbation:
@@ -153,7 +153,11 @@ def solve_uc(
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    x = _solve_ordered(K, rhs, np.concatenate([space.dof_coords, space0.dof_coords]))
+    coords = np.concatenate([space.dof_coords, space0.dof_coords])
+    rotation = None
+    if space.rotation is not None:
+        rotation = np.concatenate([space.rotation, space.n_dofs + space0.rotation])
+    x = _solve_ordered(K, rhs, coords, rotation)
     return UcSolution(
         u=x[: space.n_dofs],
         z=x[space.n_dofs :],
@@ -177,7 +181,7 @@ def hminus1_residual(space0: FeSpace, u, A0, B) -> float:
     B u = A0 z), so the result equals sqrt(a(z,z)) up to rounding.
     """
     r = B @ u
-    phi = _solve_ordered(A0, r, space0.dof_coords)
+    phi = _solve_ordered(A0, r, space0.dof_coords, space0.rotation)
     return float(np.sqrt(max(phi @ r, 0.0)))
 
 

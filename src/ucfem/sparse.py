@@ -1,11 +1,14 @@
-"""Saddle-point composition, a nested-dissection ordering and a direct
-sparse solver with residual checks.
+"""Saddle-point composition, a nested-dissection ordering, a direct
+sparse solver with residual checks, and the split of a rotation-invariant
+system into its Fourier modes.
 
 Matrices are scipy CSR throughout (sorted indices, summed duplicates).
 `solve_direct` factors with SuperLU in the order it is given, without
 pivoting; callers order the system first with `nested_dissection`.  A
 pivoted SuperLU factorization with COLAMD ordering is the fallback.
-Every step is deterministic for identical inputs.
+`CyclicModes` turns K x = b, for a K that commutes with a rotation of its
+unknowns, into one block-diagonal system of the Fourier modes the load
+excites.  Every step is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+#: relative residual every solve must meet (see `solve_direct`)
+REL_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -47,8 +54,8 @@ def compose_saddle(S_uw, B, A0) -> sp.csr_matrix:
     return K
 
 
-def solve_direct(K, b, rel_tol: float = 1e-10) -> np.ndarray:
-    """LU solve with a residual contract.
+def solve_direct(K, b, rel_tol: float = REL_TOL) -> np.ndarray:
+    """LU solve with a residual contract; K and b are real or complex.
 
     Guarantees ||K x - b||_2 <= rel_tol * (max|K| * ||x||_2 + ||b||_2),
     applying one step of iterative refinement if the first solve misses.
@@ -62,14 +69,20 @@ def solve_direct(K, b, rel_tol: float = 1e-10) -> np.ndarray:
     the systems this package solves: SPD matrices and the symmetric
     quasi-definite saddle matrix [[H, B^T], [B, -C]] with H and C SPD,
     every symmetric permutation of which has an LDL^T factorization
-    (Vanderbei, SIAM J. Optim. 5, 1995).  Any other matrix may meet a zero
+    (Vanderbei, SIAM J. Optim. 5, 1995).  The argument holds word for word
+    for the Hermitian quasi-definite [[H, B^H], [B, -C]] with H and C
+    Hermitian positive definite (an LDL^H factorization), which covers the
+    complex Fourier-mode blocks of `CyclicModes`, and for a block-diagonal
+    matrix of such blocks.  Any other matrix may meet a zero
     pivot, give a non-finite solution or miss the contract; then K is
     refactored once with COLAMD ordering and partial pivoting, valid for
     every nonsingular matrix, and a RuntimeWarning says so.  SolverError
     is raised if that fails too.
     """
     K = sp.csc_matrix(K)
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
+    dtype = np.result_type(K.dtype, b.dtype, float)
+    K, b = K.astype(dtype, copy=False), b.astype(dtype, copy=False)
     if K.shape[0] != K.shape[1] or b.shape != (K.shape[0],):
         raise ValueError(f"shape mismatch: K{K.shape}, b{b.shape}")
     _check_finite(K.data, "matrix")
@@ -206,3 +219,138 @@ def nested_dissection(coords, A) -> np.ndarray:
 def _starts(size):
     """Index of the first entry of each part in a part-after-part array."""
     return np.cumsum(size) - size
+
+
+def _cyclic_orbits(rotation, coords):
+    """The orbits of the unknowns under a rotation of order m.
+
+    rotation[i] is the unknown that a turn by 2 pi / m carries unknown i
+    to; coords[i] is its point.  Returns (orbits, fixed): orbits (n, m)
+    holds in row r the representative orbits[r, 0], the member of least
+    polar angle in [0, 2 pi), and in column s its s-th turn; fixed lists
+    the unknowns the turn keeps.  rotation None is the order-1 case: every
+    unknown is its own orbit and none is fixed.
+    """
+    n = coords.shape[0]
+    moved = np.empty(0) if rotation is None else np.flatnonzero(rotation != np.arange(n))
+    if moved.size == 0:
+        return np.arange(n)[:, None], np.empty(0, dtype=np.int64)
+    fixed = np.flatnonzero(rotation == np.arange(n))
+    m, i = 1, rotation[moved[0]]
+    while i != moved[0] and m <= n:
+        i, m = rotation[i], m + 1
+
+    angle = np.arctan2(coords[:, 1], coords[:, 0]) % (2.0 * np.pi)
+    turned, least, turns = moved, angle[moved], np.zeros(moved.size, dtype=np.int64)
+    for s in range(1, m):
+        turned = rotation[turned]
+        better = angle[turned] < least
+        least = np.where(better, angle[turned], least)
+        turns[better] = s
+    orbits = np.empty((np.count_nonzero(turns == 0), m), dtype=np.int64)
+    orbits[:, 0] = moved[turns == 0]
+    for s in range(1, m):
+        orbits[:, s] = rotation[orbits[:, s - 1]]
+    members = np.bincount(np.concatenate([orbits.ravel(), fixed]), minlength=n)
+    if np.any(members != 1) or np.any(rotation[orbits[:, -1]] != orbits[:, 0]):
+        raise ValueError("rotation is not a permutation whose moved cycles share one length")
+    return orbits, fixed
+
+
+class CyclicModes:
+    """K x = b as one block-diagonal system of the Fourier modes of the load.
+
+    A K that commutes with a rotation of its unknowns (P K P^T = K, see
+    `_cyclic_orbits`) is block diagonal in the orbit Fourier basis: column
+    r of E_j holds exp(2 pi i j s / m) / sqrt(m) at the s-th turn of
+    representative r (a fixed unknown belongs to mode 0 alone, with
+    weight 1).  Block j, K_j = E_j^H K E_j, is built from the
+    representatives' rows of K: K_j[r, r'] = sum_t exp(2 pi i j t / m)
+    K[r, turn^t r'].  For real K and b mode m - j is the conjugate of mode
+    j, so only j = 0..m/2 are solved and
+
+        x = sum_j c_j Re(E_j x_j),  c_j = 1 for j in {0, m/2}, else 2.
+
+    A mode whose load norm sqrt(c_j) |E_j^H b| is below 1e-2 * rel_tol *
+    |b| is skipped, which leaves at most 1% of the residual contract per
+    mode.  `matrix` and `rhs` are the kept blocks, each in the
+    nested-dissection order of the representatives' points, stacked
+    diagonally; they are complex only when a mode other than 0 and m/2
+    is kept.  `recombine` checks its x against the full K.  rotation None,
+    or a K that commutes with the rotation only to worse than 1e-12
+    max|K|, is the order-1 case: one mode, E = identity, K itself.
+    """
+
+    def __init__(self, K, b, coords, rotation, rel_tol: float = REL_TOL):
+        self.K, self.b, self.rel_tol = K, b, rel_tol
+        if rotation is not None:
+            kmax = np.abs(K.data).max(initial=0.0)
+            if abs(K[rotation][:, rotation] - K).max() > 1e-12 * kmax:
+                rotation = None
+        orbits, fixed = _cyclic_orbits(rotation, coords)
+        nr, m = orbits.shape
+        reps = np.concatenate([orbits[:, 0], fixed])
+        # unknown u is the shift[u]-th turn of representative reps[rep[u]]
+        rep = np.empty(K.shape[0], dtype=np.int64)
+        shift = np.zeros(K.shape[0], dtype=np.int64)
+        rep[orbits] = np.arange(nr)[:, None]
+        shift[orbits] = np.arange(m)
+        rep[fixed] = nr + np.arange(fixed.size)
+
+        # column j of load is E_j^H b over the orbits; c_j |E_j^H b|^2 per mode
+        load = np.fft.rfft(b[orbits], axis=1) / np.sqrt(m)
+        j = np.arange(load.shape[1])
+        share = np.where((j == 0) | (2 * j == m), 1, 2) * (np.abs(load) ** 2).sum(axis=0)
+        share[0] += b[fixed] @ b[fixed]
+        skip = np.sqrt(share) < 1e-2 * rel_tol * np.linalg.norm(b)
+        self.modes = tuple(int(mode) for mode in np.flatnonzero(~skip))
+
+        rows = K[reps].tocoo()
+        i, col, turn = rows.row, rep[rows.col], shift[rows.col]
+        size = np.where(np.arange(reps.size) < nr, m, 1)
+        data = rows.data * np.sqrt(size[i] / size[col])
+        mode0 = sp.csr_matrix((data, (i, col)), shape=(reps.size, reps.size))
+        order = nested_dissection(coords[reps], mode0)
+        phase = np.exp(2j * np.pi * np.arange(m) / m)
+
+        self._orbits, self._fixed, self._blocks = orbits, fixed, []
+        entries, rhs, offset = [], [], 0
+        for j in self.modes:
+            if j == 0:
+                perm, keep, values = order, slice(None), data
+            else:
+                perm, keep = order[order < nr], (i < nr) & (col < nr)
+                w = (-1.0) ** np.arange(m) if 2 * j == m else phase[(j * np.arange(m)) % m]
+                values = data[keep] * w[turn[keep]]
+            pos = np.empty(perm.size, dtype=np.int64)
+            pos[perm] = offset + np.arange(perm.size)
+            entries.append((values, pos[i[keep]], pos[col[keep]]))
+            rhs.append(np.concatenate([load[:, j], b[fixed]])[perm] if j == 0 else load[perm, j])
+            self._blocks.append((j, offset, perm))
+            offset += perm.size
+        values, r, c = (np.concatenate(parts) for parts in zip(*entries))
+        if not np.iscomplexobj(values):
+            rhs = [part.real for part in rhs]
+        self.matrix = sp.csc_matrix((values, (r, c)), shape=(offset, offset))
+        self.rhs = np.concatenate(rhs)
+
+    def recombine(self, y) -> np.ndarray:
+        """The real x of K x = b from the stacked block solution y;
+        SolverError when x misses the residual contract on the full K."""
+        nr, m = self._orbits.shape
+        coeffs = np.zeros((nr, m // 2 + 1), dtype=complex)
+        x = np.zeros(self.K.shape[0])
+        for j, offset, perm in self._blocks:
+            part = np.empty(perm.size, dtype=y.dtype)
+            part[perm] = y[offset : offset + perm.size]
+            coeffs[:, j] = part[:nr]
+            if j == 0:
+                x[self._fixed] = part[nr:].real
+        x[self._orbits] = np.fft.irfft(coeffs, n=m, axis=1) * np.sqrt(m)
+        res = achieved_residual(self.K, x, self.b)
+        if not res <= self.rel_tol:
+            raise SolverError(
+                f"residual tolerance not met after recombining modes {self.modes}: "
+                f"relative residual {res:.3e}, required {self.rel_tol:.3e}"
+            )
+        return x

@@ -43,3 +43,23 @@ def test_workload_rows_match_references(worker, capsys, workload, levels):
     tracer = worker.Tracer(workload, enabled=False)
     body = worker.run_body(workload, seed, cfg, tracer, {workload: refs})
     assert body["failed"] == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "workload, levels", [("converge_k1", (2, 3, 4)), ("perturb_k2", (1, 2, 3))]
+)
+def test_two_factorizations_and_stiffness_assemblies_per_level(worker, capsys, workload, levels):
+    # the traced benchmark gates these counts exactly (`EXPECTED_COUNTS`,
+    # two of each per solved level); a change that adds or drops one fails
+    # here before the benchmark's coverage check does.  The body runs
+    # fewer levels than the benchmark's, so that check reports a coverage
+    # error and nothing else.
+    seed = worker.DEFAULT_SEED
+    cfg = replace(worker.parse_config(worker.CONFIGS[workload](seed)), levels=levels)
+    refs = [ref for ref in worker.load_references()[workload] if ref["level"] in levels]
+    tracer = worker.Tracer(workload, enabled=True)
+    body = worker.run_body(workload, seed, cfg, tracer, {workload: refs})
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+    assert all(line.startswith("error=coverage") for line in errors), errors
+    assert body["layers"]["sparse.factor_calls"] == 2 * len(levels)
+    assert body["layers"]["fem.stiffness_calls"] == 2 * len(levels)

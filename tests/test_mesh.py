@@ -87,6 +87,21 @@ class TestRefinement:
             assert 0.45 <= ratio <= 0.55  # exact halving up to <= 10% projection distortion
             mesh = child
 
+    def test_rotation_turns_vertices_and_triangles(self, geometry):
+        # build_disk_mesh records the turn by 2 pi / 8; refinement carries it
+        # to the edge midpoints without looking at coordinates
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        turn = np.array([[c, -s], [s, c]])
+        mesh = build_disk_mesh(geometry, sectors=8, level=0)
+        for level in range(4):
+            rot = mesh.rotation
+            assert np.array_equal(np.sort(rot), np.arange(mesh.n_vertices))
+            assert np.abs(mesh.vertices[rot] - mesh.vertices @ turn.T).max() < 1e-14
+            turned = {tuple(sorted(t)) for t in rot[mesh.triangles].tolist()}
+            assert turned == {tuple(sorted(t)) for t in mesh.triangles.tolist()}
+            assert np.array_equal(mesh.vertex_circle[rot], mesh.vertex_circle)
+            mesh = refine_uniform(mesh, geometry)
+
     def test_projection_free_mesh_halves_exactly(self, unit_triangle_mesh):
         geo = Geometry(0.25, 0.5, 1.0)
         child = refine_uniform(unit_triangle_mesh, geo)
@@ -202,6 +217,11 @@ class TestMeshFile:
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.array_equal(back.region_tag, mesh.region_tag)
         assert np.array_equal(back.vertex_circle, mesh.vertex_circle)
+        # the file stores no symmetry; the recovered circles refine as before
+        assert mesh.rotation is not None and back.rotation is None
+        finer, back_finer = refine_uniform(mesh, geometry), refine_uniform(back, geometry)
+        assert np.array_equal(back_finer.vertices, finer.vertices)
+        assert back_finer.rotation is None
 
     def test_header_format(self, base_mesh, tmp_path):
         path = tmp_path / "mesh.txt"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from ucfem.solver import (
     solve_uc,
     verify_positivity,
 )
-from ucfem.sparse import compose_saddle
+from ucfem.sparse import CyclicModes, SolverError, compose_saddle
+from test_fem import jittered_disk_mesh
 
 
 #: 1 - |x|^2, the f = 4 manufactured solution on the unit disk
@@ -123,6 +125,78 @@ class TestHminus1Residual:
 
 def region_mass(space):
     return assemble_region_mass(space, Region.OMEGA_DATA).matrix
+
+
+def saddle_system(mesh, k, exact, perturbation=PerturbationSpec()):
+    """The saddle matrix, load, dof points and dof rotation of `solve_uc`."""
+    sol = solve_uc(mesh, k, exact, perturbation)
+    space, space0, f = sol.primal_space, sol.dual_space, sol.forms
+    K = compose_saddle(f["S"] + f["M_omega"], f["B"], f["A0"])
+    load = assemble_load_region(space, exact, Region.OMEGA_DATA) + sol.perturbation.load
+    rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
+    coords = np.concatenate([space.dof_coords, space0.dof_coords])
+    rotation = None
+    if space.rotation is not None:
+        rotation = np.concatenate([space.rotation, space.n_dofs + space0.rotation])
+    return K, rhs, coords, rotation
+
+
+NOISE = PerturbationSpec("nodal_noise", 1e-3, seed=5)
+
+
+class TestCyclicModes:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_saddle_commutes_with_rotation(self, geometry, k):
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        for level in (2, 3):
+            mesh = build_disk_mesh(geometry, 8, level)
+            K, _, coords, rot = saddle_system(mesh, k, HarmonicMonomial(4))
+            assert np.abs(coords[rot] - coords @ np.array([[c, s], [-s, c]])).max() < 1e-14
+            assert abs(K[rot][:, rot] - K).max() <= 1e-13 * abs(K).max()
+
+    @pytest.mark.parametrize(
+        "exact, perturbation, modes",
+        [
+            (HarmonicMonomial(4), PerturbationSpec(), (3,)),
+            (ZeroField(), NOISE, (0, 1, 2, 3, 4)),
+        ],
+    )
+    def test_kept_modes(self, geometry, exact, perturbation, modes):
+        # Re z^3 lives in modes +-3 of the 8 sectors; nodal noise in all
+        mesh = build_disk_mesh(geometry, 8, 2)
+        split = CyclicModes(*saddle_system(mesh, 1, exact, perturbation))
+        assert split.modes == modes
+        assert np.iscomplexobj(split.matrix.data)
+
+    @pytest.mark.parametrize("k, level, tol", [(1, 3, 1e-8), (2, 2, 1e-6)])
+    def test_mode_solve_matches_order_one_solve(self, geometry, k, level, tol):
+        mesh = build_disk_mesh(geometry, 8, level)
+        cases = ((HarmonicMonomial(4), PerturbationSpec()), (ZeroField(), NOISE))
+        for exact, perturbation in cases:
+            modes = solve_uc(mesh, k, exact, perturbation)
+            full = solve_uc(replace(mesh, rotation=None), k, exact, perturbation)
+            for got, want in ((modes.u, full.u), (modes.z, full.z)):
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_jittered_mesh_takes_order_one_path(self, geometry):
+        # no recorded rotation, or one the jittered matrix does not commute
+        # with: one real mode holding the whole K
+        mesh = jittered_disk_mesh(geometry, 2, seed=1, amplitude=1.0)
+        assert mesh.rotation is None
+        with_turn = replace(mesh, rotation=build_disk_mesh(geometry, 8, 2).rotation)
+        for m in (mesh, with_turn):
+            K, rhs, coords, rot = saddle_system(m, 1, HarmonicMonomial(4))
+            split = CyclicModes(K, rhs, coords, rot)
+            assert split.modes == (0,)
+            assert split.matrix.shape == K.shape and not np.iscomplexobj(split.matrix.data)
+            x = split.recombine(spsolve(split.matrix, split.rhs))
+            assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_recombined_residual_is_checked(self, geometry):
+        mesh = build_disk_mesh(geometry, 8, 2)
+        split = CyclicModes(*saddle_system(mesh, 1, HarmonicMonomial(4)))
+        with pytest.raises(SolverError, match="residual"):
+            split.recombine(np.zeros_like(split.rhs))
 
 
 class TestPerturbation:
