@@ -95,9 +95,7 @@ class FeSpace:
         # the mesh rotation carried to the dofs: dof i turns into dof rotation[i]
         self.rotation = None
         if mesh.rotation is not None:
-            turn = mesh.rotation
-            if k == 2:
-                turn = np.concatenate([turn, nv + mesh.edge_rotation()])
+            turn = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
             self.rotation = full_to_active[turn[keep]]
 
         # element geometry: grad(lambda_i) is the edge opposite vertex i,

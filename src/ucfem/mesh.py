@@ -98,12 +98,15 @@ class Mesh:
         regions = [int(r) for r in (regions if hasattr(regions, "__iter__") else [regions])]
         return np.nonzero(np.isin(self.region_tag, regions))[0]
 
-    def edge_rotation(self) -> np.ndarray:
-        """Edge e turned by the recorded rotation is edge edge_rotation()[e]."""
+    def rotation_with_midpoints(self) -> np.ndarray:
+        """The recorded rotation extended to the edge midpoints, numbered
+        n_vertices + e: the midpoint of edge e turns into the midpoint of
+        the turned edge."""
+        nv = self.n_vertices
         ends = self.rotation[self.edges]
-        key = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
-        turned = ends.min(axis=1) * self.n_vertices + ends.max(axis=1)
-        return np.searchsorted(key, turned)
+        key = self.edges[:, 0] * nv + self.edges[:, 1]
+        turned = ends.min(axis=1) * nv + ends.max(axis=1)
+        return np.concatenate([self.rotation, nv + np.searchsorted(key, turned)])
 
 
 @dataclass
@@ -260,8 +263,8 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
 def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
     """Red refinement; same-circle edge midpoints are projected radially.
 
-    A recorded rotation carries over: the midpoint of edge e turns into
-    the midpoint of the turned edge.  The radial projection moves
+    A recorded rotation carries over to the midpoints
+    (`Mesh.rotation_with_midpoints`).  The radial projection moves
     interface midpoints outward by r_c * (1 - cos(pi/m)); if an annulus is
     thinner than that (coarse sectors, nearly equal radii) a child triangle
     would invert, which is rejected with the same remedy as at
@@ -307,7 +310,7 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
             "for this sector count, rebuild with more sectors"
         )
     if mesh.rotation is not None:
-        child = replace(child, rotation=np.concatenate([mesh.rotation, nv + mesh.edge_rotation()]))
+        child = replace(child, rotation=mesh.rotation_with_midpoints())
     return child
 
 

@@ -271,22 +271,25 @@ class CyclicModes:
 
         x = sum_j c_j Re(E_j x_j),  c_j = 1 for j in {0, m/2}, else 2.
 
-    A mode whose load norm sqrt(c_j) |E_j^H b| is below 1e-2 * rel_tol *
+    A mode whose load norm sqrt(c_j) |E_j^H b| is below 1e-2 * REL_TOL *
     |b| is skipped, which leaves at most 1% of the residual contract per
     mode.  `matrix` and `rhs` are the kept blocks, each in the
     nested-dissection order of the representatives' points, stacked
     diagonally; they are complex only when a mode other than 0 and m/2
-    is kept.  `recombine` checks its x against the full K.  rotation None,
-    or a K that commutes with the rotation only to worse than 1e-12
-    max|K|, is the order-1 case: one mode, E = identity, K itself.
+    is kept.  rotation None is the order-1 case: one mode, E = identity,
+    K itself.  Nothing here checks that K commutes with the rotation: a
+    K that does not gives an x that misses the residual contract on the
+    full K, which the caller checks (`achieved_residual`).
+
+    The block solve's contract is scaled by max|matrix|, which the
+    sqrt(m) K[r, f] couplings of mode 0 to a fixed unknown f can lift
+    above max|K|; a block solution that meets its own contract can miss
+    the full one by up to that factor, and one refinement step through
+    the same split (`project` the residual, solve, `recombine`) is the
+    remedy.
     """
 
-    def __init__(self, K, b, coords, rotation, rel_tol: float = REL_TOL):
-        self.K, self.b, self.rel_tol = K, b, rel_tol
-        if rotation is not None:
-            kmax = np.abs(K.data).max(initial=0.0)
-            if abs(K[rotation][:, rotation] - K).max() > 1e-12 * kmax:
-                rotation = None
+    def __init__(self, K, b, coords, rotation):
         orbits, fixed = _cyclic_orbits(rotation, coords)
         nr, m = orbits.shape
         reps = np.concatenate([orbits[:, 0], fixed])
@@ -296,13 +299,14 @@ class CyclicModes:
         rep[orbits] = np.arange(nr)[:, None]
         shift[orbits] = np.arange(m)
         rep[fixed] = nr + np.arange(fixed.size)
+        self._orbits, self._fixed = orbits, fixed
 
-        # column j of load is E_j^H b over the orbits; c_j |E_j^H b|^2 per mode
-        load = np.fft.rfft(b[orbits], axis=1) / np.sqrt(m)
+        # c_j |E_j^H b|^2 per mode
+        load = self._loads(b)
         j = np.arange(load.shape[1])
         share = np.where((j == 0) | (2 * j == m), 1, 2) * (np.abs(load) ** 2).sum(axis=0)
         share[0] += b[fixed] @ b[fixed]
-        skip = np.sqrt(share) < 1e-2 * rel_tol * np.linalg.norm(b)
+        skip = np.sqrt(share) < 1e-2 * REL_TOL * np.linalg.norm(b)
         self.modes = tuple(int(mode) for mode in np.flatnonzero(~skip))
 
         rows = K[reps].tocoo()
@@ -313,8 +317,7 @@ class CyclicModes:
         order = nested_dissection(coords[reps], mode0)
         phase = np.exp(2j * np.pi * np.arange(m) / m)
 
-        self._orbits, self._fixed, self._blocks = orbits, fixed, []
-        entries, rhs, offset = [], [], 0
+        self._blocks, entries, offset = [], [], 0
         for j in self.modes:
             if j == 0:
                 perm, keep, values = order, slice(None), data
@@ -325,21 +328,32 @@ class CyclicModes:
             pos = np.empty(perm.size, dtype=np.int64)
             pos[perm] = offset + np.arange(perm.size)
             entries.append((values, pos[i[keep]], pos[col[keep]]))
-            rhs.append(np.concatenate([load[:, j], b[fixed]])[perm] if j == 0 else load[perm, j])
             self._blocks.append((j, offset, perm))
             offset += perm.size
         values, r, c = (np.concatenate(parts) for parts in zip(*entries))
-        if not np.iscomplexobj(values):
-            rhs = [part.real for part in rhs]
         self.matrix = sp.csc_matrix((values, (r, c)), shape=(offset, offset))
-        self.rhs = np.concatenate(rhs)
+        self.rhs = self.project(b)
+
+    def _loads(self, v) -> np.ndarray:
+        """Column j is E_j^H v over the orbits, j = 0..m/2."""
+        m = self._orbits.shape[1]
+        return np.fft.rfft(v[self._orbits], axis=1) / np.sqrt(m)
+
+    def project(self, v) -> np.ndarray:
+        """The kept modes E_j^H v of v, stacked like `rhs`."""
+        load = self._loads(v)
+        parts = []
+        for j, _, perm in self._blocks:
+            part = np.concatenate([load[:, 0], v[self._fixed]]) if j == 0 else load[:, j]
+            parts.append(part[perm])
+        stacked = np.concatenate(parts)
+        return stacked if np.iscomplexobj(self.matrix.data) else stacked.real
 
     def recombine(self, y) -> np.ndarray:
-        """The real x of K x = b from the stacked block solution y;
-        SolverError when x misses the residual contract on the full K."""
+        """The real x = sum_j c_j Re(E_j x_j) of the stacked block solution y."""
         nr, m = self._orbits.shape
         coeffs = np.zeros((nr, m // 2 + 1), dtype=complex)
-        x = np.zeros(self.K.shape[0])
+        x = np.zeros(nr * m + self._fixed.size)
         for j, offset, perm in self._blocks:
             part = np.empty(perm.size, dtype=y.dtype)
             part[perm] = y[offset : offset + perm.size]
@@ -347,10 +361,4 @@ class CyclicModes:
             if j == 0:
                 x[self._fixed] = part[nr:].real
         x[self._orbits] = np.fft.irfft(coeffs, n=m, axis=1) * np.sqrt(m)
-        res = achieved_residual(self.K, x, self.b)
-        if not res <= self.rel_tol:
-            raise SolverError(
-                f"residual tolerance not met after recombining modes {self.modes}: "
-                f"relative residual {res:.3e}, required {self.rel_tol:.3e}"
-            )
         return x

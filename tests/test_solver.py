@@ -19,14 +19,16 @@ from ucfem.fem import (
 from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
 from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh, refine_uniform
+from ucfem import solver
 from ucfem.solver import (
     hminus1_residual,
     make_perturbation,
     solve_poisson,
+    saddle_dofs,
     solve_uc,
     verify_positivity,
 )
-from ucfem.sparse import CyclicModes, SolverError, compose_saddle
+from ucfem.sparse import REL_TOL, CyclicModes, SolverError, achieved_residual, compose_saddle
 from test_fem import jittered_disk_mesh
 
 
@@ -134,11 +136,7 @@ def saddle_system(mesh, k, exact, perturbation=PerturbationSpec()):
     K = compose_saddle(f["S"] + f["M_omega"], f["B"], f["A0"])
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + sol.perturbation.load
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    coords = np.concatenate([space.dof_coords, space0.dof_coords])
-    rotation = None
-    if space.rotation is not None:
-        rotation = np.concatenate([space.rotation, space.n_dofs + space0.rotation])
-    return K, rhs, coords, rotation
+    return (K, rhs, *saddle_dofs(space, space0))
 
 
 NOISE = PerturbationSpec("nodal_noise", 1e-3, seed=5)
@@ -179,24 +177,58 @@ class TestCyclicModes:
                 assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     def test_jittered_mesh_takes_order_one_path(self, geometry):
-        # no recorded rotation, or one the jittered matrix does not commute
-        # with: one real mode holding the whole K
+        # no recorded rotation: one real mode holding the whole K
         mesh = jittered_disk_mesh(geometry, 2, seed=1, amplitude=1.0)
         assert mesh.rotation is None
-        with_turn = replace(mesh, rotation=build_disk_mesh(geometry, 8, 2).rotation)
-        for m in (mesh, with_turn):
-            K, rhs, coords, rot = saddle_system(m, 1, HarmonicMonomial(4))
-            split = CyclicModes(K, rhs, coords, rot)
-            assert split.modes == (0,)
-            assert split.matrix.shape == K.shape and not np.iscomplexobj(split.matrix.data)
-            x = split.recombine(spsolve(split.matrix, split.rhs))
-            assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
+        split = CyclicModes(K, rhs, coords, rot)
+        assert split.modes == (0,)
+        assert split.matrix.shape == K.shape and not np.iscomplexobj(split.matrix.data)
+        x = split.recombine(spsolve(split.matrix, split.rhs))
+        assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
-    def test_recombined_residual_is_checked(self, geometry):
-        mesh = build_disk_mesh(geometry, 8, 2)
-        split = CyclicModes(*saddle_system(mesh, 1, HarmonicMonomial(4)))
+    def test_rotation_the_matrix_does_not_commute_with_fails(self, geometry):
+        # the blocks of the sector-0 rows solve another system; the check
+        # on the full K catches it
+        mesh = jittered_disk_mesh(geometry, 2, seed=1, amplitude=1.0)
+        with_turn = replace(mesh, rotation=build_disk_mesh(geometry, 8, 2).rotation)
+        K, rhs, coords, _ = saddle_system(mesh, 1, HarmonicMonomial(4))
+        rot = saddle_dofs(build_space(with_turn, 1, False), build_space(with_turn, 1, True))[1]
+        split = CyclicModes(K, rhs, coords, rot)
+        assert achieved_residual(K, split.recombine(spsolve(split.matrix, split.rhs)), rhs) > 1e-6
         with pytest.raises(SolverError, match="residual"):
-            split.recombine(np.zeros_like(split.rhs))
+            solver._solve_ordered(K, rhs, coords, rot)
+
+    def test_recombined_residual_is_checked(self, geometry, monkeypatch):
+        mesh = build_disk_mesh(geometry, 8, 2)
+        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
+        monkeypatch.setattr(solver, "solve_direct", lambda A, b: np.zeros_like(b))
+        with pytest.raises(SolverError, match="residual"):
+            solver._solve_ordered(K, rhs, coords, rot)
+
+    def test_missed_contract_is_refined_through_the_modes(self, geometry, monkeypatch):
+        # a first block solution off by 1e-6 relative misses the contract on
+        # K; one refinement through the same split meets it
+        mesh = build_disk_mesh(geometry, 8, 2)
+        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
+        solves = []
+
+        def off_first(A, b):
+            y = spsolve(A, b)
+            solves.append(b)
+            return y * (1.0 + 1e-6) if len(solves) == 1 else y
+
+        monkeypatch.setattr(solver, "solve_direct", off_first)
+        x = solver._solve_ordered(K, rhs, coords, rot)
+        assert len(solves) == 2
+        assert achieved_residual(K, x, rhs) <= REL_TOL
+
+    def test_zero_load_solves_nothing(self, geometry, monkeypatch):
+        mesh = build_disk_mesh(geometry, 8, 2)
+        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
+        monkeypatch.setattr(solver, "solve_direct", None)
+        x = solver._solve_ordered(K, np.zeros_like(rhs), coords, rot)
+        assert x.shape == rhs.shape and not x.any()
 
 
 class TestPerturbation:
