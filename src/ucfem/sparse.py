@@ -13,6 +13,7 @@ excites.  Every step is deterministic for identical inputs.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -26,6 +27,17 @@ REL_TOL = 1e-10
 
 class SolverError(RuntimeError):
     pass
+
+
+def _load_malloc_trim():
+    """The C library's malloc_trim (glibc), or None where it has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+
+
+_MALLOC_TRIM = _load_malloc_trim()
 
 
 def _check_finite(x, what):
@@ -112,6 +124,14 @@ def _lu_solve(K, b, rel_tol, pivoting):
             "diag_pivot_thresh": 0.0,
             "options": {"SymmetricMode": True},
         }
+    if _MALLOC_TRIM is not None:
+        # glibc keeps freed heap pages resident unless they top the heap by
+        # more than a threshold that grows to 64 MB.  How many the assembly
+        # leaves depends on the heap's layout (17 or 40 MB before the k=1
+        # level-5 saddle factor, from run to run, glibc 2.36), and the
+        # factor comes on top of them: hand them back first, so that the
+        # peak RSS does not depend on the layout.
+        _MALLOC_TRIM(0)
     try:
         lu = spla.splu(K, **options)
     except RuntimeError as exc:  # SuperLU signals a zero pivot column this way

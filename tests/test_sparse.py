@@ -1,8 +1,11 @@
+import platform
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import ucfem.sparse
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
 from ucfem.mesh import Region, build_disk_mesh
 from ucfem.sparse import LEAF_SIZE, SolverError, compose_saddle, nested_dissection, solve_direct
@@ -97,6 +100,23 @@ class TestSolveDirect:
         x1 = solve_direct(A0, b)
         x2 = solve_direct(A0, b)
         assert np.array_equal(x1, x2)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_free_heap_released_before_each_factorization(self, monkeypatch):
+        calls = []
+        trim = ucfem.sparse._MALLOC_TRIM
+        monkeypatch.setattr(ucfem.sparse, "_MALLOC_TRIM", lambda pad: calls.append(pad) or trim(pad))
+        solve_direct(sp.eye(3, format="csr"), np.ones(3))
+        assert calls == [0]
+        # the pivoted retry is a second factorization
+        with pytest.warns(RuntimeWarning, match="pivoted COLAMD"):
+            solve_direct(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), np.ones(2))
+        assert calls == [0, 0, 0]
+
+    def test_solves_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(ucfem.sparse, "_MALLOC_TRIM", None)
+        x = solve_direct(sp.csr_matrix(np.array([[2.0, 3.0], [3.0, -5.0]])), np.array([1.0, 0.0]))
+        assert np.allclose(x, [5.0 / 19.0, 3.0 / 19.0], atol=1e-15)
 
 
 class TestFallback:
