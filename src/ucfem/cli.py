@@ -139,18 +139,18 @@ def _run_study(args, cfg: RunConfig, runner, name: str) -> int:
 
 
 def _selftest_checks(cfg: RunConfig):
-    rule = fem.ASSEMBLY_RULE
-
     def quad_exact():
-        for a in range(5):
-            for b in range(5 - a):
-                got = float(
-                    np.dot(rule.weights, rule.points[:, 1] ** a * rule.points[:, 2] ** b)
-                )
-                want = quadrature.reference_monomial_integral(a, b)
-                if abs(got - want) > 1e-14 * max(1.0, abs(want)):
-                    return False
-        return True
+        # every rule the assembly reads, each to the degree it is used for
+        for d in range(5):
+            rule = quadrature.tri_rule(d)
+            for a in range(d + 1):
+                for b in range(d + 1 - a):
+                    got = rule.weights @ (rule.points[:, 1] ** a * rule.points[:, 2] ** b)
+                    if abs(got - quadrature.reference_monomial_integral(a, b)) > 1e-14:
+                        return False
+        # the k-point Gauss rule of the gradient jump, exact to degree 2k - 1
+        gauss = (quadrature.gauss_rule_01(k) for k in (1, 2))
+        return all(abs(w @ x**p - 1 / (p + 1)) < 1e-14 for x, w in gauss for p in range(2 * x.size))
 
     def three_ball_equality():
         exps = harmonic.optimal_alpha(*cfg.geometry.radii)

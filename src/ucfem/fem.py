@@ -16,6 +16,12 @@ quadrature points, one row per element or face, point and component.
 D^T D is exactly symmetric: entries (i,j) and (j,i) sum the same products
 D[r,i] D[r,j] (IEEE multiplication commutes) in the same ascending r order.
 
+Each form takes the smallest rule exact for its polynomial integrand:
+tri_rule(2k-2) for the stiffness and tri_rule(2k) for the mass, the k-point
+Gauss rule (exact to 2k-1) for the degree 2k-2 squared normal-derivative
+jump on a face, and one point for the constant cell Laplacian.  The load and
+the error norms integrate non-polynomial fields with ASSEMBLY_RULE.
+
 On a straight triangle the barycentric gradients grad(lambda_i) are the
 whole element geometry: each is the edge opposite vertex i turned by +90
 degrees over det = 2 * signed area.  Every basis gradient, P2 cell
@@ -33,10 +39,8 @@ from . import quadrature
 from .fields import _field_gradient, _field_values
 from .mesh import ALL_REGIONS, Mesh, element_diameters
 
-#: fixed assembly rule, exact to degree 4 (= 2k for k = 2)
-ASSEMBLY_RULE = quadrature.tri_rule_degree4()
-#: 2-point Gauss rule on a face, exact for the P2 normal-derivative jump
-FACE_RULE = quadrature.gauss_rule_01(2)
+#: the degree-4 rule of the load and the error norms, whose fields are not polynomial
+ASSEMBLY_RULE = quadrature.tri_rule(4)
 
 #: the P2 edge slots (0,1), (1,2), (2,0) pair vertex a with vertex _NEXT[a]
 _NEXT = [1, 2, 0]
@@ -126,8 +130,7 @@ class FeSpace:
 
     def phys_points(self, elements, bary) -> np.ndarray:
         """Physical coordinates sum_i lambda_i v_i, shape (nel, nq, 2)."""
-        v = self.mesh.vertices[self.mesh.triangles[elements]]
-        return np.einsum("qi,eia->eqa", np.asarray(bary), v)
+        return np.asarray(bary) @ self.mesh.vertices[self.mesh.triangles[elements]]
 
     def phys_grads(self, elements, bary) -> np.ndarray:
         """Physical basis gradients, shape (nel, nq, ndl, 2).
@@ -197,7 +200,7 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
     """
     if space_col is not None:
         _same_discretization(space_row, space_col)
-    rule = ASSEMBLY_RULE
+    rule = quadrature.tri_rule(2 * space_row.k - 2)
     g = space_row.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
     return _gram(g, rule.weights, np.abs(space_row.det), space_row.full_map, space_row, space_col)
 
@@ -207,7 +210,7 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
     elements = space.mesh.region_elements(region)
     if elements.size == 0:
         raise ValueError(f"empty region {region}")
-    rule = ASSEMBLY_RULE
+    rule = quadrature.tri_rule(2 * space.k)
     vals = space.basis_values(rule.points)  # (nq, ndl)
     scale = np.abs(space.det[elements])
     return _gram(vals[None, :, :, None], rule.weights, scale, space.full_map[elements], space)
@@ -221,7 +224,7 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     """
     mesh = space.mesh
     interior = mesh.interior_edges
-    tq, wq = FACE_RULE
+    tq, wq = quadrature.gauss_rule_01(space.k)
     a = mesh.vertices[mesh.edges[interior, 0]]
     b = mesh.vertices[mesh.edges[interior, 1]]
     tangent = b - a
@@ -231,11 +234,15 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
 
     dn, emap = [], []
     for tri in mesh.edge_tris[interior].T:
-        v0 = mesh.vertices[mesh.triangles[tri, 0]]
-        # lambda(x) = e_0 + grad(lambda) . (x - v_0) at the face points
-        bary = np.einsum("fia,fqa->fqi", space.grad_lam[tri], pts - v0[:, None, :])
-        bary[:, :, 0] += 1.0
-        dn.append(np.einsum("fqia,fa->fqi", space.phys_grads(tri, bary), normal))
+        if space.k == 1:
+            grads = space.grad_lam[tri][:, None]  # constant on the face
+        else:
+            v0 = mesh.vertices[mesh.triangles[tri, 0]]
+            # lambda(x) = e_0 + grad(lambda) . (x - v_0) at the face points
+            bary = np.einsum("fia,fqa->fqi", space.grad_lam[tri], pts - v0[:, None, :])
+            bary[:, :, 0] += 1.0
+            grads = space.phys_grads(tri, bary)
+        dn.append(np.einsum("fqia,fa->fqi", grads, normal))
         emap.append(space.full_map[tri])
 
     # stacked local dof vector: side-0 dofs then side-1 dofs, jump = dn0 - dn1
@@ -282,9 +289,8 @@ def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:
     vals = space.basis_values(rule.points)
     pts = space.phys_points(elements, rule.points)
     gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
-    contrib = np.einsum("q,eq,qi->ei", rule.weights, gv, vals) * space.det[elements][:, None]
-    out = np.zeros(space.n_full)
-    np.add.at(out, space.full_map[elements].ravel(), contrib.ravel())
+    contrib = (gv * rule.weights) @ vals * space.det[elements][:, None]
+    out = np.bincount(space.full_map[elements].ravel(), contrib.ravel(), minlength=space.n_full)
     return out[space.active]
 
 
@@ -316,16 +322,17 @@ def error_norms(space: FeSpace, coeffs, exact, region) -> ErrorNorms:
     uh = local @ vals.T  # (nel, nq)
     ue = _field_values(exact, flatpts).reshape(uh.shape)
     det = space.det[elements]
-    l2sq = float(np.einsum("q,eq,e->", rule.weights, (ue - uh) ** 2, det))
+    l2sq = float(det @ ((ue - uh) ** 2 @ rule.weights))
 
     ge = _field_gradient(exact, flatpts)
     if ge is None:
         h1sq = float("nan")
     else:
-        g = space.phys_grads(elements, rule.points)
-        gh = np.einsum("ei,eqia->eqa", local, g)
-        diff = ge.reshape(gh.shape) - gh
-        h1sq = float(np.einsum("q,eqa,eqa,e->", rule.weights, diff, diff, det))
+        # a P1 gradient is constant per element: take it at one point only
+        g = space.phys_grads(elements, rule.points[: 1 if space.k == 1 else None])
+        gh = (local[:, None, None, :] @ g)[:, :, 0]  # (nel, 1 | nq, 2)
+        diff = ge.reshape(pts.shape) - gh
+        h1sq = float(det @ ((diff * diff).sum(axis=2) @ rule.weights))
     return ErrorNorms(l2=np.sqrt(max(l2sq, 0.0)), h1_semi=np.sqrt(max(h1sq, 0.0)))
 
 

@@ -19,7 +19,7 @@ from ucfem.fem import (
     interpolate_nodal,
     triple_norm,
 )
-from ucfem.fields import AffineField, ConstantField
+from ucfem.fields import AffineField, ConstantField, RadialQuadratic
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import (
     ALL_REGIONS,
@@ -454,3 +454,60 @@ def test_forms_match_dense_local_assembly(geometry, k):
         want = dense[np.ix_(row.active, col.active)]
         got = form.matrix.toarray()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_error_norms_match_per_element_loop(geometry, k):
+    # error_norms rebuilt element by element from Lagrange bases fitted to the
+    # physical nodes and a rule other than ASSEMBLY_RULE; the fields are
+    # quadratic, so every integrand has degree <= 4 and both rules are exact
+    mesh = jittered_disk_mesh(geometry, level=1, seed=11, amplitude=0.8)
+    space = build_space(mesh, k)
+    coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
+    coeffs = np.random.default_rng(k).uniform(-1.0, 1.0, space.n_dofs)
+    with_gradient = RadialQuadratic(0.3, -1.0)
+    rule = quadrature.tri_rule_collapsed(4)
+    areas = signed_areas(mesh)
+
+    def per_element(field, elements):
+        l2sq = h1sq = 0.0
+        for e in elements:
+            dofs = space.full_map[e]
+            basis = _lagrange_element(coords[dofs], k)
+            for lam, w in zip(rule.points, rule.weights):
+                x = lam @ mesh.vertices[mesh.triangles[e]]
+                val, grad, _ = basis(x)
+                l2sq += 2 * areas[e] * w * (field.value(x[None])[0] - val @ coeffs[dofs]) ** 2
+                diff = field.gradient(x[None])[0] - grad.T @ coeffs[dofs]
+                h1sq += 2 * areas[e] * w * (diff @ diff)
+        return math.sqrt(l2sq), math.sqrt(h1sq)
+
+    for region in (ALL_REGIONS, B_REGIONS, [Region.OMEGA_DATA]):
+        want_l2, want_h1 = per_element(with_gradient, mesh.region_elements(region))
+        got = error_norms(space, coeffs, with_gradient, region)
+        assert abs(got.l2 - want_l2) <= 1e-13 * want_l2
+        assert abs(got.h1_semi - want_h1) <= 1e-13 * want_h1
+        no_gradient = error_norms(space, coeffs, with_gradient.value, region)
+        assert abs(no_gradient.l2 - want_l2) <= 1e-13 * want_l2
+        assert math.isnan(no_gradient.h1_semi)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_load_matches_scattered_einsum(geometry, k):
+    # the load against the weighted einsum contraction scattered with np.add.at
+    mesh = jittered_disk_mesh(geometry, level=2, seed=13, amplitude=0.8)
+    space = build_space(mesh, k, True)
+    field = HarmonicMonomial(4)
+    rule = ASSEMBLY_RULE
+    for region in (ALL_REGIONS, [Region.OMEGA_DATA]):
+        elements = mesh.region_elements(region)
+        v = mesh.vertices[mesh.triangles[elements]]
+        pts = np.einsum("qi,eia->eqa", rule.points, v).reshape(-1, 2)
+        gv = field.value(pts).reshape(elements.size, -1)
+        vals = space.basis_values(rule.points)
+        contrib = np.einsum("q,eq,qi->ei", rule.weights, gv, vals) * space.det[elements][:, None]
+        want = np.zeros(space.n_full)
+        np.add.at(want, space.full_map[elements].ravel(), contrib.ravel())
+        want = want[space.active]
+        got = assemble_load_region(space, field, region)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
