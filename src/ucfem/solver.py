@@ -73,29 +73,31 @@ def solve_poisson(space0: FeSpace, f) -> np.ndarray:
         raise ValueError("solve_poisson requires a Dirichlet space")
     A0 = assemble_stiffness(space0).matrix
     b = assemble_load_region(space0, f, ALL_REGIONS)
-    return _solve_ordered(A0, b, space0.dof_coords, space0.rotation)
+    return _solve_ordered(A0, b, space0.dof_coords, space0.rotation)[0]
 
 
-def _solve_ordered(K, b, coords, rotation) -> np.ndarray:
-    """K x = b for a K that commutes with the dof rotation (None: no
-    symmetry): one `solve_direct` of the excited Fourier modes, each in the
-    nested-dissection order of its representatives' points, recombined
-    (`CyclicModes`).  x = 0 for b = 0.  An x that misses the residual
-    contract on K is refined once through the same modes; SolverError if
-    it still misses, as for a K that does not commute with the rotation."""
+def _solve_ordered(K, b, coords, rotation) -> tuple[np.ndarray, float]:
+    """x and its `achieved_residual` on K for K x = b, K commuting with the
+    dof rotation (None: no symmetry): one `solve_direct` of the excited
+    Fourier modes, each in the nested-dissection order of its
+    representatives' points, recombined (`CyclicModes`).  x = 0 for b = 0.
+    An x that misses the residual contract on K is refined once through
+    the same modes; SolverError if it still misses, as for a K that does
+    not commute with the rotation."""
     if not b.any():
-        return np.zeros(K.shape[0])
+        return np.zeros(K.shape[0]), 0.0
     modes = CyclicModes(K, b, coords, rotation)
     x = modes.recombine(solve_direct(modes.matrix, modes.rhs))
-    if achieved_residual(K, x, b) > REL_TOL:
-        x += modes.recombine(solve_direct(modes.matrix, modes.project(b - K @ x)))
     res = achieved_residual(K, x, b)
+    if res > REL_TOL:
+        x += modes.recombine(solve_direct(modes.matrix, modes.project(b - K @ x)))
+        res = achieved_residual(K, x, b)
     if not res <= REL_TOL:
         raise SolverError(
             f"residual tolerance not met after recombining modes {modes.modes}: "
             f"relative residual {res:.3e}, required {REL_TOL:.3e}"
         )
-    return x
+    return x, res
 
 
 def saddle_dofs(space: FeSpace, space0: FeSpace):
@@ -175,11 +177,11 @@ def solve_uc(
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    x = _solve_ordered(K, rhs, *saddle_dofs(space, space0))
+    x, res = _solve_ordered(K, rhs, *saddle_dofs(space, space0))
     return UcSolution(
         u=x[: space.n_dofs],
         z=x[space.n_dofs :],
-        solve_residual=achieved_residual(K, x, rhs),
+        solve_residual=res,
         tikhonov_scale=tik,
         primal_space=space,
         dual_space=space0,
@@ -199,7 +201,7 @@ def hminus1_residual(space0: FeSpace, u, A0, B) -> float:
     B u = A0 z), so the result equals sqrt(a(z,z)) up to rounding.
     """
     r = B @ u
-    phi = _solve_ordered(A0, r, space0.dof_coords, space0.rotation)
+    phi = _solve_ordered(A0, r, space0.dof_coords, space0.rotation)[0]
     return float(np.sqrt(max(phi @ r, 0.0)))
 
 

@@ -4,7 +4,8 @@ system into its Fourier modes.
 
 Matrices are scipy CSR throughout (sorted indices, summed duplicates).
 `solve_direct` factors with SuperLU in the order it is given, without
-pivoting; callers order the system first with `nested_dissection`.  A
+pivoting; callers order the system first with `nested_dissection`, whose
+separators are minimum vertex covers of the edges each cut crosses.  A
 pivoted SuperLU factorization with COLAMD ordering is the fallback.
 `CyclicModes` turns K x = b, for a K that commutes with a rotation of its
 unknowns, into one block-diagonal system of the Fourier modes the load
@@ -18,6 +19,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
@@ -61,7 +63,11 @@ def compose_saddle(S_uw, B, A0) -> sp.csr_matrix:
         raise ValueError(
             f"incompatible blocks: S{S_uw.shape}, B{B.shape}, A0{A0.shape}"
         )
-    K = sp.bmat([[S_uw, B.T], [B, -A0]], format="csr")
+    # two CSR rows stacked: bmat would go through COO triplets of all four blocks
+    K = sp.vstack(
+        [sp.hstack([S_uw, B.T.tocsr()], format="csr"), sp.hstack([B, -A0], format="csr")],
+        format="csr",
+    )
     K.sort_indices()
     return K
 
@@ -177,12 +183,18 @@ def nested_dissection(coords, A) -> np.ndarray:
     Geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973) of
     A's graph, coords[i] being the point of unknown i.  Each part larger
     than LEAF_SIZE is halved at the median of its longer bounding-box side;
-    the half-0 endpoints of the edges that cross the cut form its separator,
-    numbered after both halves.  Leaves and separators are numbered in
-    coordinate order along their last cut (a graph that is one leaf keeps
-    its index order).  All parts of one depth are split in one pass over
-    the upper-triangle edge list, so the cost is O(nnz * depth); only
-    stable sorts are used, so the result is deterministic.
+    its separator is a minimum vertex cover of the edges that cross the cut
+    (`_cut_cover`; Ashcraft & Liu, SIMAX 19, 1998), numbered after both
+    halves, which lose the separator's unknowns.  The half-0 endpoints
+    alone also separate, but at P2 they form a band about one element
+    wide where a line of shared nodes suffices (1.3x the fill of SuperLU's
+    minimum degree on the k=2 level-3 saddle, against 0.99x).  Leaves and
+    separators are numbered in coordinate order along their last cut (a
+    graph that is one leaf keeps its index order).  All parts of one depth
+    are split in one pass over the upper-triangle edge list and one
+    matching of all their cut edges, so the cost is O(nnz * depth) plus
+    the matchings; only stable sorts and deterministic graph searches are
+    used, so the result is deterministic.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
@@ -219,12 +231,14 @@ def nested_dissection(coords, A) -> np.ndarray:
         inside = (part[ei] >= 0) & (part[ei] == part[ej])
         ei, ej = ei[inside], ej[inside]
         cut = half1[ei] != half1[ej]
+        e0, e1 = ei[cut], ej[cut]
+        flip = half1[e0]
         is_sep = np.zeros(n, dtype=bool)
-        is_sep[np.where(half1[ei[cut]], ej[cut], ei[cut])] = True
+        is_sep[_cut_cover(np.where(flip, e1, e0), np.where(flip, e0, e1))] = True
 
         sep = is_sep[verts]
         n0 = np.add.reduceat(~up & ~sep, start)
-        n1 = size - size // 2
+        n1 = np.add.reduceat(up & ~sep, start)
         rank = np.cumsum(sep) - sep
         rank -= np.repeat(rank[start], size)
         perm[(np.repeat(first + n0 + n1, size) + rank)[sep]] = verts[sep]
@@ -234,6 +248,32 @@ def nested_dissection(coords, A) -> np.ndarray:
         first = np.stack([first, first + n0], axis=1).ravel()[size > 0]
         size = size[size > 0]
     return perm
+
+
+def _cut_cover(e0, e1):
+    """A minimum vertex cover of the cut edges (e0[t], e1[t]), e0 their
+    half-0 and e1 their half-1 endpoints (König's theorem).
+
+    One maximum matching of the bipartite graph, then one search along the
+    alternating paths from the unmatched half-0 endpoints (half 0 to half 1
+    along any cut edge, back along the matching): the cover is the
+    unreached half-0 endpoints and the reached half-1 endpoints.  Where
+    both sides cover equally well, it is the half-0 side.
+    """
+    left, li = np.unique(e0, return_inverse=True)
+    right, ri = np.unique(e1, return_inverse=True)
+    nl, nr = left.size, right.size
+    match = csgraph.maximum_bipartite_matching(
+        sp.csr_matrix((np.ones(li.size), (li, ri)), shape=(nl, nr)), perm_type="column"
+    )
+    paired, free = np.flatnonzero(match >= 0), np.flatnonzero(match < 0)
+    source = nl + nr  # leads to every unmatched half-0 endpoint
+    tail = np.concatenate([li, nl + match[paired], np.full(free.size, source)])
+    head = np.concatenate([nl + ri, paired, free])
+    paths = sp.csr_matrix((np.ones(tail.size), (tail, head)), shape=(source + 1, source + 1))
+    reached = np.zeros(source + 1, dtype=bool)
+    reached[csgraph.breadth_first_order(paths, source, return_predecessors=False)] = True
+    return np.concatenate([left[~reached[:nl]], right[reached[nl:source]]])
 
 
 def _starts(size):

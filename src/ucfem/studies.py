@@ -141,7 +141,8 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact) -> LevelRecord:
     err_omega = error_norms(primal, sol.u, exact, [Region.OMEGA_DATA])
     tnorm = triple_norm(u_interp - sol.u, sol.z, S, M_omega, A0)
     resid = hminus1_residual(dual, sol.u, A0, B)
-    l2_uh = error_norms(primal, sol.u, ZeroField(), ALL_REGIONS).l2
+    # a field without a gradient: the H1 seminorm is not evaluated
+    l2_uh = error_norms(primal, sol.u, ZeroField().value, ALL_REGIONS).l2
     # energy balance s(u_I,u_I) / |u_I|^2_omega: the data term engages the
     # solver only once it falls below about 1; None when u_I = 0 on omega
     reg_energy, _, data_energy = stability_terms(u_interp, np.zeros(dual.n_dofs), S, M_omega, A0)

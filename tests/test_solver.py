@@ -219,16 +219,29 @@ class TestCyclicModes:
             return y * (1.0 + 1e-6) if len(solves) == 1 else y
 
         monkeypatch.setattr(solver, "solve_direct", off_first)
-        x = solver._solve_ordered(K, rhs, coords, rot)
+        x, res = solver._solve_ordered(K, rhs, coords, rot)
         assert len(solves) == 2
-        assert achieved_residual(K, x, rhs) <= REL_TOL
+        assert res == achieved_residual(K, x, rhs) <= REL_TOL
 
     def test_zero_load_solves_nothing(self, geometry, monkeypatch):
         mesh = build_disk_mesh(geometry, 8, 2)
         K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
         monkeypatch.setattr(solver, "solve_direct", None)
-        x = solver._solve_ordered(K, np.zeros_like(rhs), coords, rot)
-        assert x.shape == rhs.shape and not x.any()
+        x, res = solver._solve_ordered(K, np.zeros_like(rhs), coords, rot)
+        assert x.shape == rhs.shape and not x.any() and res == 0.0
+
+    def test_one_residual_per_solve(self, mesh_l2, monkeypatch):
+        # without refinement the full-K residual is evaluated once, and
+        # solve_uc reports that value
+        calls = []
+
+        def counted(*args):
+            calls.append(achieved_residual(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(solver, "achieved_residual", counted)
+        sol = solve_uc(mesh_l2, 1, HarmonicMonomial(4))
+        assert calls == [sol.solve_residual]
 
 
 class TestPerturbation:

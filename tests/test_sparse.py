@@ -1,3 +1,4 @@
+import itertools
 import platform
 
 import numpy as np
@@ -8,7 +9,14 @@ import scipy.sparse.linalg as spla
 import ucfem.sparse
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
 from ucfem.mesh import Region, build_disk_mesh
-from ucfem.sparse import LEAF_SIZE, SolverError, compose_saddle, nested_dissection, solve_direct
+from ucfem.sparse import (
+    LEAF_SIZE,
+    SolverError,
+    _cut_cover,
+    compose_saddle,
+    nested_dissection,
+    solve_direct,
+)
 
 
 def saddle(space, space0):
@@ -175,9 +183,16 @@ class TestNestedDissection:
         coords = np.random.default_rng(0).uniform(size=(LEAF_SIZE, 2))
         assert np.array_equal(nested_dissection(coords, A), np.arange(LEAF_SIZE))
 
+    def test_graph_without_edges_has_no_separators(self):
+        # no edge crosses a cut, so every split leaves two halves only
+        n = 4 * LEAF_SIZE
+        coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+        assert np.array_equal(nested_dissection(coords, sp.eye(n, format="csr")), np.arange(n))
+
     def test_separator_numbered_after_halves(self):
-        # a path graph on a line: the separator of the one split is the
-        # half-0 endpoint of the middle edge, numbered after both leaves
+        # a path graph on a line: the one cut edge is covered equally well
+        # by either endpoint, and the separator is its half-0 endpoint,
+        # numbered after both leaves
         n = 2 * LEAF_SIZE
         A = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
         coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
@@ -185,6 +200,51 @@ class TestNestedDissection:
         assert p[-1] == n // 2 - 1
         assert np.array_equal(p[: n // 2 - 1], np.arange(n // 2 - 1))
         assert np.array_equal(p[n // 2 - 1 : -1], np.arange(n // 2, n))
+
+    def test_separator_is_a_minimum_cover_of_the_cut(self):
+        # a path on a line whose middle half-1 node also meets the last
+        # three half-0 nodes: the cut edges all meet that node, which is
+        # the separator alone (the half-0 endpoints would be four)
+        n = 2 * LEAF_SIZE
+        hub = n // 2
+        A = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="lil")
+        for i in range(hub - 4, hub - 1):
+            A[i, hub] = A[hub, i] = 1.0
+        coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+        p = nested_dissection(coords, A.tocsr())
+        assert p[-1] == hub
+        assert np.array_equal(p[:hub], np.arange(hub))
+        assert np.array_equal(p[hub:-1], np.arange(hub + 1, n))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cut_cover_is_minimum(self, seed):
+        # against every subset of the nodes of a small random bipartite graph
+        rng = np.random.default_rng(seed)
+        e0, e1 = rng.integers(0, 5, 9), 5 + rng.integers(0, 5, 9)
+        cover = _cut_cover(e0, e1)
+        assert np.all(np.isin(e0, cover) | np.isin(e1, cover))
+        nodes = np.unique(np.concatenate([e0, e1]))
+        smallest = next(
+            size
+            for size in range(nodes.size + 1)
+            for subset in itertools.combinations(nodes, size)
+            if np.all(np.isin(e0, subset) | np.isin(e1, subset))
+        )
+        assert cover.size == smallest
+
+    def test_k2_fill_near_minimum_degree(self, geometry):
+        # at P2 the half-0 endpoints of the cut edges form a band about one
+        # element wide (1.30x the fill of SuperLU's minimum degree here);
+        # the minimum cover is close to a line of shared nodes
+        mesh = build_disk_mesh(geometry, 8, 3)
+        space = build_space(mesh, 2, False)
+        space0 = build_space(mesh, 2, True)
+        K = saddle(space, space0)
+        p = nested_dissection(np.concatenate([space.dof_coords, space0.dof_coords]), K)
+        symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        ordered = spla.splu(sp.csc_matrix(K[p][:, p]), permc_spec="NATURAL", **symmetric)
+        mmd = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", **symmetric)
+        assert ordered.nnz <= 1.1 * mmd.nnz
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
