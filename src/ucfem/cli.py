@@ -1,7 +1,7 @@
 """Command-line front end: single solves, studies, and the self-test suite.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 self-test failure.  Errors print one machine-parsable line
+4 self-test failure, 5 out of memory.  Errors print one machine-parsable line
 `error=<kind> <message>` to stderr.
 """
 
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error=solver {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error=memory {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error=config {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,8 @@ whose gradient-jump part penalizes the normal-derivative jump across
 interior faces and vanishes on globally polynomial fields of degree <= k.
 Every form is a weighted sum of squares and is assembled as D^T D, where
 the sparse operator D evaluates sqrt(weight) * (basis data) at the
-quadrature points, one row per element or face, point and component.
+quadrature points, one row per element or face, point and component; s is
+one D^T D of the stacked jump, cell-Laplacian and tik^k-scaled mass operators.
 D^T D is exactly symmetric: entries (i,j) and (j,i) sum the same products
 D[r,i] D[r,j] (IEEE multiplication commutes) in the same ascending r order.
 
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .fields import _field_gradient, _field_values
-from .mesh import ALL_REGIONS, Mesh, element_diameters
+from .mesh import Mesh, element_diameters, signed_areas
 
 #: the degree-4 rule of the load and the error norms, whose fields are not polynomial
 ASSEMBLY_RULE = quadrature.tri_rule(4)
@@ -105,9 +106,7 @@ class FeSpace:
         # element geometry: grad(lambda_i) is the edge opposite vertex i,
         # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
         v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        self.det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        self.det = 2.0 * signed_areas(mesh)
         edge = np.roll(v, -2, axis=1) - np.roll(v, -1, axis=1)
         self.grad_lam = np.stack([-edge[..., 1], edge[..., 0]], axis=2) / self.det[:, None, None]
 
@@ -163,31 +162,27 @@ def _same_discretization(a: FeSpace, b: FeSpace):
         raise ValueError("spaces must share the same mesh and order")
 
 
-def _gram(
-    phi, weights, scale, emap, row: FeSpace, col: FeSpace | None = None, faces: bool = False
-) -> FormMatrix:
-    """The form D^T D, restricted to the active rows and columns.
+def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
+    """The sparse evaluation operator D over the full dofs.
 
     `phi` holds the basis data per element and quadrature point, shape
     (n, nq, ndl, c) with c the component count (1 for values, 2 for
     gradients); a leading axis of 1 broadcasts against `scale`.  Row
     (e, q, c) of D holds sqrt(scale_e w_q) phi[e, q, :, c] at the full dofs
-    `emap[e]`.  Only a face row (`faces`: emap lists both sides' dofs)
-    holds a dof twice, and there the two entries are summed; an element
-    row lists each dof once, and D^T D reads its unsorted columns as they
-    are.
+    `emap[e]`; a dof that emap[e] lists twice is stored twice.
     """
-    col = row if col is None else col
     # D's data and int32 columns, each filled once in (element, point,
     # component, slot) order; D keeps both buffers, nothing is copied
     ndl = emap.shape[1]
     d = np.sqrt(scale[:, None] * weights)[:, :, None, None] * phi.swapaxes(2, 3)
     idx = np.broadcast_to(emap.astype(np.int32)[:, None, None, :], d.shape).flatten()
     nrows = d.size // ndl
-    D = sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, row.n_full))
-    if faces:
-        D.sum_duplicates()
-    mat = (D.T @ D).tocsr()[row.active][:, col.active]
+    return sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, n_full))
+
+
+def _gram(D, row: FeSpace, col: FeSpace | None = None) -> FormMatrix:
+    """The form D^T D on the active rows and columns; each D row holds a dof once."""
+    mat = (D.T @ D).tocsr()[row.active][:, (row if col is None else col).active]
     mat.sort_indices()
     return FormMatrix(mat)
 
@@ -202,7 +197,15 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
         _same_discretization(space_row, space_col)
     rule = quadrature.tri_rule(2 * space_row.k - 2)
     g = space_row.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
-    return _gram(g, rule.weights, np.abs(space_row.det), space_row.full_map, space_row, space_col)
+    D = _operator(g, rule.weights, np.abs(space_row.det), space_row.full_map, space_row.n_full)
+    return _gram(D, space_row, space_col)
+
+
+def _mass_operator(space: FeSpace, elements) -> sp.csr_matrix:
+    rule = quadrature.tri_rule(2 * space.k)
+    vals = space.basis_values(rule.points)[None, :, :, None]  # (1, nq, ndl, 1)
+    scale, emap = np.abs(space.det[elements]), space.full_map[elements]
+    return _operator(vals, rule.weights, scale, emap, space.n_full)
 
 
 def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
@@ -210,18 +213,10 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
     elements = space.mesh.region_elements(region)
     if elements.size == 0:
         raise ValueError(f"empty region {region}")
-    rule = quadrature.tri_rule(2 * space.k)
-    vals = space.basis_values(rule.points)  # (nq, ndl)
-    scale = np.abs(space.det[elements])
-    return _gram(vals[None, :, :, None], rule.weights, scale, space.full_map[elements], space)
+    return _gram(_mass_operator(space, elements), space)
 
 
-def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
-    """Interior-face penalty sum_F |F| int_F [dn u][dn v] ds.
-
-    The face weight is the face length (stands in for the adjacent-element
-    size, equivalent under shape regularity); boundary faces are skipped.
-    """
+def _jump_operator(space: FeSpace) -> sp.csr_matrix:
     mesh = space.mesh
     interior = mesh.interior_edges
     tq, wq = quadrature.gauss_rule_01(space.k)
@@ -248,38 +243,50 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     # stacked local dof vector: side-0 dofs then side-1 dofs, jump = dn0 - dn1
     jump = np.concatenate([dn[0], -dn[1]], axis=2)  # (nf, nqf, 2ndl)
     weight = length**2  # |F| face weight times |F| from the line integral
-    return _gram(jump[..., None], wq, weight, np.hstack(emap), space, faces=True)
+    D = _operator(jump[..., None], wq, weight, np.hstack(emap), space.n_full)
+    D.sum_duplicates()  # a face row lists the dofs of the shared edge twice
+    return D
 
 
-def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
-    """Element term sum_T h_T^2 (Lap u, Lap v)_T; identically zero for k=1."""
-    n = space.n_dofs
+def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
+    """Interior-face penalty sum_F |F| int_F [dn u][dn v] ds.
+
+    The face weight is the face length (stands in for the adjacent-element
+    size, equivalent under shape regularity); boundary faces are skipped.
+    """
+    return _gram(_jump_operator(space), space)
+
+
+def _cell_operator(space: FeSpace) -> sp.csr_matrix:
     if space.k == 1:
-        return FormMatrix(sp.csr_matrix((n, n)))
+        return sp.csr_matrix((0, space.n_full))  # P1 Laplacians vanish: no rows
     # Lap(lambda_i (2 lambda_i - 1)) = 4 |grad lambda_i|^2 and
     # Lap(4 lambda_a lambda_b) = 8 grad lambda_a . grad lambda_b
     g = space.grad_lam
     lap = np.concatenate([4 * (g * g).sum(axis=2), 8 * (g * g[:, _NEXT]).sum(axis=2)], axis=1)
     scale = element_diameters(space.mesh) ** 2 * (0.5 * np.abs(space.det))
     # the Laplacian is constant per element: one point of unit weight
-    return _gram(lap[:, None, :, None], np.ones(1), scale, space.full_map, space)
+    return _operator(lap[:, None, :, None], np.ones(1), scale, space.full_map, space.n_full)
+
+
+def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
+    """Element term sum_T h_T^2 (Lap u, Lap v)_T; identically zero for k=1."""
+    return _gram(_cell_operator(space), space)
 
 
 def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     """Full regularization s(.,.): cell Laplacian + gradient jump + Tikhonov.
 
-    `tikhonov_scale` is a length (the mesh size h, or max(h, h_min) when a
-    stagnation floor is active); it enters as tikhonov_scale^{2k} times the
-    mass matrix over the whole domain.
+    `tikhonov_scale` is a length (h, or max(h, h_min) under a stagnation
+    floor); s holds tikhonov_scale^{2k} times the whole-domain mass matrix.
     """
     if tikhonov_scale <= 0.0:
         raise ValueError(f"tikhonov_scale must be positive, got {tikhonov_scale}")
-    jump = assemble_gradient_jump(space).matrix
-    cell = assemble_cell_laplacian(space).matrix
-    mass = assemble_region_mass(space, ALL_REGIONS).matrix
-    mat = (jump + cell + tikhonov_scale ** (2 * space.k) * mass).tocsr()
-    mat.sort_indices()
-    return FormMatrix(mat)
+    D = [_cell_operator(space), _jump_operator(space), _mass_operator(space, slice(None))]
+    D[2].data *= tikhonov_scale**space.k
+    # Tikhonov rows first, so each entry sums its small terms before the O(1) ones
+    D = sp.vstack(D[::-1], format="csr")  # rebound: frees the parts before the product
+    return _gram(D, space)
 
 
 def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ucfem import cli
 from ucfem.cli import main
 from ucfem.config import (
     PERTURBATION_MODES,
@@ -259,6 +260,19 @@ class TestCli:
             assert main(["--set", "geometry.r3=inf", "--set", "levels=1", "uc"]) == 2
         err = capsys.readouterr().err
         assert err == "error=config geometry.r3: expected a finite number, got 'inf'\n"
+
+    @pytest.mark.parametrize(
+        "message, shown",
+        # numpy names the allocation; SuperLU's MemoryError carries no message
+        [("Unable to allocate 1.00 GiB", "Unable to allocate 1.00 GiB"), ("", "allocation failed")],
+    )
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys, message, shown):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "solve_uc", exhausted)
+        assert main(["--set", "levels = 1", "uc"]) == 5
+        assert capsys.readouterr().err == f"error=memory {shown}\n"
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["--set", "nonsense = 1", "alpha"]) == 2

@@ -411,7 +411,7 @@ def test_forms_match_dense_local_assembly(geometry, k):
     coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
     basis = [_lagrange_element(coords[dofs], k) for dofs in space.full_map]
     n = space.n_full
-    stiff, mass, cell, jump = (np.zeros((n, n)) for _ in range(4))
+    stiff, mass, mass_all, cell, jump = (np.zeros((n, n)) for _ in range(5))
 
     def add(A, dofs, vectors, weights):
         local = np.einsum("q,qi,qj->ij", weights, vectors, vectors)
@@ -426,6 +426,7 @@ def test_forms_match_dense_local_assembly(geometry, k):
         w = 2 * areas[e] * rule.weights
         for c in range(2):
             add(stiff, dofs, np.array(grads)[:, :, c], w)
+        add(mass_all, dofs, np.array(vals), w)
         if e in omega:
             add(mass, dofs, np.array(vals), w)
         add(cell, dofs, np.array(laps)[:1], np.array([diam[e] ** 2 * areas[e]]))
@@ -443,12 +444,14 @@ def test_forms_match_dense_local_assembly(geometry, k):
             rows.append(np.concatenate([dn[0], -dn[1]]))
         add(jump, dofs, np.array(rows), length**2 * wt)
 
+    tik = 0.37  # a Tikhonov scale other than h, so a wrong power of it shows
     checks = [
         (assemble_stiffness(space), stiff, space, space),
         (assemble_stiffness(space0, space), stiff, space0, space),
         (assemble_region_mass(space, [Region.OMEGA_DATA]), mass, space, space),
         (assemble_gradient_jump(space), jump, space, space),
         (assemble_cell_laplacian(space), cell, space, space),
+        (assemble_stabilization(space, tik), jump + cell + tik ** (2 * k) * mass_all, space, space),
     ]
     for form, dense, row, col in checks:
         want = dense[np.ix_(row.active, col.active)]
