@@ -91,7 +91,7 @@ def _cmd_poisson(args, cfg: RunConfig) -> int:
     # manufactured baseline: f = 4, exact solution 1 - |x|^2 on the disk r3 = 1
     level = cfg.levels[-1]
     msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=level)
-    space0 = fem.build_space(msh, cfg.k, dirichlet=True)
+    space0 = fem.build_space(msh, cfg.k).zero_trace()
     uh = solve_poisson(space0, ConstantField(4.0))
 
     exact = RadialQuadratic(cfg.geometry.r3**2, -1.0)
@@ -168,16 +168,16 @@ def _selftest_checks(cfg: RunConfig):
 
     def positivity():
         msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=1)
-        space = fem.build_space(msh, 1, dirichlet=False)
-        space0 = fem.build_space(msh, 1, dirichlet=True)
+        space = fem.build_space(msh, 1)
+        space0 = space.zero_trace()
         return verify_positivity(space, space0, trials=20, seed=0) <= 1e-12
 
     def consistency_identity():
         # a(u_I, v) = 0 for an affine u and every zero-trace v, at k = 1 and 2
         msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=1)
         for k in (1, 2):
-            space = fem.build_space(msh, k, dirichlet=False)
-            space0 = fem.build_space(msh, k, dirichlet=True)
+            space = fem.build_space(msh, k)
+            space0 = space.zero_trace()
             B = fem.assemble_stiffness(space0, space).matrix
             u_i = fem.interpolate_nodal(space, AffineField(0.3, -1.0, 2.0))
             bound = 1e-12 * np.abs(B.data).max() * np.abs(u_i).max()
@@ -191,7 +191,7 @@ def _selftest_checks(cfg: RunConfig):
 
     def partition_of_unity():
         msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=2)
-        space = fem.build_space(msh, 1, dirichlet=False)
+        space = fem.build_space(msh, 1)
         M = fem.assemble_region_mass(space, meshmod.ALL_REGIONS).matrix
         ones = np.ones(space.n_dofs)
         area = float(np.abs(meshmod.signed_areas(msh)).sum())

@@ -14,6 +14,8 @@ Every form is a weighted sum of squares and is assembled as D^T D, where
 the sparse operator D evaluates sqrt(weight) * (basis data) at the
 quadrature points, one row per element or face, point and component; s is
 one D^T D of the stacked jump, cell-Laplacian and tik^k-scaled mass operators.
+Every D^T D is over the full dofs; only the stiffness is restricted, to the
+dofs of the zero-trace space V_0h (`FeSpace.zero_trace`).
 D^T D is exactly symmetric: entries (i,j) and (j,i) sum the same products
 D[r,i] D[r,j] (IEEE multiplication commutes) in the same ascending r order.
 
@@ -31,6 +33,7 @@ Laplacian and face-point barycentric is built from them.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,53 +58,39 @@ class FormMatrix:
 
 
 class FeSpace:
-    """Continuous piecewise-polynomial space of order k on a mesh.
+    """Continuous piecewise-polynomial space of order k on a mesh, over all
+    its dofs.
 
-    With `dirichlet=True` the dofs on the polygonal boundary are removed
-    (the V_0h space); coefficient vectors then carry only the retained
-    dofs and `expand_coeffs` pads the eliminated ones with zero.  On a mesh
-    with a recorded rotation, `rotation` maps each dof to the dof the turn
-    carries it to (None otherwise).
+    `zero_trace()` is the subspace V_0h without the dofs on the polygonal
+    boundary.  Coefficient vectors carry the dofs `active` (all of them
+    here); `expand_coeffs` pads the others with zero.  On a mesh with a
+    recorded rotation, `rotation` maps each dof to the dof the turn carries
+    it to (None otherwise).
     """
 
-    def __init__(self, mesh: Mesh, k: int, dirichlet: bool = False):
+    def __init__(self, mesh: Mesh, k: int):
         if k not in (1, 2):
             raise ValueError(f"unsupported polynomial order k={k}")
         self.mesh = mesh
         self.k = k
-        self.dirichlet = dirichlet
+        self.dirichlet = False
 
         nv = mesh.n_vertices
         if k == 1:
             self.n_full = nv
-            self.full_map = mesh.triangles.copy()
-            full_coords = mesh.vertices.copy()
-            boundary_full = mesh.boundary_vertices
+            self.full_map = mesh.triangles
+            self.dof_coords = mesh.vertices
         else:
-            ne = mesh.n_edges
-            self.n_full = nv + ne
+            self.n_full = nv + mesh.n_edges
             self.full_map = np.hstack([mesh.triangles, nv + mesh.tri_edges])
             mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-            full_coords = np.vstack([mesh.vertices, mid])
-            boundary_full = np.concatenate(
-                [mesh.boundary_vertices, nv + mesh.boundary_edges]
-            )
-
-        if dirichlet:
-            keep = np.setdiff1d(np.arange(self.n_full), boundary_full)
-        else:
-            keep = np.arange(self.n_full)
-        self.active = keep
-        full_to_active = -np.ones(self.n_full, dtype=np.int64)
-        full_to_active[keep] = np.arange(keep.size)
-        self.n_dofs = int(keep.size)
-        self.dof_map = full_to_active[self.full_map]
-        self.dof_coords = full_coords[keep]
+            self.dof_coords = np.vstack([mesh.vertices, mid])
+        self.active = np.arange(self.n_full)
+        self.n_dofs = self.n_full
         # the mesh rotation carried to the dofs: dof i turns into dof rotation[i]
         self.rotation = None
         if mesh.rotation is not None:
-            turn = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
-            self.rotation = full_to_active[turn[keep]]
+            self.rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
 
         # element geometry: grad(lambda_i) is the edge opposite vertex i,
         # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
@@ -109,6 +98,25 @@ class FeSpace:
         self.det = 2.0 * signed_areas(mesh)
         edge = np.roll(v, -2, axis=1) - np.roll(v, -1, axis=1)
         self.grad_lam = np.stack([-edge[..., 1], edge[..., 0]], axis=2) / self.det[:, None, None]
+
+    def zero_trace(self) -> FeSpace:
+        """V_0h, the dofs off the polygonal boundary, as a view of this full
+        space: mesh, full_map, det and grad_lam are shared, not copied."""
+        if self.dirichlet:
+            return self
+        mesh = self.mesh
+        boundary = mesh.boundary_vertices
+        if self.k == 2:
+            boundary = np.concatenate([boundary, mesh.n_vertices + mesh.boundary_edges])
+        sub = copy.copy(self)
+        sub.dirichlet = True
+        sub.active = np.setdiff1d(self.active, boundary)
+        sub.n_dofs = int(sub.active.size)
+        sub.dof_coords = self.dof_coords[sub.active]
+        if self.rotation is not None:
+            # a turn maps the boundary onto itself, so V_0h onto V_0h
+            sub.rotation = np.searchsorted(sub.active, self.rotation[sub.active])
+        return sub
 
     def basis_values(self, bary) -> np.ndarray:
         """Basis values at barycentric points, shape (nq, ndl)."""
@@ -153,8 +161,8 @@ class FeSpace:
         return full
 
 
-def build_space(mesh: Mesh, k: int, dirichlet: bool = False) -> FeSpace:
-    return FeSpace(mesh, k, dirichlet)
+def build_space(mesh: Mesh, k: int) -> FeSpace:
+    return FeSpace(mesh, k)
 
 
 def _same_discretization(a: FeSpace, b: FeSpace):
@@ -180,25 +188,32 @@ def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
     return sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, n_full))
 
 
-def _gram(D, row: FeSpace, col: FeSpace | None = None) -> FormMatrix:
-    """The form D^T D on the active rows and columns; each D row holds a dof once."""
-    mat = (D.T @ D).tocsr()[row.active][:, (row if col is None else col).active]
+def _gram(D) -> sp.csr_matrix:
+    """The form D^T D over the full dofs, with sorted indices; each D row
+    holds a dof once."""
+    mat = (D.T @ D).tocsr()
     mat.sort_indices()
-    return FormMatrix(mat)
+    return mat
 
 
 def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> FormMatrix:
     """Laplace form: entry (i,j) = integral of grad(phi_j) . grad(phi_i).
 
-    Mixed pairs (Dirichlet rows, full columns) give the constraint
-    coupling block of the saddle system.
+    A zero-trace space restricts its side of the full-dof product; mixed
+    pairs (zero-trace rows, full columns) give the constraint coupling
+    block of the saddle system.
     """
-    if space_col is not None:
-        _same_discretization(space_row, space_col)
+    col = space_row if space_col is None else space_col
+    _same_discretization(space_row, col)
     rule = quadrature.tri_rule(2 * space_row.k - 2)
     g = space_row.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
     D = _operator(g, rule.weights, np.abs(space_row.det), space_row.full_map, space_row.n_full)
-    return _gram(D, space_row, space_col)
+    mat = _gram(D)
+    if space_row.dirichlet:
+        mat = mat[space_row.active]
+    if col.dirichlet:
+        mat = mat[:, col.active]
+    return FormMatrix(mat)
 
 
 def _mass_operator(space: FeSpace, elements) -> sp.csr_matrix:
@@ -213,7 +228,7 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
     elements = space.mesh.region_elements(region)
     if elements.size == 0:
         raise ValueError(f"empty region {region}")
-    return _gram(_mass_operator(space, elements), space)
+    return FormMatrix(_gram(_mass_operator(space, elements)))
 
 
 def _jump_operator(space: FeSpace) -> sp.csr_matrix:
@@ -254,7 +269,7 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     The face weight is the face length (stands in for the adjacent-element
     size, equivalent under shape regularity); boundary faces are skipped.
     """
-    return _gram(_jump_operator(space), space)
+    return FormMatrix(_gram(_jump_operator(space)))
 
 
 def _cell_operator(space: FeSpace) -> sp.csr_matrix:
@@ -271,7 +286,7 @@ def _cell_operator(space: FeSpace) -> sp.csr_matrix:
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     """Element term sum_T h_T^2 (Lap u, Lap v)_T; identically zero for k=1."""
-    return _gram(_cell_operator(space), space)
+    return FormMatrix(_gram(_cell_operator(space)))
 
 
 def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
@@ -286,7 +301,7 @@ def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     D[2].data *= tikhonov_scale**space.k
     # Tikhonov rows first, so each entry sums its small terms before the O(1) ones
     D = sp.vstack(D[::-1], format="csr")  # rebound: frees the parts before the product
-    return _gram(D, space)
+    return FormMatrix(_gram(D))
 
 
 def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:

@@ -83,29 +83,25 @@ class HarmonicMonomial:
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
-    def _powers(self, points):
+    @staticmethod
+    def _power(points, q):
+        """z^q at the points, by q successive multiplications."""
         points = np.asarray(points, dtype=float)
         z = points[:, 0] + 1j * points[:, 1]
-        p = self.n - 1
         w = np.ones_like(z)
-        for _ in range(p):
+        for _ in range(q):
             w = w * z
-        return z, w
+        return w
 
     def value(self, points) -> np.ndarray:
-        _, w = self._powers(points)
+        w = self._power(points, self.n - 1)
         return w.real.copy() if self.part == "Re" else w.imag.copy()
 
     def gradient(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
         p = self.n - 1
         if p == 0:
             return np.zeros((len(points), 2))
-        z = points[:, 0] + 1j * points[:, 1]
-        w = np.ones_like(z)
-        for _ in range(p - 1):
-            w = w * z
-        d = p * w  # derivative of z^p
+        d = p * self._power(points, p - 1)  # derivative of z^p
         if self.part == "Re":
             return np.column_stack([d.real, -d.imag])
         return np.column_stack([d.imag, d.real])

@@ -343,10 +343,7 @@ class CyclicModes:
 
     The block solve's contract is scaled by max|matrix|, which the
     sqrt(m) K[r, f] couplings of mode 0 to a fixed unknown f can lift
-    above max|K|; a block solution that meets its own contract can miss
-    the full one by up to that factor, and one refinement step through
-    the same split (`project` the residual, solve, `recombine`) is the
-    remedy.
+    above max|K|; the caller tightens the block tolerance by that factor.
     """
 
     def __init__(self, K, b, coords, rotation):
@@ -361,8 +358,8 @@ class CyclicModes:
         rep[fixed] = nr + np.arange(fixed.size)
         self._orbits, self._fixed = orbits, fixed
 
-        # c_j |E_j^H b|^2 per mode
-        load = self._loads(b)
+        # column j of load is E_j^H b over the orbits, j = 0..m/2; c_j |E_j^H b|^2 per mode
+        load = np.fft.rfft(b[orbits], axis=1) / np.sqrt(m)
         j = np.arange(load.shape[1])
         share = np.where((j == 0) | (2 * j == m), 1, 2) * (np.abs(load) ** 2).sum(axis=0)
         share[0] += b[fixed] @ b[fixed]
@@ -377,7 +374,7 @@ class CyclicModes:
         order = nested_dissection(coords[reps], mode0)
         phase = np.exp(2j * np.pi * np.arange(m) / m)
 
-        self._blocks, entries, offset = [], [], 0
+        self._blocks, entries, rhs, offset = [], [], [], 0
         for j in self.modes:
             if j == 0:
                 perm, keep, values = order, slice(None), data
@@ -388,26 +385,12 @@ class CyclicModes:
             pos = np.empty(perm.size, dtype=np.int64)
             pos[perm] = offset + np.arange(perm.size)
             entries.append((values, pos[i[keep]], pos[col[keep]]))
+            rhs.append(np.concatenate([load[:, 0], b[fixed]])[perm] if j == 0 else load[perm, j])
             self._blocks.append((j, offset, perm))
             offset += perm.size
         values, r, c = (np.concatenate(parts) for parts in zip(*entries))
         self.matrix = sp.csc_matrix((values, (r, c)), shape=(offset, offset))
-        self.rhs = self.project(b)
-
-    def _loads(self, v) -> np.ndarray:
-        """Column j is E_j^H v over the orbits, j = 0..m/2."""
-        m = self._orbits.shape[1]
-        return np.fft.rfft(v[self._orbits], axis=1) / np.sqrt(m)
-
-    def project(self, v) -> np.ndarray:
-        """The kept modes E_j^H v of v, stacked like `rhs`."""
-        load = self._loads(v)
-        parts = []
-        for j, _, perm in self._blocks:
-            part = np.concatenate([load[:, 0], v[self._fixed]]) if j == 0 else load[:, j]
-            parts.append(part[perm])
-        stacked = np.concatenate(parts)
-        return stacked if np.iscomplexobj(self.matrix.data) else stacked.real
+        self.rhs = np.concatenate(rhs) if np.iscomplexobj(values) else np.concatenate(rhs).real
 
     def recombine(self, y) -> np.ndarray:
         """The real x = sum_j c_j Re(E_j x_j) of the stacked block solution y."""

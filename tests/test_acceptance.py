@@ -143,7 +143,7 @@ def test_criterion_4_poisson_baseline():
     mesh = build_disk_mesh(geo, 8, 2)
     points = []
     for level in range(2, 6):
-        space0 = build_space(mesh, 1, True)
+        space0 = build_space(mesh, 1).zero_trace()
         u = solve_poisson(space0, ConstantField(4.0))
         err = error_norms(space0, u, RadialQuadratic(1.0, -1.0), ALL_REGIONS).h1_semi
         points.append((mesh.h, err))
@@ -163,8 +163,8 @@ def test_criterion_5_positivity_identity():
     worst = 0.0
     mesh = build_disk_mesh(geo, 8, 1)
     for level in (1, 2, 3):
-        space = build_space(mesh, 1, False)
-        space0 = build_space(mesh, 1, True)
+        space = build_space(mesh, 1)
+        space0 = space.zero_trace()
         worst = max(worst, verify_positivity(space, space0, trials=100, seed=level))
         if level < 3:
             from ucfem.mesh import refine_uniform

@@ -31,38 +31,56 @@ from ucfem.mesh import (
     refine_uniform,
     signed_areas,
 )
-from ucfem.solver import verify_positivity
+from ucfem.solver import solve_poisson, verify_positivity
 
 
 class TestSpaces:
     def test_dof_counts_k1(self, base_mesh):
-        assert build_space(base_mesh, 1, False).n_dofs == 25
-        assert build_space(base_mesh, 1, True).n_dofs == 17  # 25 - 8 boundary vertices
+        assert build_space(base_mesh, 1).n_dofs == 25
+        assert build_space(base_mesh, 1).zero_trace().n_dofs == 17  # 25 - 8 boundary vertices
 
     def test_dof_counts_k2(self, base_mesh):
-        assert build_space(base_mesh, 2, False).n_dofs == 89  # 25 vertices + 64 edges
-        assert build_space(base_mesh, 2, True).n_dofs == 73  # minus 8 vertices + 8 edges
+        assert build_space(base_mesh, 2).n_dofs == 89  # 25 vertices + 64 edges
+        assert build_space(base_mesh, 2).zero_trace().n_dofs == 73  # minus 8 vertices + 8 edges
 
     def test_rejects_bad_order(self, base_mesh):
         with pytest.raises(ValueError):
             build_space(base_mesh, 3)
 
-    def test_dof_map_marks_eliminated(self, base_mesh):
-        space0 = build_space(base_mesh, 1, True)
-        assert (space0.dof_map == -1).sum() > 0
-        kept = space0.dof_map[space0.dof_map >= 0]
-        assert kept.max() == space0.n_dofs - 1
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_trace_is_a_view_of_the_full_space(self, geometry, k):
+        mesh = build_disk_mesh(geometry, 8, 2)
+        space = build_space(mesh, k)
+        space0 = space.zero_trace()
+        boundary = mesh.boundary_vertices
+        if k == 2:
+            boundary = np.concatenate([boundary, mesh.n_vertices + mesh.boundary_edges])
+        assert np.array_equal(space0.active, np.setdiff1d(np.arange(space.n_full), boundary))
+        assert space0.dirichlet and not space.dirichlet
+        assert space0.zero_trace() is space0
+        for name in ("mesh", "full_map", "det", "grad_lam"):
+            assert getattr(space0, name) is getattr(space, name)
+
+        # the turn renumbered through the full-to-active map
+        turn = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
+        full_to_active = -np.ones(space.n_full, dtype=np.int64)
+        full_to_active[space0.active] = np.arange(space0.n_dofs)
+        assert np.array_equal(space0.rotation, full_to_active[turn[space0.active]])
+        assert np.array_equal(np.sort(space0.rotation), np.arange(space0.n_dofs))
+
+        with pytest.raises(ValueError):
+            solve_poisson(build_space(mesh, 1), ConstantField(4.0))
 
 
 class TestStiffness:
     def test_unit_triangle_local_matrix(self, unit_triangle_mesh):
-        space = build_space(unit_triangle_mesh, 1, False)
+        space = build_space(unit_triangle_mesh, 1)
         A = assemble_stiffness(space).matrix.toarray()
         expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         assert np.allclose(A, expected, atol=1e-14)
 
     def test_constants_in_kernel(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         A = assemble_stiffness(space).matrix
         ones = np.ones(space.n_dofs)
         assert np.abs(A @ ones).max() < 1e-13
@@ -70,7 +88,7 @@ class TestStiffness:
     def test_exact_symmetry(self, mesh_l2):
         # every form is D^T D from the one assembly kernel; all are checked here
         for k in (1, 2):
-            space = build_space(mesh_l2, k, False)
+            space = build_space(mesh_l2, k)
             forms = {
                 "stiffness": assemble_stiffness(space),
                 "region mass": assemble_region_mass(space, [Region.OMEGA_DATA]),
@@ -83,21 +101,21 @@ class TestStiffness:
                 assert abs(A - A.T).max() == 0.0, (name, k)
 
     def test_mixed_block_shape(self, base_mesh):
-        space = build_space(base_mesh, 1, False)
-        space0 = build_space(base_mesh, 1, True)
+        space = build_space(base_mesh, 1)
+        space0 = space.zero_trace()
         B = assemble_stiffness(space0, space).matrix
         assert B.shape == (17, 25)
 
 
 class TestMass:
     def test_unit_triangle_local_matrix(self, unit_triangle_mesh):
-        space = build_space(unit_triangle_mesh, 1, False)
+        space = build_space(unit_triangle_mesh, 1)
         M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix.toarray()
         expected = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
         assert np.allclose(M, expected, atol=1e-15)
 
     def test_partition_of_unity_by_region(self, mesh_l2):
-        space = build_space(mesh_l2, 2, False)
+        space = build_space(mesh_l2, 2)
         ones = np.ones(space.n_dofs)
         areas = signed_areas(mesh_l2)
         for region in (Region.OMEGA_DATA, Region.TARGET_ANNULUS, Region.OUTER_ANNULUS):
@@ -106,24 +124,24 @@ class TestMass:
             assert abs(ones @ (M @ ones) - region_area) < 1e-12
 
     def test_all_regions_gives_total_area(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         M = assemble_region_mass(space, ALL_REGIONS).matrix
         ones = np.ones(space.n_dofs)
         assert abs(ones @ (M @ ones) - signed_areas(mesh_l2).sum()) < 1e-12
 
     def test_empty_region_rejected(self, base_mesh):
-        space = build_space(base_mesh, 1, False)
+        space = build_space(base_mesh, 1)
         with pytest.raises(ValueError):
             assemble_region_mass(space, [])
 
     def test_exact_symmetry(self, mesh_l2):
-        space = build_space(mesh_l2, 2, False)
+        space = build_space(mesh_l2, 2)
         M = assemble_region_mass(space, B_REGIONS).matrix
         assert abs(M - M.T).max() == 0.0
 
     def test_zero_rows_outside_region(self, mesh_l2):
         # dofs with no support in the region have no stored entries
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
         far = np.nonzero(np.linalg.norm(space.dof_coords, axis=1) > 0.9)[0]
         assert far.size > 0
@@ -132,7 +150,7 @@ class TestMass:
 
     def test_positive_semidefinite_roles(self, mesh_l2):
         rng = np.random.default_rng(17)
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         for form in (
             assemble_stiffness(space).matrix,
             assemble_region_mass(space, ALL_REGIONS).matrix,
@@ -146,7 +164,7 @@ class TestMass:
 class TestStabilization:
     def test_affine_reduces_to_tikhonov(self, mesh_l2):
         # jumps and element Laplacians of a globally affine field vanish
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         w = interpolate_nodal(space, AffineField(1.0, 2.0, -0.5))
         S = assemble_stabilization(space, mesh_l2.h).matrix
         M = assemble_region_mass(space, ALL_REGIONS).matrix
@@ -155,7 +173,7 @@ class TestStabilization:
         assert abs(lhs - rhs) < 1e-11 * max(rhs, 1.0)
 
     def test_k2_laplacian_part_value(self, mesh_l2):
-        space = build_space(mesh_l2, 2, False)
+        space = build_space(mesh_l2, 2)
         f = lambda p: np.asarray(p)[:, 0] ** 2
         c = interpolate_nodal(space, f)
         L = assemble_cell_laplacian(space).matrix
@@ -165,19 +183,19 @@ class TestStabilization:
     def test_jump_annihilates_global_polynomials(self, mesh_l2):
         # degree <= k fields are C^1 across faces, so the penalty sees nothing
         for k, field in ((1, AffineField(0.3, -1.0, 2.0)), (2, HarmonicMonomial(3))):
-            space = build_space(mesh_l2, k, False)
+            space = build_space(mesh_l2, k)
             c = interpolate_nodal(space, field)
             J = assemble_gradient_jump(space).matrix
             assert abs(c @ (J @ c)) < 1e-12
 
     def test_k1_laplacian_absent(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         assert assemble_cell_laplacian(space).matrix.nnz == 0
 
     def test_positive_semidefinite(self, mesh_l2):
         rng = np.random.default_rng(3)
         for k in (1, 2):
-            space = build_space(mesh_l2, k, False)
+            space = build_space(mesh_l2, k)
             S = assemble_stabilization(space, mesh_l2.h).matrix
             scale = np.abs(S.data).max()
             for _ in range(10):
@@ -185,38 +203,38 @@ class TestStabilization:
                 assert v @ (S @ v) >= -1e-12 * scale * (v @ v)
 
     def test_rejects_nonpositive_scale(self, base_mesh):
-        space = build_space(base_mesh, 1, False)
+        space = build_space(base_mesh, 1)
         with pytest.raises(ValueError):
             assemble_stabilization(space, 0.0)
 
 
 class TestLoads:
     def test_constant_load_sums_to_region_area(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         load = assemble_load_region(space, ConstantField(1.0), [Region.OMEGA_DATA])
         omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         assert abs(load.sum() - omega_area) < 1e-13
 
     def test_unit_load_equals_mass_row_sums(self, base_mesh):
         # (1, phi_i) = sum_j (phi_j, phi_i): the load and mass assemblies agree
-        space = build_space(base_mesh, 1, False)
+        space = build_space(base_mesh, 1)
         M = assemble_region_mass(space, B_REGIONS).matrix
         load = assemble_load_region(space, ConstantField(1.0), B_REGIONS)
         assert np.allclose(load, np.asarray(M.sum(axis=1)).ravel(), atol=1e-14)
 
     def test_odd_integrand_cancels(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         load = assemble_load_region(space, lambda p: np.asarray(p)[:, 0], ALL_REGIONS)
         assert abs(load.sum()) < 1e-13
 
 
 class TestInterpolationAndNorms:
     def test_constant_interpolates_to_ones(self, base_mesh):
-        space = build_space(base_mesh, 2, False)
+        space = build_space(base_mesh, 2)
         assert np.array_equal(interpolate_nodal(space, ConstantField(1.0)), np.ones(89))
 
     def test_p1_reproduces_affine(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         field = AffineField(0.7, -0.2, 1.1)
         c = interpolate_nodal(space, field)
         err = error_norms(space, c, field, ALL_REGIONS)
@@ -224,7 +242,7 @@ class TestInterpolationAndNorms:
         assert err.h1_semi < 1e-12
 
     def test_p2_reproduces_quadratic(self, mesh_l2):
-        space = build_space(mesh_l2, 2, False)
+        space = build_space(mesh_l2, 2)
         mono = HarmonicMonomial(3)  # Re z^2, a global quadratic
         c = interpolate_nodal(space, mono)
         err = error_norms(space, c, mono, ALL_REGIONS)
@@ -232,7 +250,7 @@ class TestInterpolationAndNorms:
         assert err.h1_semi < 1e-11
 
     def test_zero_coeffs_against_one_gives_area(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         err = error_norms(space, np.zeros(space.n_dofs), ConstantField(1.0), ALL_REGIONS)
         assert abs(err.l2**2 - signed_areas(mesh_l2).sum()) < 1e-12
 
@@ -242,7 +260,7 @@ class TestInterpolationAndNorms:
         mesh = mesh_l2
         errors = []
         for _ in range(3):
-            space = build_space(mesh, 1, False)
+            space = build_space(mesh, 1)
             c = interpolate_nodal(space, mono)
             errors.append(error_norms(space, c, mono, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
@@ -250,12 +268,12 @@ class TestInterpolationAndNorms:
             assert 3.3 < coarse / fine < 4.7
 
     def test_wrong_length_coefficients_rejected(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         with pytest.raises(ValueError, match=f"expected {space.n_dofs} coefficients"):
             error_norms(space, np.zeros(space.n_dofs + 1), ConstantField(1.0), ALL_REGIONS)
 
     def test_region_l2_norm_constant(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
+        space = build_space(mesh_l2, 1)
         omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         zeros = np.zeros(space.n_dofs)
         got = error_norms(space, zeros, ConstantField(2.0), [Region.OMEGA_DATA]).l2
@@ -264,8 +282,8 @@ class TestInterpolationAndNorms:
 
 class TestTripleNorm:
     def _forms(self, mesh):
-        space = build_space(mesh, 1, False)
-        space0 = build_space(mesh, 1, True)
+        space = build_space(mesh, 1)
+        space0 = space.zero_trace()
         S = assemble_stabilization(space, mesh.h).matrix
         M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
         A0 = assemble_stiffness(space0).matrix
@@ -324,7 +342,7 @@ class TestAssemblyProperties:
     def test_invariants_on_jittered_meshes(self, geometry, level, k, seed, amplitude):
         mesh = jittered_disk_mesh(geometry, level, seed, amplitude)
         assert signed_areas(mesh).min() > 0.0
-        space = build_space(mesh, k, False)
+        space = build_space(mesh, k)
 
         # exact symmetry of every form built by the shared D^T D kernel
         regions = (Region.OMEGA_DATA, Region.TARGET_ANNULUS, Region.OUTER_ANNULUS)
@@ -348,7 +366,7 @@ class TestAssemblyProperties:
 
         assert np.abs(jump @ interpolate_nodal(space, poly)).max() <= 1e-12
 
-        space0 = build_space(mesh, k, True)
+        space0 = space.zero_trace()
         assert verify_positivity(space, space0, trials=3, seed=seed) <= 1e-12
 
 
@@ -358,7 +376,7 @@ def test_phys_grads_are_barycentric_derivatives(geometry, k):
     # dx = sum_i dlam_i v_i, so grad(phi) . dx is the derivative of the basis
     # values in the direction dlam, the same on every element
     mesh = jittered_disk_mesh(geometry, level=1, seed=5, amplitude=0.8)
-    space = build_space(mesh, k, False)
+    space = build_space(mesh, k)
     assert np.array_equal(space.det, 2 * signed_areas(mesh))
     elements = np.arange(mesh.n_triangles)
     bary = ASSEMBLY_RULE.points
@@ -407,7 +425,8 @@ def test_forms_match_dense_local_assembly(geometry, k):
     # Gram matrices, from Lagrange bases fitted to the physical nodes and
     # quadrature rules other than the assembly's own
     mesh = jittered_disk_mesh(geometry, level=1, seed=3, amplitude=0.8)
-    space, space0 = build_space(mesh, k), build_space(mesh, k, True)
+    space = build_space(mesh, k)
+    space0 = space.zero_trace()
     coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
     basis = [_lagrange_element(coords[dofs], k) for dofs in space.full_map]
     n = space.n_full
@@ -499,7 +518,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
 def test_load_matches_scattered_einsum(geometry, k):
     # the load against the weighted einsum contraction scattered with np.add.at
     mesh = jittered_disk_mesh(geometry, level=2, seed=13, amplitude=0.8)
-    space = build_space(mesh, k, True)
+    space = build_space(mesh, k).zero_trace()
     field = HarmonicMonomial(4)
     rule = ASSEMBLY_RULE
     for region in (ALL_REGIONS, [Region.OMEGA_DATA]):

@@ -37,7 +37,8 @@ class TestComposeSaddle:
         assert np.array_equal(K.toarray(), np.array([[2.0, 3.0], [3.0, -5.0]]))
 
     def test_exactly_symmetric(self, mesh_l2):
-        K = saddle(build_space(mesh_l2, 1, False), build_space(mesh_l2, 1, True))
+        space = build_space(mesh_l2, 1)
+        K = saddle(space, space.zero_trace())
         assert abs(K - K.T).max() == 0.0
 
     def test_zero_coupling_decouples(self):
@@ -56,8 +57,8 @@ class TestComposeSaddle:
     def test_positivity_identity_matrix_form(self, mesh_l2):
         # [u; -z]^T K [u; z] == u^T (S + M_w) u + z^T A0 z, the matrix form of
         # testing the saddle form with the sign-flipped dual
-        space = build_space(mesh_l2, 1, False)
-        space0 = build_space(mesh_l2, 1, True)
+        space = build_space(mesh_l2, 1)
+        space0 = space.zero_trace()
         S = assemble_stabilization(space, mesh_l2.h).matrix
         M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
         B = assemble_stiffness(space0, space).matrix
@@ -93,7 +94,7 @@ class TestSolveDirect:
             solve_direct(sp.eye(2, format="csr"), np.array([1.0, np.nan]))
 
     def test_residual_contract_on_spd_system(self, mesh_l2):
-        space0 = build_space(mesh_l2, 1, True)
+        space0 = build_space(mesh_l2, 1).zero_trace()
         A0 = assemble_stiffness(space0).matrix
         rng = np.random.default_rng(1)
         b = rng.standard_normal(space0.n_dofs)
@@ -102,7 +103,7 @@ class TestSolveDirect:
         assert np.linalg.norm(A0 @ x - b) <= 1e-10 * scale
 
     def test_deterministic(self, mesh_l2):
-        space0 = build_space(mesh_l2, 1, True)
+        space0 = build_space(mesh_l2, 1).zero_trace()
         A0 = assemble_stiffness(space0).matrix
         b = np.sin(np.arange(space0.n_dofs) * 0.37)
         x1 = solve_direct(A0, b)
@@ -149,8 +150,8 @@ class TestFallback:
 
     def test_quasi_definite_needs_no_fallback(self, mesh_l2):
         # filterwarnings turns the fallback warning into an error
-        space = build_space(mesh_l2, 1, False)
-        space0 = build_space(mesh_l2, 1, True)
+        space = build_space(mesh_l2, 1)
+        space0 = space.zero_trace()
         K = saddle(space, space0)
         rng = np.random.default_rng(2)
         p = rng.permutation(K.shape[0])
@@ -163,8 +164,8 @@ class TestFallback:
 class TestNestedDissection:
     @pytest.fixture(scope="class")
     def system(self, mesh_l2):
-        space = build_space(mesh_l2, 1, False)
-        space0 = build_space(mesh_l2, 1, True)
+        space = build_space(mesh_l2, 1)
+        space0 = space.zero_trace()
         return np.concatenate([space.dof_coords, space0.dof_coords]), saddle(space, space0)
 
     def test_is_permutation(self, system):
@@ -237,8 +238,8 @@ class TestNestedDissection:
         # element wide (1.30x the fill of SuperLU's minimum degree here);
         # the minimum cover is close to a line of shared nodes
         mesh = build_disk_mesh(geometry, 8, 3)
-        space = build_space(mesh, 2, False)
-        space0 = build_space(mesh, 2, True)
+        space = build_space(mesh, 2)
+        space0 = space.zero_trace()
         K = saddle(space, space0)
         p = nested_dissection(np.concatenate([space.dof_coords, space0.dof_coords]), K)
         symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -252,8 +253,8 @@ class TestNestedDissection:
 
     def test_less_fill_than_colamd(self, geometry):
         mesh = build_disk_mesh(geometry, 8, 4)
-        space = build_space(mesh, 1, False)
-        space0 = build_space(mesh, 1, True)
+        space = build_space(mesh, 1)
+        space0 = space.zero_trace()
         K = saddle(space, space0)
         coords = np.concatenate([space.dof_coords, space0.dof_coords])
         p = nested_dissection(coords, K)
