@@ -50,18 +50,6 @@ def combined_exponent(alpha1: float, alpha2: float) -> float:
     return alpha1 / (1.0 + alpha1 - alpha2)
 
 
-def improves_on(alpha1: float, alpha2: float, base_alpha: float) -> bool:
-    """Whether (alpha1, alpha2) in [alpha,1) with one strictly above alpha
-    forces the combined exponent above alpha."""
-    if not (0.0 < base_alpha < 1.0):
-        raise ValueError(f"base_alpha must lie in (0,1), got {base_alpha}")
-    in_range = base_alpha <= alpha1 < 1.0 and base_alpha <= alpha2 < 1.0
-    one_above = alpha1 > base_alpha or alpha2 > base_alpha
-    if not (in_range and one_above):
-        return False
-    return combined_exponent(alpha1, alpha2) > base_alpha
-
-
 @dataclass(frozen=True)
 class HarmonicMonomial:
     """The harmonic function Re/Im of z^{n-1} (z = x1 + i x2), n >= 1.

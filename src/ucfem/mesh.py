@@ -354,39 +354,3 @@ def write_mesh(mesh: Mesh, path) -> None:
         for (i, j, k), tag in zip(mesh.triangles, mesh.region_tag):
             f.write(f"t {i} {j} {k} {tag}\n")
 
-
-def read_mesh(path, geometry: Geometry | None = None) -> Mesh:
-    """Read the text format back.
-
-    Circle markers are recovered by radius matching when a geometry is
-    given (needed if the mesh is to be refined further); the refinement
-    level and the rotation are not stored: the level resets to 0 and no
-    rotation is recorded.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 4 or header[0] != "mesh" or header[1] != "v1":
-            raise ValueError(f"{path}: not a 'mesh v1' file")
-        nv, nt = int(header[2]), int(header[3])
-        vertices = np.empty((nv, 2))
-        triangles = np.empty((nt, 3), dtype=np.int64)
-        tags = np.empty(nt, dtype=np.int64)
-        for i in range(nv):
-            parts = f.readline().split()
-            if len(parts) != 3 or parts[0] != "v":
-                raise ValueError(f"{path}: malformed vertex line {i}")
-            vertices[i] = (float(parts[1]), float(parts[2]))
-        for i in range(nt):
-            parts = f.readline().split()
-            if len(parts) != 5 or parts[0] != "t":
-                raise ValueError(f"{path}: malformed triangle line {i}")
-            triangles[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
-            tags[i] = int(parts[4])
-
-    vertex_circle = None
-    if geometry is not None:
-        r = np.linalg.norm(vertices, axis=1)
-        vertex_circle = np.zeros(nv, dtype=np.int8)
-        for c, rc in ((1, geometry.r1), (2, geometry.r2), (3, geometry.r3)):
-            vertex_circle[np.abs(r - rc) <= 1e-9 * rc] = c
-    return mesh_from_arrays(vertices, triangles, tags, level=0, vertex_circle=vertex_circle)

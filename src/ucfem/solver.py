@@ -80,23 +80,14 @@ def _solve_ordered(K, b, coords, rotation) -> tuple[np.ndarray, float]:
     """x and its `achieved_residual` on K for K x = b, K commuting with the
     dof rotation (None: no symmetry): one `solve_direct` of the excited
     Fourier modes, each in the nested-dissection order of its
-    representatives' points, recombined (`CyclicModes`).  x = 0 for b = 0.
-
-    The block solve meets 0.5 REL_TOL min(1, max|K| / max|blocks|), which
-    keeps x within the contract on K: E is unitary and a conjugate pair
-    enters x with weight 2, so |K x - b| is at most sqrt(2) times the block
-    residual, under 0.5 REL_TOL (max|K| |x| + |b|), plus the skipped modes'
-    load, under 1e-2 sqrt(m/2 + 1) REL_TOL |b|.  That needs the block
-    solution's norm to be at most |x|, so modes 0 and m/2 must come out
-    real: their blocks and loads are real, and SuperLU keeps them so.
+    representatives' points, recombined (`CyclicModes`), at the block
+    tolerance that keeps x within the contract on K.  x = 0 for b = 0.
     SolverError if x misses the contract, as for a K that does not commute
     with the rotation."""
     if not b.any():
         return np.zeros(K.shape[0]), 0.0
     modes = CyclicModes(K, b, coords, rotation)
-    # both maxima over assembled entries, duplicates summed
-    tol = 0.5 * REL_TOL * min(1.0, np.abs(K.data).max() / np.abs(modes.matrix.data).max())
-    x = modes.recombine(solve_direct(modes.matrix, modes.rhs, rel_tol=tol))
+    x = modes.recombine(solve_direct(modes.matrix, modes.rhs, rel_tol=modes.rel_tol))
     res = achieved_residual(K, x, b)
     if not res <= REL_TOL:
         raise SolverError(

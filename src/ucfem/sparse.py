@@ -142,6 +142,8 @@ def _lu_solve(K, b, rel_tol, pivoting):
         lu = spla.splu(K, **options)
     except RuntimeError as exc:  # SuperLU signals a zero pivot column this way
         raise SolverError(f"singular matrix: {exc}") from exc
+    except SystemError as exc:  # and an exhausted allocation this way
+        raise MemoryError(str(exc)) from exc
     if not pivoting:
         # with a zero threshold SuperLU swaps rows only at a zero diagonal
         swapped = np.flatnonzero(lu.perm_r != np.arange(K.shape[0]))
@@ -341,9 +343,16 @@ class CyclicModes:
     K that does not gives an x that misses the residual contract on the
     full K, which the caller checks (`achieved_residual`).
 
-    The block solve's contract is scaled by max|matrix|, which the
-    sqrt(m) K[r, f] couplings of mode 0 to a fixed unknown f can lift
-    above max|K|; the caller tightens the block tolerance by that factor.
+    `rel_tol` is the tolerance a `solve_direct` of `matrix` and `rhs` must
+    meet for the recombined x to keep the contract on K, 0.5 REL_TOL
+    min(1, max|K| / max|matrix|): the sqrt(m) K[r, f] couplings of mode 0
+    to a fixed unknown f can lift max|matrix| above max|K|.  E is unitary
+    and a conjugate pair enters x with weight 2, so |K x - b| is at most
+    sqrt(2) times the block residual, under 0.5 REL_TOL (max|K| |x| +
+    |b|), plus the skipped modes' load, under 1e-2 sqrt(m/2 + 1) REL_TOL
+    |b|.  That needs the block solution's norm to be at most |x|, so modes
+    0 and m/2 must come out real: their blocks and loads are real, and
+    SuperLU keeps them so.
     """
 
     def __init__(self, K, b, coords, rotation):
@@ -391,6 +400,8 @@ class CyclicModes:
         values, r, c = (np.concatenate(parts) for parts in zip(*entries))
         self.matrix = sp.csc_matrix((values, (r, c)), shape=(offset, offset))
         self.rhs = np.concatenate(rhs) if np.iscomplexobj(values) else np.concatenate(rhs).real
+        # both maxima over assembled entries, duplicates summed
+        self.rel_tol = 0.5 * REL_TOL * min(1.0, np.abs(K.data).max() / np.abs(self.matrix.data).max())
 
     def recombine(self, y) -> np.ndarray:
         """The real x = sum_j c_j Re(E_j x_j) of the stacked block solution y."""

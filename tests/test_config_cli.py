@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ucfem import cli
+from ucfem import cli, sparse
 from ucfem.cli import main
 from ucfem.config import (
     PERTURBATION_MODES,
@@ -273,6 +273,16 @@ class TestCli:
         monkeypatch.setattr(cli, "solve_uc", exhausted)
         assert main(["--set", "levels = 1", "uc"]) == 5
         assert capsys.readouterr().err == f"error=memory {shown}\n"
+
+    def test_superlu_out_of_memory_exit_code(self, monkeypatch, capsys):
+        # SuperLU reports an exhausted allocation as a SystemError
+        def exhausted(*args, **kwargs):
+            raise SystemError("gstrf was called with invalid arguments")
+
+        monkeypatch.setattr(sparse.spla, "splu", exhausted)
+        assert main(["--set", "levels = 1", "uc"]) == 5
+        err = capsys.readouterr().err
+        assert err == "error=memory gstrf was called with invalid arguments\n"
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["--set", "nonsense = 1", "alpha"]) == 2

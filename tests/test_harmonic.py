@@ -10,7 +10,6 @@ from ucfem.harmonic import (
     HarmonicMonomial,
     combined_exponent,
     harmonic_norm_closed,
-    improves_on,
     log_norm,
     monomial_seminorm_sq,
     monomial_sobolev_norm,
@@ -90,7 +89,6 @@ class TestCombinedExponent:
         if max(a1, a2) <= alpha + 1e-9:  # improvements below float noise prove nothing
             return
         assert combined_exponent(a1, a2) > alpha
-        assert improves_on(a1, a2, alpha)
 
 
 class TestClosedFormNorms:

@@ -11,7 +11,6 @@ from ucfem.mesh import (
     build_disk_mesh,
     element_diameters,
     mesh_from_arrays,
-    read_mesh,
     refine_uniform,
     signed_areas,
     validate,
@@ -208,32 +207,21 @@ class TestAdjacency:
 
 
 class TestMeshFile:
-    def test_round_trip(self, geometry, tmp_path):
-        mesh = build_disk_mesh(geometry, sectors=8, level=1)
+    def test_header_format(self, mesh_l2, tmp_path):
         path = tmp_path / "mesh.txt"
-        write_mesh(mesh, path)
-        back = read_mesh(path, geometry=geometry)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.triangles, mesh.triangles)
-        assert np.array_equal(back.region_tag, mesh.region_tag)
-        assert np.array_equal(back.vertex_circle, mesh.vertex_circle)
-        # the file stores no symmetry; the recovered circles refine as before
-        assert mesh.rotation is not None and back.rotation is None
-        finer, back_finer = refine_uniform(mesh, geometry), refine_uniform(back, geometry)
-        assert np.array_equal(back_finer.vertices, finer.vertices)
-        assert back_finer.rotation is None
-
-    def test_header_format(self, base_mesh, tmp_path):
-        path = tmp_path / "mesh.txt"
-        write_mesh(base_mesh, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "mesh v1 25 40"
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a mesh\n")
-        with pytest.raises(ValueError):
-            read_mesh(path)
+        write_mesh(mesh_l2, path)
+        header, *lines = path.read_text().splitlines()
+        assert header == f"mesh v1 {mesh_l2.n_vertices} {mesh_l2.n_triangles}"
+        v_lines, t_lines = lines[: mesh_l2.n_vertices], lines[mesh_l2.n_vertices :]
+        assert len(t_lines) == mesh_l2.n_triangles
+        v = [line.split() for line in v_lines]
+        t = [line.split() for line in t_lines]
+        assert {row[0] for row in v} == {"v"} and {len(row) for row in v} == {3}
+        assert {row[0] for row in t} == {"t"} and {len(row) for row in t} == {5}
+        # repr floats read back exactly
+        assert np.array_equal([[float(x), float(y)] for _, x, y in v], mesh_l2.vertices)
+        assert np.array_equal([[int(i) for i in row[1:4]] for row in t], mesh_l2.triangles)
+        assert np.array_equal([int(row[4]) for row in t], mesh_l2.region_tag)
 
 
 def test_element_diameters_matches_h(base_mesh):
