@@ -10,14 +10,25 @@ mesh-dependent regularization
 
 whose gradient-jump part penalizes the normal-derivative jump across
 interior faces and vanishes on globally polynomial fields of degree <= k.
-Every form is a weighted sum of squares and is assembled as D^T D, where
-the sparse operator D evaluates sqrt(weight) * (basis data) at the
-quadrature points, one row per element or face, point and component; s is
-one D^T D of the stacked jump, cell-Laplacian and tik^k-scaled mass operators.
-Every D^T D is over the full dofs; only the stiffness is restricted, to the
-dofs of the zero-trace space V_0h (`FeSpace.zero_trace`).
-D^T D is exactly symmetric: entries (i,j) and (j,i) sum the same products
-D[r,i] D[r,j] (IEEE multiplication commutes) in the same ascending r order.
+Every form is a weighted sum of squares D^T D, where the sparse operator D
+evaluates sqrt(weight) * (basis data) at the quadrature points, one row per
+element or face, point and component; s is one D^T D of the stacked jump,
+cell-Laplacian and tik^k-scaled mass operators.  Every form is over the
+full dofs; only the stiffness is then restricted, to the dofs of the
+zero-trace space V_0h (`FeSpace.zero_trace`).
+
+Every form commutes with the turn by 2 pi / m that a disk mesh records
+(`Mesh.rotation`), so only the rows of the orbit representatives (sector 0
+and the fixed centre, `sparse.cyclic_orbits`) are computed, from D over
+the elements and faces that hold one, a fixed row only at representative
+and fixed columns.  Each entry and its transpose, in another
+representative's row, become their mean ((a + b) / 2 is the same float in
+either order).  Row u is then its representative's row with each column
+turned as often as u is, and a fixed row is spread over the turns of its
+columns (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  So
+every form is exactly symmetric and rotation invariant, P A P^T == A bit
+for bit, with a stored pattern closed under transpose and rotation.  A
+mesh without a recorded rotation is the m = 1 case.
 
 Each form takes the smallest rule exact for its polynomial integrand:
 tri_rule(2k-2) for the stiffness and tri_rule(2k) for the mass, the k-point
@@ -42,6 +53,7 @@ import scipy.sparse as sp
 from . import quadrature
 from .fields import _field_gradient, _field_values
 from .mesh import Mesh, element_diameters, signed_areas
+from .sparse import cyclic_orbits
 
 #: the degree-4 rule of the load and the error norms, whose fields are not polynomial
 ASSEMBLY_RULE = quadrature.tri_rule(4)
@@ -65,7 +77,7 @@ class FeSpace:
     boundary.  Coefficient vectors carry the dofs `active` (all of them
     here); `expand_coeffs` pads the others with zero.  On a mesh with a
     recorded rotation, `rotation` maps each dof to the dof the turn carries
-    it to (None otherwise).
+    it to (None otherwise); `orbits` is `sparse.cyclic_orbits` of that map.
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -91,12 +103,13 @@ class FeSpace:
         self.rotation = None
         if mesh.rotation is not None:
             self.rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
+        self.orbits = cyclic_orbits(self.rotation, self.dof_coords)
 
         # element geometry: grad(lambda_i) is the edge opposite vertex i,
         # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
-        v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+        v = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
         self.det = 2.0 * signed_areas(mesh)
-        edge = np.roll(v, -2, axis=1) - np.roll(v, -1, axis=1)
+        edge = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
         self.grad_lam = np.stack([-edge[..., 1], edge[..., 0]], axis=2) / self.det[:, None, None]
 
     def zero_trace(self) -> FeSpace:
@@ -188,10 +201,48 @@ def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
     return sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, n_full))
 
 
-def _gram(D) -> sp.csr_matrix:
-    """The form D^T D over the full dofs, with sorted indices; each D row
-    holds a dof once."""
-    mat = (D.T @ D).tocsr()
+def _near_reps(space: FeSpace) -> np.ndarray:
+    """Per element, whether it holds a representative dof (see `_gram`)."""
+    return (np.take(space.orbits[3], space.full_map) == 0).any(axis=1)
+
+
+def _gram(space: FeSpace, D) -> sp.csr_matrix:
+    """The form D^T D over the full dofs, with sorted indices, replicated
+    from the representatives' rows (module docstring); D holds the rows of
+    the elements and faces `_near_reps` keeps, each with a dof once."""
+    orbits, fixed, rep, shift = space.orbits
+    nr, m = orbits.shape
+    # the rows below are only those of this mesh if the turn maps it onto itself
+    z = space.mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(space.mesh.vertices).max()
+    if m > 1 and not abs(z[space.mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9:
+        raise ValueError(f"the mesh rotation does not turn its vertices by 2 pi / {m}")
+    # turn s of representative number r: orbits[r, s], or the fixed dof itself
+    table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)])
+    # dof d turned s times, 0 <= s <= m, is turned[at[d] + s]
+    turned = np.tile(table, 2).ravel()
+    at = rep * 2 * m + shift
+
+    # the representatives' rows; a fixed one only at representative columns,
+    # as its other columns are their turns
+    G = (D.T.tocsr()[table[:, 0]] @ D).tocoo()
+    keep = (G.row < nr) | (shift[G.col] == 0)
+    i, c, v = G.row[keep], G.col[keep], G.data[keep]
+    # entry (i, c) and its transpose, entry (rep[c], representative i turned
+    # back shift[c] times), both become their mean: a + b == b + a exactly
+    i, c = np.r_[i, rep[c]], np.r_[c, turned[at[table[i, 0]] + m - shift[c]]]
+    G = sp.csr_matrix((np.r_[v, v] * 0.5, (i, c)), shape=(len(table), space.n_full)).tocoo()
+    # a fixed row in full: each moved column at every turn
+    spread = (G.row >= nr) & (rep[G.col] < nr)
+    i = np.r_[G.row[~spread], np.repeat(G.row[spread], m)]
+    c = np.r_[G.col[~spread], turned[at[G.col[spread], None] + np.arange(m)].ravel()]
+    v = np.r_[G.data[~spread], np.repeat(G.data[spread], m)]
+    G = sp.csr_matrix((v, (i, c)), shape=G.shape)
+    # row u is row rep[u] of G with its columns turned shift[u] times
+    length = np.diff(G.indptr)[rep]
+    indptr = np.r_[0, np.cumsum(length)]
+    src = np.arange(indptr[-1]) + np.repeat(G.indptr[rep] - indptr[:-1], length)
+    indices = turned[at[G.indices][src] + np.repeat(shift, length)]
+    mat = sp.csr_matrix((G.data[src], indices, indptr), shape=(space.n_full, space.n_full))
     mat.sort_indices()
     return mat
 
@@ -206,9 +257,10 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
     col = space_row if space_col is None else space_col
     _same_discretization(space_row, col)
     rule = quadrature.tri_rule(2 * space_row.k - 2)
-    g = space_row.phys_grads(slice(None), rule.points)  # (nt, nq, ndl, 2)
-    D = _operator(g, rule.weights, np.abs(space_row.det), space_row.full_map, space_row.n_full)
-    mat = _gram(D)
+    elements = np.flatnonzero(_near_reps(space_row))
+    g = space_row.phys_grads(elements, rule.points)  # (nel, nq, ndl, 2)
+    scale, emap = np.abs(space_row.det[elements]), space_row.full_map[elements]
+    mat = _gram(space_row, _operator(g, rule.weights, scale, emap, space_row.n_full))
     if space_row.dirichlet:
         mat = mat[space_row.active]
     if col.dirichlet:
@@ -218,6 +270,7 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
 
 def _mass_operator(space: FeSpace, elements) -> sp.csr_matrix:
     rule = quadrature.tri_rule(2 * space.k)
+    elements = elements[_near_reps(space)[elements]]
     vals = space.basis_values(rule.points)[None, :, :, None]  # (1, nq, ndl, 1)
     scale, emap = np.abs(space.det[elements]), space.full_map[elements]
     return _operator(vals, rule.weights, scale, emap, space.n_full)
@@ -228,12 +281,13 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
     elements = space.mesh.region_elements(region)
     if elements.size == 0:
         raise ValueError(f"empty region {region}")
-    return FormMatrix(_gram(_mass_operator(space, elements)))
+    return FormMatrix(_gram(space, _mass_operator(space, elements)))
 
 
 def _jump_operator(space: FeSpace) -> sp.csr_matrix:
     mesh = space.mesh
     interior = mesh.interior_edges
+    interior = interior[_near_reps(space)[mesh.edge_tris[interior]].any(axis=1)]
     tq, wq = quadrature.gauss_rule_01(space.k)
     a = mesh.vertices[mesh.edges[interior, 0]]
     b = mesh.vertices[mesh.edges[interior, 1]]
@@ -269,24 +323,26 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     The face weight is the face length (stands in for the adjacent-element
     size, equivalent under shape regularity); boundary faces are skipped.
     """
-    return FormMatrix(_gram(_jump_operator(space)))
+    return FormMatrix(_gram(space, _jump_operator(space)))
 
 
 def _cell_operator(space: FeSpace) -> sp.csr_matrix:
     if space.k == 1:
         return sp.csr_matrix((0, space.n_full))  # P1 Laplacians vanish: no rows
+    elements = np.flatnonzero(_near_reps(space))
     # Lap(lambda_i (2 lambda_i - 1)) = 4 |grad lambda_i|^2 and
     # Lap(4 lambda_a lambda_b) = 8 grad lambda_a . grad lambda_b
-    g = space.grad_lam
+    g = space.grad_lam[elements]
     lap = np.concatenate([4 * (g * g).sum(axis=2), 8 * (g * g[:, _NEXT]).sum(axis=2)], axis=1)
-    scale = element_diameters(space.mesh) ** 2 * (0.5 * np.abs(space.det))
+    scale = element_diameters(space.mesh)[elements] ** 2 * (0.5 * np.abs(space.det[elements]))
     # the Laplacian is constant per element: one point of unit weight
-    return _operator(lap[:, None, :, None], np.ones(1), scale, space.full_map, space.n_full)
+    emap = space.full_map[elements]
+    return _operator(lap[:, None, :, None], np.ones(1), scale, emap, space.n_full)
 
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     """Element term sum_T h_T^2 (Lap u, Lap v)_T; identically zero for k=1."""
-    return FormMatrix(_gram(_cell_operator(space)))
+    return FormMatrix(_gram(space, _cell_operator(space)))
 
 
 def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
@@ -297,11 +353,12 @@ def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     """
     if tikhonov_scale <= 0.0:
         raise ValueError(f"tikhonov_scale must be positive, got {tikhonov_scale}")
-    D = [_cell_operator(space), _jump_operator(space), _mass_operator(space, slice(None))]
+    everywhere = np.arange(space.mesh.n_triangles)
+    D = [_cell_operator(space), _jump_operator(space), _mass_operator(space, everywhere)]
     D[2].data *= tikhonov_scale**space.k
     # Tikhonov rows first, so each entry sums its small terms before the O(1) ones
     D = sp.vstack(D[::-1], format="csr")  # rebound: frees the parts before the product
-    return FormMatrix(_gram(D))
+    return FormMatrix(_gram(space, D))
 
 
 def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:

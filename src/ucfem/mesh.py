@@ -145,14 +145,14 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
     # the edges lexicographically and groups the (triangle, local-slot)
     # occurrences of each edge in construction order
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    sorted_pairs = np.sort(pairs, axis=1)
-    key = sorted_pairs[:, 0] * nv + sorted_pairs[:, 1]
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    key = lo * nv + hi
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = sorted_key[1:] != sorted_key[:-1]
     starts = np.nonzero(first)[0]
-    edges = np.column_stack([sorted_key[starts] // nv, sorted_key[starts] % nv])
+    edges = np.column_stack([lo[order[starts]], hi[order[starts]]])
     ne = edges.shape[0]
     counts = np.diff(np.append(starts, key.size))
     inverse = np.empty(key.size, dtype=np.int64)
@@ -168,7 +168,7 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
     boundary_vertices = np.unique(edges[boundary_edges])
 
     edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    h = float(np.sqrt((edge_vec**2).sum(axis=1)).max()) if ne else 0.0
+    h = float(np.sqrt((edge_vec**2).sum(axis=1).max())) if ne else 0.0
 
     return Mesh(
         vertices=vertices,
@@ -187,10 +187,9 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
 
 
 def signed_areas(mesh: Mesh) -> np.ndarray:
-    v = mesh.vertices
-    t = mesh.triangles
-    a = v[t[:, 1]] - v[t[:, 0]]
-    b = v[t[:, 2]] - v[t[:, 0]]
+    v = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
+    a = v[:, 1] - v[:, 0]
+    b = v[:, 2] - v[:, 0]
     return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
@@ -273,7 +272,8 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
     radii = np.array([0.0, geometry.r1, geometry.r2, geometry.r3])
     nv = mesh.n_vertices
     e0, e1 = mesh.edges[:, 0], mesh.edges[:, 1]
-    mids = 0.5 * (mesh.vertices[e0] + mesh.vertices[e1])
+    mids = np.take(mesh.vertices, mesh.edges, axis=0)  # (ne, 2, 2) edge ends
+    mids = 0.5 * (mids[:, 0] + mids[:, 1])  # rebound: frees the ends
 
     c0 = mesh.vertex_circle[e0]
     same_circle = (c0 > 0) & (c0 == mesh.vertex_circle[e1])

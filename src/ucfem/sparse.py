@@ -283,20 +283,24 @@ def _starts(size):
     return np.cumsum(size) - size
 
 
-def _cyclic_orbits(rotation, coords):
+def cyclic_orbits(rotation, coords):
     """The orbits of the unknowns under a rotation of order m.
 
     rotation[i] is the unknown that a turn by 2 pi / m carries unknown i
-    to; coords[i] is its point.  Returns (orbits, fixed): orbits (n, m)
-    holds in row r the representative orbits[r, 0], the member of least
-    polar angle in [0, 2 pi), and in column s its s-th turn; fixed lists
-    the unknowns the turn keeps.  rotation None is the order-1 case: every
+    to; coords[i] is its point.  Returns (orbits, fixed, rep, shift):
+    orbits (nr, m) holds in row r the representative orbits[r, 0], the
+    member of least polar angle in [0, 2 pi), and in column s its s-th
+    turn; fixed lists the unknowns the turn keeps.  The representatives
+    are orbits[:, 0] then fixed, and unknown u is the shift[u]-th turn of
+    representative number rep[u] (shift 0 for a representative, and for
+    every fixed unknown).  rotation None is the order-1 case: every
     unknown is its own orbit and none is fixed.
     """
     n = coords.shape[0]
     moved = np.empty(0) if rotation is None else np.flatnonzero(rotation != np.arange(n))
     if moved.size == 0:
-        return np.arange(n)[:, None], np.empty(0, dtype=np.int64)
+        own = np.arange(n)
+        return own[:, None], np.empty(0, dtype=np.int64), own, np.zeros(n, dtype=np.int64)
     fixed = np.flatnonzero(rotation == np.arange(n))
     m, i = 1, rotation[moved[0]]
     while i != moved[0] and m <= n:
@@ -305,10 +309,10 @@ def _cyclic_orbits(rotation, coords):
     angle = np.arctan2(coords[:, 1], coords[:, 0]) % (2.0 * np.pi)
     turned, least, turns = moved, angle[moved], np.zeros(moved.size, dtype=np.int64)
     for s in range(1, m):
-        turned = rotation[turned]
-        better = angle[turned] < least
-        least = np.where(better, angle[turned], least)
-        turns[better] = s
+        turned = np.take(rotation, turned)
+        turned_angle = np.take(angle, turned)
+        turns[turned_angle < least] = s
+        np.minimum(least, turned_angle, out=least)
     orbits = np.empty((np.count_nonzero(turns == 0), m), dtype=np.int64)
     orbits[:, 0] = moved[turns == 0]
     for s in range(1, m):
@@ -316,14 +320,19 @@ def _cyclic_orbits(rotation, coords):
     members = np.bincount(np.concatenate([orbits.ravel(), fixed]), minlength=n)
     if np.any(members != 1) or np.any(rotation[orbits[:, -1]] != orbits[:, 0]):
         raise ValueError("rotation is not a permutation whose moved cycles share one length")
-    return orbits, fixed
+    rep = np.empty(n, dtype=np.int64)
+    shift = np.zeros(n, dtype=np.int64)
+    rep[orbits] = np.arange(orbits.shape[0])[:, None]
+    shift[orbits] = np.arange(m)
+    rep[fixed] = orbits.shape[0] + np.arange(fixed.size)
+    return orbits, fixed, rep, shift
 
 
 class CyclicModes:
     """K x = b as one block-diagonal system of the Fourier modes of the load.
 
     A K that commutes with a rotation of its unknowns (P K P^T = K, see
-    `_cyclic_orbits`) is block diagonal in the orbit Fourier basis: column
+    `cyclic_orbits`) is block diagonal in the orbit Fourier basis: column
     r of E_j holds exp(2 pi i j s / m) / sqrt(m) at the s-th turn of
     representative r (a fixed unknown belongs to mode 0 alone, with
     weight 1).  Block j, K_j = E_j^H K E_j, is built from the
@@ -356,15 +365,9 @@ class CyclicModes:
     """
 
     def __init__(self, K, b, coords, rotation):
-        orbits, fixed = _cyclic_orbits(rotation, coords)
+        orbits, fixed, rep, shift = cyclic_orbits(rotation, coords)
         nr, m = orbits.shape
         reps = np.concatenate([orbits[:, 0], fixed])
-        # unknown u is the shift[u]-th turn of representative reps[rep[u]]
-        rep = np.empty(K.shape[0], dtype=np.int64)
-        shift = np.zeros(K.shape[0], dtype=np.int64)
-        rep[orbits] = np.arange(nr)[:, None]
-        shift[orbits] = np.arange(m)
-        rep[fixed] = nr + np.arange(fixed.size)
         self._orbits, self._fixed = orbits, fixed
 
         # column j of load is E_j^H b over the orbits, j = 0..m/2; c_j |E_j^H b|^2 per mode

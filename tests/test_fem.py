@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,8 +424,14 @@ def _lagrange_element(nodes, k):
 def test_forms_match_dense_local_assembly(geometry, k):
     # every form rebuilt with a per-element / per-face loop of dense local
     # Gram matrices, from Lagrange bases fitted to the physical nodes and
-    # quadrature rules other than the assembly's own
-    mesh = jittered_disk_mesh(geometry, level=1, seed=3, amplitude=0.8)
+    # quadrature rules other than the assembly's own; the disk mesh records
+    # its rotation, so its forms are replicated from the sector-0 rows
+    jittered = jittered_disk_mesh(geometry, level=1, seed=3, amplitude=0.8)
+    for mesh in (jittered, build_disk_mesh(geometry, 8, 1)):
+        _check_forms_against_dense_assembly(mesh, k)
+
+
+def _check_forms_against_dense_assembly(mesh, k):
     space = build_space(mesh, k)
     space0 = space.zero_trace()
     coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
@@ -476,6 +483,66 @@ def test_forms_match_dense_local_assembly(geometry, k):
         want = dense[np.ix_(row.active, col.active)]
         got = form.matrix.toarray()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=0.0)
+
+
+def _all_forms(space, tik):
+    space0 = space.zero_trace()
+    return {
+        "stiffness": assemble_stiffness(space),
+        "zero-trace stiffness": assemble_stiffness(space0),
+        "mixed stiffness": assemble_stiffness(space0, space),
+        "data mass": assemble_region_mass(space, Region.OMEGA_DATA),
+        "all-region mass": assemble_region_mass(space, ALL_REGIONS),
+        "gradient jump": assemble_gradient_jump(space),
+        "cell laplacian": assemble_cell_laplacian(space),
+        "stabilization": assemble_stabilization(space, tik),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_forms_are_exactly_rotation_invariant(geometry, k):
+    # the forms a solve reads commute with the dof rotation and are
+    # symmetric bit for bit, not to rounding
+    for level in (1, 2, 3):
+        mesh = build_disk_mesh(geometry, 8, level)
+        space = build_space(mesh, k)
+        rot = space.rotation
+        forms = _all_forms(space, mesh.h)
+        for name in ("stabilization", "data mass", "all-region mass", "stiffness"):
+            A = forms[name].matrix
+            assert (A[rot][:, rot] != A).nnz == 0, (name, level)
+            assert (A.T != A).nnz == 0, (name, level)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_forms_refuse_a_rotation_that_does_not_turn_the_mesh(geometry, k):
+    # the forms are replicated by the recorded rotation, so vertices it does
+    # not carry onto each other would give the forms of another mesh
+    mesh = build_disk_mesh(geometry, 8, 2)
+    vertices = mesh.vertices.copy()
+    vertices[1] += 1e-3  # a vertex on the r1 circle
+    space = build_space(replace(mesh, vertices=vertices), k)
+    for assemble in (assemble_stiffness, assemble_gradient_jump, assemble_cell_laplacian):
+        with pytest.raises(ValueError, match="does not turn"):
+            assemble(space)
+    with pytest.raises(ValueError, match="does not turn"):
+        assemble_region_mass(space, ALL_REGIONS)
+    with pytest.raises(ValueError, match="does not turn"):
+        assemble_stabilization(space, mesh.h)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_replicated_forms_match_full_assembly(geometry, k):
+    # the same mesh without its recorded rotation assembles every row itself
+    for level in (1, 2, 3, 4):
+        mesh = build_disk_mesh(geometry, 8, level)
+        replicated = _all_forms(build_space(mesh, k), 0.37)
+        full = _all_forms(build_space(replace(mesh, rotation=None), k), 0.37)
+        for name, form in replicated.items():
+            got, want = form.matrix, full[name].matrix
+            assert got.shape == want.shape
+            scale = abs(want).max() if want.nnz else 1.0
+            assert abs(got - want).max() <= 1e-13 * scale, (name, level)
 
 
 @pytest.mark.parametrize("k", [1, 2])
