@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from functools import partial
 from pathlib import Path
@@ -116,7 +117,9 @@ def _cmd_uc(args, cfg: RunConfig) -> int:
         f"uc level={level} k={cfg.k} dofs=({sol.primal_space.n_dofs},{sol.dual_space.n_dofs}) "
         f"h={msh.h:.6e} tik={sol.tikhonov_scale:.6e} err_l2_B={err.l2:.6e} "
         f"residual={sol.solve_residual:.3e} s={s:.6e} dual={dual:.6e} omega={omega:.6e} "
-        f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e}"
+        f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e} "
+        # the process's peak resident set so far; ru_maxrss counts KiB on Linux
+        f"peak_rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
     )
     return 0
 

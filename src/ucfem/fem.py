@@ -77,7 +77,9 @@ class FeSpace:
     boundary.  Coefficient vectors carry the dofs `active` (all of them
     here); `expand_coeffs` pads the others with zero.  On a mesh with a
     recorded rotation, `rotation` maps each dof to the dof the turn carries
-    it to (None otherwise); `orbits` is `sparse.cyclic_orbits` of that map.
+    it to (None otherwise); `orbits` is `sparse.cyclic_orbits` of that map,
+    and `turns_mesh` whether the turn carries the vertices onto each other
+    (every form refuses a space without it).
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -102,8 +104,12 @@ class FeSpace:
         # the mesh rotation carried to the dofs: dof i turns into dof rotation[i]
         self.rotation = None
         if mesh.rotation is not None:
-            self.rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
+            self.rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints
         self.orbits = cyclic_orbits(self.rotation, self.dof_coords)
+        # the forms replicated by the turn (`_gram`) are this mesh's only if it turns its vertices
+        m = self.orbits[0].shape[1]
+        z = mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(mesh.vertices).max()
+        self.turns_mesh = m == 1 or abs(z[mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9
 
         # element geometry: grad(lambda_i) is the edge opposite vertex i,
         # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
@@ -203,7 +209,11 @@ def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
 
 def _near_reps(space: FeSpace) -> np.ndarray:
     """Per element, whether it holds a representative dof (see `_gram`)."""
-    return (np.take(space.orbits[3], space.full_map) == 0).any(axis=1)
+    rep = space.orbits[3] == 0
+    near = rep[space.full_map[:, 0]]
+    for dofs in space.full_map.T[1:]:
+        near |= rep[dofs]
+    return near
 
 
 def _gram(space: FeSpace, D) -> sp.csr_matrix:
@@ -212,9 +222,7 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     the elements and faces `_near_reps` keeps, each with a dof once."""
     orbits, fixed, rep, shift = space.orbits
     nr, m = orbits.shape
-    # the rows below are only those of this mesh if the turn maps it onto itself
-    z = space.mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(space.mesh.vertices).max()
-    if m > 1 and not abs(z[space.mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9:
+    if not space.turns_mesh:
         raise ValueError(f"the mesh rotation does not turn its vertices by 2 pi / {m}")
     # turn s of representative number r: orbits[r, s], or the fixed dof itself
     table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)])

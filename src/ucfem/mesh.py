@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -98,15 +99,19 @@ class Mesh:
         regions = [int(r) for r in (regions if hasattr(regions, "__iter__") else [regions])]
         return np.nonzero(np.isin(self.region_tag, regions))[0]
 
+    @cached_property
     def rotation_with_midpoints(self) -> np.ndarray:
         """The recorded rotation extended to the edge midpoints, numbered
         n_vertices + e: the midpoint of edge e turns into the midpoint of
-        the turned edge."""
+        the turned edge.  Computed once per mesh, read-only: the k=2 space
+        and the refined mesh share it."""
         nv = self.n_vertices
         ends = self.rotation[self.edges]
         key = self.edges[:, 0] * nv + self.edges[:, 1]
         turned = ends.min(axis=1) * nv + ends.max(axis=1)
-        return np.concatenate([self.rotation, nv + np.searchsorted(key, turned)])
+        out = np.concatenate([self.rotation, nv + np.searchsorted(key, turned)])
+        out.setflags(write=False)
+        return out
 
 
 @dataclass
@@ -310,7 +315,7 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
             "for this sector count, rebuild with more sectors"
         )
     if mesh.rotation is not None:
-        child = replace(child, rotation=mesh.rotation_with_midpoints())
+        child = replace(child, rotation=mesh.rotation_with_midpoints)
     return child
 
 

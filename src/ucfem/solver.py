@@ -7,9 +7,13 @@ multiplier z_h (zero-trace space) through
     [ B            -A0  ] [z] = [ 0                   ]
 
 where S is the mesh-dependent regularization, M_omega the data-region
-mass, B the mixed stiffness and A0 the Dirichlet stiffness.  Testing the
-system with (u, -z) reproduces the squared stability norm, which is what
-guarantees solvability and is checked numerically by `verify_positivity`.
+mass, B the mixed stiffness and A0 the Dirichlet stiffness.  The saddle
+matrix is kept as these four forms (`sparse.Saddle`): the Fourier-mode
+blocks are built from its representatives' rows and the residual check
+applies it block by block, so neither it nor S + M_omega is formed.
+Testing the system with (u, -z) reproduces the squared stability norm,
+which is what guarantees solvability and is checked numerically by
+`verify_positivity`.
 The data perturbation dq enters only through the right-hand side, so
 `make_perturbation` returns its load vector (dq, phi)_omega together with
 the certified norm ||dq||_{L2(omega)} on which the error estimates depend.
@@ -77,9 +81,9 @@ def solve_poisson(space0: FeSpace, f) -> np.ndarray:
 
 
 def _solve_ordered(K, b, coords, rotation) -> tuple[np.ndarray, float]:
-    """x and its `achieved_residual` on K for K x = b, K commuting with the
-    dof rotation (None: no symmetry): one `solve_direct` of the excited
-    Fourier modes, each in the nested-dissection order of its
+    """x and its `achieved_residual` on K for K x = b, K (CSR or a `Saddle`)
+    commuting with the dof rotation (None: no symmetry): one `solve_direct`
+    of the excited Fourier modes, each in the nested-dissection order of its
     representatives' points, recombined (`CyclicModes`), at the block
     tolerance that keeps x within the contract on K.  x = 0 for b = 0.
     SolverError if x misses the contract, as for a K that does not commute
@@ -144,12 +148,12 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
 
 
 def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float):
-    """The CSR forms S, M_omega, A0 and B keyed by name, and the saddle matrix K of them."""
+    """The CSR forms S, M_omega, A0 and B keyed by name, and the `Saddle` K of them."""
     S = assemble_stabilization(space, tik).matrix
     M_omega = assemble_region_mass(space, Region.OMEGA_DATA).matrix
     A0 = assemble_stiffness(space0).matrix
     B = assemble_stiffness(space0, space).matrix
-    K = compose_saddle(S + M_omega, B, A0)
+    K = compose_saddle(S, M_omega, B, A0)
     return {"S": S, "M_omega": M_omega, "A0": A0, "B": B}, K
 
 

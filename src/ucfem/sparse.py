@@ -1,8 +1,10 @@
-"""Saddle-point composition, a nested-dissection ordering, a direct
-sparse solver with residual checks, and the split of a rotation-invariant
-system into its Fourier modes.
+"""The saddle matrix kept as its four blocks, a nested-dissection
+ordering, a direct sparse solver with residual checks, and the split of a
+rotation-invariant system into its Fourier modes.
 
-Matrices are scipy CSR throughout (sorted indices, summed duplicates).
+Matrices are scipy CSR throughout (sorted indices, summed duplicates),
+except the saddle matrix, which is never formed: `Saddle` applies it block
+by block and builds only the rows `CyclicModes` reads.
 `solve_direct` factors with SuperLU in the order it is given, without
 pivoting; callers order the system first with `nested_dissection`, whose
 separators are minimum vertex covers of the edges each cut crosses.  A
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import ctypes
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,29 +51,63 @@ def _check_finite(x, what):
         raise ValueError(f"{what} contains NaN or Inf")
 
 
-def compose_saddle(S_uw, B, A0) -> sp.csr_matrix:
-    """Block matrix [[S_uw, B^T], [B, -A0]] of the primal-dual system.
+@dataclass(frozen=True, eq=False)
+class Saddle:
+    """K = [[S + M_omega, B^T], [B, -A0]] kept as its CSR blocks, S and
+    M_omega (N,N), B (M,N), A0 (M,M); neither K nor S + M_omega is formed.
 
-    S_uw is the (N,N) primal block (stabilization plus data mass), B the
-    (M,N) constraint coupling, A0 the (M,M) dual stiffness.  The result is
-    exactly symmetric.
+    `K @ x` is taken block by block.  `K[rows]` builds the requested rows of
+    K, in the order asked, bit for bit: a primal row p is S[p] + M_omega[p],
+    summed as S + M_omega sums, then column p of B; a dual row d is B[d],
+    then -A0[d].  `max_abs` is max|K|.  K is exactly symmetric.
     """
-    S_uw = sp.csr_matrix(S_uw)
-    B = sp.csr_matrix(B)
-    A0 = sp.csr_matrix(A0)
-    n = S_uw.shape[0]
-    m = A0.shape[0]
-    if S_uw.shape != (n, n) or A0.shape != (m, m) or B.shape != (m, n):
+
+    S: sp.csr_matrix
+    M_omega: sp.csr_matrix
+    B: sp.csr_matrix
+    A0: sp.csr_matrix
+
+    @property
+    def shape(self):
+        return (self.S.shape[0] + self.A0.shape[0],) * 2
+
+    def __matmul__(self, x):
+        u, z = x[: self.S.shape[0]], x[self.S.shape[0] :]
+        return np.concatenate([self.S @ u + self.M_omega @ u + self.B.T @ z, self.B @ u - self.A0 @ z])
+
+    def __getitem__(self, rows):
+        rows = np.asarray(rows)
+        dual = rows >= self.S.shape[0]
+        p, d = rows[~dual], rows[dual] - self.S.shape[0]
+        top = sp.hstack([self.S[p] + self.M_omega[p], self.B[:, p].T], format="csr")
+        bottom = sp.hstack([self.B[d], -self.A0[d]], format="csr")
+        K = sp.vstack([top, bottom], format="csr")[np.argsort(np.argsort(dual, kind="stable"))]
+        K.sort_indices()
+        return K
+
+    @cached_property
+    def max_abs(self) -> float:
+        S, M = self.S, self.M_omega
+        summed = np.diff(M.indptr) > 0  # the rows where S + M_omega is not S
+        alone = S.data[np.repeat(~summed, np.diff(S.indptr))]
+        parts = (alone, (S[summed] + M[summed]).data, self.B.data, self.A0.data)
+        return float(max(np.abs(part).max(initial=0.0) for part in parts))
+
+
+def compose_saddle(S, M_omega, B, A0) -> Saddle:
+    """The primal-dual `Saddle` of the CSR forms: S the stabilization,
+    M_omega the data-region mass, B the constraint coupling, A0 the dual stiffness."""
+    n, m = S.shape[0], A0.shape[0]
+    if S.shape != (n, n) or M_omega.shape != (n, n) or A0.shape != (m, m) or B.shape != (m, n):
         raise ValueError(
-            f"incompatible blocks: S{S_uw.shape}, B{B.shape}, A0{A0.shape}"
+            f"incompatible blocks: S{S.shape}, M_omega{M_omega.shape}, B{B.shape}, A0{A0.shape}"
         )
-    # two CSR rows stacked: bmat would go through COO triplets of all four blocks
-    K = sp.vstack(
-        [sp.hstack([S_uw, B.T.tocsr()], format="csr"), sp.hstack([B, -A0], format="csr")],
-        format="csr",
-    )
-    K.sort_indices()
-    return K
+    return Saddle(S, M_omega, B, A0)
+
+
+def max_abs(K) -> float:
+    """max|K| over the entries of a CSR/CSC matrix (duplicates summed) or a `Saddle`."""
+    return K.max_abs if isinstance(K, Saddle) else float(np.abs(K.data).max(initial=0.0))
 
 
 def solve_direct(K, b, rel_tol: float = REL_TOL) -> np.ndarray:
@@ -167,9 +205,9 @@ def _lu_solve(K, b, rel_tol, pivoting):
 
 def achieved_residual(K, x, b) -> float:
     """Relative residual ||K x - b||_2 / (max|K| * ||x||_2 + ||b||_2), the
-    solve_direct contract's scaling; K is CSR or CSC with summed duplicates."""
-    kmax = np.abs(K.data).max(initial=0.0)
-    scale = kmax * np.linalg.norm(x) + np.linalg.norm(b)
+    solve_direct contract's scaling; K is a CSR/CSC matrix with summed
+    duplicates or a `Saddle` (see `max_abs`)."""
+    scale = max_abs(K) * np.linalg.norm(x) + np.linalg.norm(b)
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(K @ x - b) / scale)
@@ -336,8 +374,8 @@ class CyclicModes:
     r of E_j holds exp(2 pi i j s / m) / sqrt(m) at the s-th turn of
     representative r (a fixed unknown belongs to mode 0 alone, with
     weight 1).  Block j, K_j = E_j^H K E_j, is built from the
-    representatives' rows of K: K_j[r, r'] = sum_t exp(2 pi i j t / m)
-    K[r, turn^t r'].  For real K and b mode m - j is the conjugate of mode
+    representatives' rows of K, the only rows read (K is CSR or a
+    `Saddle`): K_j[r, r'] = sum_t exp(2 pi i j t / m) K[r, turn^t r'].  For real K and b mode m - j is the conjugate of mode
     j, so only j = 0..m/2 are solved and
 
         x = sum_j c_j Re(E_j x_j),  c_j = 1 for j in {0, m/2}, else 2.
@@ -404,7 +442,7 @@ class CyclicModes:
         self.matrix = sp.csc_matrix((values, (r, c)), shape=(offset, offset))
         self.rhs = np.concatenate(rhs) if np.iscomplexobj(values) else np.concatenate(rhs).real
         # both maxima over assembled entries, duplicates summed
-        self.rel_tol = 0.5 * REL_TOL * min(1.0, np.abs(K.data).max() / np.abs(self.matrix.data).max())
+        self.rel_tol = 0.5 * REL_TOL * min(1.0, max_abs(K) / np.abs(self.matrix.data).max())
 
     def recombine(self, y) -> np.ndarray:
         """The real x = sum_j c_j Re(E_j x_j) of the stacked block solution y."""

@@ -297,6 +297,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "err_l2_B=" in out
 
+    def test_uc_reports_peak_rss(self, capsys):
+        assert main(["--set", "levels = 1", "uc"]) == 0
+        fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split()[1:])
+        # this process has at least numpy and scipy loaded
+        assert 10.0 < float(fields["peak_rss_mb"]) < 1e5
+
     def test_converge_writes_artifacts(self, tmp_path, capsys):
         code = main(["--out-dir", str(tmp_path), "--set", "levels = 1..2", "converge"])
         assert code == 0

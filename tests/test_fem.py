@@ -48,6 +48,14 @@ class TestSpaces:
         with pytest.raises(ValueError):
             build_space(base_mesh, 3)
 
+    def test_k2_space_and_refinement_share_the_midpoint_rotation(self, geometry):
+        # the map is computed once per mesh, not by each of its two readers
+        mesh = build_disk_mesh(geometry, 8, 2)
+        turn = mesh.rotation_with_midpoints
+        assert build_space(mesh, 2).rotation is turn
+        assert refine_uniform(mesh, geometry).rotation is turn
+        assert not turn.flags.writeable
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_zero_trace_is_a_view_of_the_full_space(self, geometry, k):
         mesh = build_disk_mesh(geometry, 8, 2)
@@ -63,7 +71,7 @@ class TestSpaces:
             assert getattr(space0, name) is getattr(space, name)
 
         # the turn renumbered through the full-to-active map
-        turn = mesh.rotation if k == 1 else mesh.rotation_with_midpoints()
+        turn = mesh.rotation if k == 1 else mesh.rotation_with_midpoints
         full_to_active = -np.ones(space.n_full, dtype=np.int64)
         full_to_active[space0.active] = np.arange(space0.n_dofs)
         assert np.array_equal(space0.rotation, full_to_active[turn[space0.active]])

@@ -28,8 +28,17 @@ from ucfem.solver import (
     solve_uc,
     verify_positivity,
 )
-from ucfem.sparse import REL_TOL, CyclicModes, SolverError, achieved_residual, compose_saddle
+from ucfem.sparse import (
+    REL_TOL,
+    CyclicModes,
+    Saddle,
+    SolverError,
+    achieved_residual,
+    compose_saddle,
+    cyclic_orbits,
+)
 from test_fem import jittered_disk_mesh
+from test_sparse import composed
 
 
 #: 1 - |x|^2, the f = 4 manufactured solution on the unit disk
@@ -130,10 +139,10 @@ def region_mass(space):
 
 
 def saddle_system(mesh, k, exact, perturbation=PerturbationSpec()):
-    """The saddle matrix, load, dof points and dof rotation of `solve_uc`."""
+    """The `Saddle`, load, dof points and dof rotation of `solve_uc`."""
     sol = solve_uc(mesh, k, exact, perturbation)
     space, space0, f = sol.primal_space, sol.dual_space, sol.forms
-    K = compose_saddle(f["S"] + f["M_omega"], f["B"], f["A0"])
+    K = compose_saddle(f["S"], f["M_omega"], f["B"], f["A0"])
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + sol.perturbation.load
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
     return (K, rhs, *saddle_dofs(space, space0))
@@ -150,6 +159,7 @@ class TestCyclicModes:
             mesh = build_disk_mesh(geometry, 8, level)
             K, _, coords, rot = saddle_system(mesh, k, HarmonicMonomial(4))
             assert np.abs(coords[rot] - coords @ np.array([[c, s], [-s, c]])).max() < 1e-14
+            K = composed(K)
             assert abs(K[rot][:, rot] - K).max() == 0.0
 
     @pytest.mark.parametrize(
@@ -240,8 +250,25 @@ class TestCyclicModes:
         for _ in range(5):
             x, res = solver._solve_ordered(K, rhs, coords, rot)
             assert res == achieved_residual(K, x, rhs) <= REL_TOL
-        ratio = np.abs(K.data).max() / np.abs(splits[0].matrix.data).max()
+        ratio = np.abs(composed(K).data).max() / np.abs(splits[0].matrix.data).max()
         assert tols == [0.5 * REL_TOL * min(1.0, ratio)] * 5
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reads_only_the_representatives_rows(self, geometry, k, monkeypatch):
+        # the mode blocks are built from one request for the rows of the
+        # orbit representatives: neither K nor any other of its rows is formed
+        requests = []
+        rows_of = Saddle.__getitem__
+
+        def recorded(K, rows):
+            requests.append(np.array(rows))
+            return rows_of(K, rows)
+
+        monkeypatch.setattr(Saddle, "__getitem__", recorded)
+        sol = solve_uc(build_disk_mesh(geometry, 8, 2), k, ZeroField(), NOISE)
+        orbits, fixed = cyclic_orbits(*saddle_dofs(sol.primal_space, sol.dual_space)[::-1])[:2]
+        assert len(requests) == 1
+        assert np.array_equal(requests[0], np.concatenate([orbits[:, 0], fixed]))
 
     def test_zero_load_solves_nothing(self, geometry, monkeypatch):
         mesh = build_disk_mesh(geometry, 8, 2)
@@ -359,7 +386,7 @@ class TestSolveUc:
         exact = HarmonicMonomial(3)
         sol = solve_uc(mesh_l2, 1, exact)
         f = sol.forms
-        K = compose_saddle(f["S"] + f["M_omega"], f["B"], f["A0"])
+        K = composed(compose_saddle(f["S"], f["M_omega"], f["B"], f["A0"]))
         load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA)
         x = spsolve(K.tocsc(), np.concatenate([load, np.zeros(sol.dual_space.n_dofs)]))
         u = x[: sol.primal_space.n_dofs]
@@ -441,7 +468,7 @@ class TestPositivity:
         Mw = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
         A0 = assemble_stiffness(space0).matrix
         B = assemble_stiffness(space0, space).matrix
-        K = compose_saddle(S + Mw, B, A0)
+        K = compose_saddle(S, Mw, B, A0)
         rng = np.random.default_rng(2)
         u = rng.uniform(-1, 1, space.n_dofs)
         z = rng.uniform(-1, 1, space0.n_dofs)

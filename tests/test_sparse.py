@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 import ucfem.sparse
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
 from ucfem.mesh import Region, build_disk_mesh
+from ucfem.solver import saddle_dofs
 from ucfem.sparse import (
     LEAF_SIZE,
     SolverError,
@@ -17,42 +18,106 @@ from ucfem.sparse import (
     nested_dissection,
     solve_direct,
 )
+from test_fem import jittered_disk_mesh
 
 
 def saddle(space, space0):
-    """The saddle matrix [[S + M_omega, B^T], [B, -A0]] with Tikhonov scale h."""
+    """The `Saddle` [[S + M_omega, B^T], [B, -A0]] with Tikhonov scale h."""
     S = assemble_stabilization(space, space.mesh.h).matrix
     M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
     B = assemble_stiffness(space0, space).matrix
-    return compose_saddle(S + M, B, assemble_stiffness(space0).matrix)
+    return compose_saddle(S, M, B, assemble_stiffness(space0).matrix)
+
+
+def composed(K):
+    """The matrix of the `Saddle` K composed with sp.bmat, sorted: the
+    reference its rows, products and maximum are tested against."""
+    full = sp.bmat([[K.S + K.M_omega, K.B.T], [K.B, -K.A0]], format="csr")
+    full.sort_indices()
+    return full
+
+
+def all_rows(K):
+    return K[np.arange(K.shape[0])]
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestComposeSaddle:
     def test_scalar_blocks(self):
         K = compose_saddle(
-            sp.csr_matrix(np.array([[2.0]])),
+            sp.csr_matrix(np.array([[1.5]])),
+            sp.csr_matrix(np.array([[0.5]])),
             sp.csr_matrix(np.array([[3.0]])),
             sp.csr_matrix(np.array([[5.0]])),
         )
-        assert np.array_equal(K.toarray(), np.array([[2.0, 3.0], [3.0, -5.0]]))
+        assert K.shape == (2, 2)
+        assert np.array_equal(all_rows(K).toarray(), np.array([[2.0, 3.0], [3.0, -5.0]]))
+        assert np.array_equal(K[[1, 0]].toarray(), np.array([[3.0, -5.0], [2.0, 3.0]]))
+        assert np.array_equal(K @ np.array([1.0, 2.0]), np.array([8.0, -7.0]))
+        assert ucfem.sparse.max_abs(K) == 5.0
 
     def test_exactly_symmetric(self, mesh_l2):
         space = build_space(mesh_l2, 1)
-        K = saddle(space, space.zero_trace())
+        K = all_rows(saddle(space, space.zero_trace()))
         assert abs(K - K.T).max() == 0.0
 
     def test_zero_coupling_decouples(self):
-        Suw = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
+        S = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
         B = sp.csr_matrix((1, 2))
         A0 = sp.csr_matrix(np.array([[4.0]]))
-        K = compose_saddle(Suw, B, A0)
-        x = solve_direct(K, np.array([2.0, 3.0, 0.0]))
+        K = compose_saddle(S, sp.csr_matrix((2, 2)), B, A0)
+        x = solve_direct(all_rows(K), np.array([2.0, 3.0, 0.0]))
         assert np.allclose(x[:2], [1.0, 1.0], atol=1e-14)
         assert x[2] == 0.0
 
     def test_dimension_mismatch(self):
+        eye2, eye3 = sp.eye(2, format="csr"), sp.eye(3, format="csr")
         with pytest.raises(ValueError):
-            compose_saddle(sp.eye(2, format="csr"), sp.eye(3, format="csr"), sp.eye(2, format="csr"))
+            compose_saddle(eye2, eye2, eye3, eye2)
+        with pytest.raises(ValueError):
+            compose_saddle(eye2, eye3, eye2, eye2)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mesh_kind", ["rotated", "jittered"])
+    def test_blocks_match_the_composed_matrix(self, geometry, k, mesh_kind):
+        # rows at the representatives and at arbitrary indices, in the order
+        # asked, and max|K| are bitwise those of the sp.bmat reference
+        if mesh_kind == "rotated":
+            mesh = build_disk_mesh(geometry, 8, 2)
+        else:
+            mesh = jittered_disk_mesh(geometry, 2, seed=3, amplitude=1.0)
+        space = build_space(mesh, k)
+        space0 = space.zero_trace()
+        K = saddle(space, space0)
+        want = composed(K)
+        orbits, fixed = ucfem.sparse.cyclic_orbits(*saddle_dofs(space, space0)[::-1])[:2]
+        rng = np.random.default_rng(k)
+        n = K.shape[0]
+        for rows in (
+            np.concatenate([orbits[:, 0], fixed]),
+            rng.permutation(n)[: n // 3],
+            np.array([n - 1, 0, space.n_dofs, space.n_dofs - 1]),
+            np.arange(n),
+        ):
+            assert_same_csr(K[rows], want[rows])
+        assert ucfem.sparse.max_abs(K) == np.abs(want.data).max()
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            assert np.abs(K @ x - want @ x).max() <= 1e-15 * np.abs(want @ x).max()
+
+    def test_max_abs_sums_the_data_mass(self, mesh_l2):
+        # with a large data mass max|K| lies in S + M_omega, not in S alone
+        space = build_space(mesh_l2, 1)
+        K = saddle(space, space.zero_trace())
+        heavy = compose_saddle(K.S, 1e3 * K.M_omega, K.B, K.A0)
+        kmax = ucfem.sparse.max_abs(heavy)
+        assert kmax == np.abs(composed(heavy).data).max() > np.abs(K.S.data).max()
+        assert ucfem.sparse.max_abs(composed(heavy)) == kmax
 
     def test_positivity_identity_matrix_form(self, mesh_l2):
         # [u; -z]^T K [u; z] == u^T (S + M_w) u + z^T A0 z, the matrix form of
@@ -63,7 +128,7 @@ class TestComposeSaddle:
         M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
         B = assemble_stiffness(space0, space).matrix
         A0 = assemble_stiffness(space0).matrix
-        K = compose_saddle(S + M, B, A0)
+        K = compose_saddle(S, M, B, A0)
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = rng.uniform(-1, 1, space.n_dofs)
@@ -152,7 +217,7 @@ class TestFallback:
         # filterwarnings turns the fallback warning into an error
         space = build_space(mesh_l2, 1)
         space0 = space.zero_trace()
-        K = saddle(space, space0)
+        K = all_rows(saddle(space, space0))
         rng = np.random.default_rng(2)
         p = rng.permutation(K.shape[0])
         b = rng.standard_normal(K.shape[0])
@@ -166,7 +231,7 @@ class TestNestedDissection:
     def system(self, mesh_l2):
         space = build_space(mesh_l2, 1)
         space0 = space.zero_trace()
-        return np.concatenate([space.dof_coords, space0.dof_coords]), saddle(space, space0)
+        return np.concatenate([space.dof_coords, space0.dof_coords]), all_rows(saddle(space, space0))
 
     def test_is_permutation(self, system):
         coords, K = system
@@ -240,7 +305,7 @@ class TestNestedDissection:
         mesh = build_disk_mesh(geometry, 8, 3)
         space = build_space(mesh, 2)
         space0 = space.zero_trace()
-        K = saddle(space, space0)
+        K = all_rows(saddle(space, space0))
         p = nested_dissection(np.concatenate([space.dof_coords, space0.dof_coords]), K)
         symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         ordered = spla.splu(sp.csc_matrix(K[p][:, p]), permc_spec="NATURAL", **symmetric)
@@ -255,7 +320,7 @@ class TestNestedDissection:
         mesh = build_disk_mesh(geometry, 8, 4)
         space = build_space(mesh, 1)
         space0 = space.zero_trace()
-        K = saddle(space, space0)
+        K = all_rows(saddle(space, space0))
         coords = np.concatenate([space.dof_coords, space0.dof_coords])
         p = nested_dissection(coords, K)
         ordered = spla.splu(
