@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -74,16 +75,24 @@ def _cmd_three_ball(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far; ru_maxrss counts KiB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _cmd_mesh(args, cfg: RunConfig) -> int:
     level = cfg.levels[-1]
+    start = time.perf_counter()
     msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=level)
+    mesh_s = time.perf_counter() - start
     diag = meshmod.validate(msh)
     path = _out_path(args, cfg.output.csv, f"mesh_l{level}.txt")
     meshmod.write_mesh(msh, path)
     print(
         f"mesh level={level} vertices={msh.n_vertices} triangles={msh.n_triangles} "
         f"h={msh.h:.6e} shape_ratio={diag.shape_ratio:.4f} "
-        f"violations={len(diag.violations)} file={path}"
+        f"violations={len(diag.violations)} file={path} mesh_s={mesh_s:.3f} "
+        f"peak_rss_mb={_peak_rss_mb():.1f}"
     )
     return 0
 
@@ -117,9 +126,7 @@ def _cmd_uc(args, cfg: RunConfig) -> int:
         f"uc level={level} k={cfg.k} dofs=({sol.primal_space.n_dofs},{sol.dual_space.n_dofs}) "
         f"h={msh.h:.6e} tik={sol.tikhonov_scale:.6e} err_l2_B={err.l2:.6e} "
         f"residual={sol.solve_residual:.3e} s={s:.6e} dual={dual:.6e} omega={omega:.6e} "
-        f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e} "
-        # the process's peak resident set so far; ru_maxrss counts KiB on Linux
-        f"peak_rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
+        f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e} peak_rss_mb={_peak_rss_mb():.1f}"
     )
     return 0
 
@@ -197,7 +204,7 @@ def _selftest_checks(cfg: RunConfig):
         space = fem.build_space(msh, 1)
         M = fem.assemble_region_mass(space, meshmod.ALL_REGIONS).matrix
         ones = np.ones(space.n_dofs)
-        area = float(np.abs(meshmod.signed_areas(msh)).sum())
+        area = float(np.abs(msh.signed_areas).sum())
         return abs(ones @ (M @ ones) - area) <= 1e-12 * area
 
     return [

@@ -52,7 +52,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .fields import _field_gradient, _field_values
-from .mesh import Mesh, element_diameters, signed_areas
+from .mesh import Mesh, element_diameters
 from .sparse import cyclic_orbits
 
 #: the degree-4 rule of the load and the error norms, whose fields are not polynomial
@@ -113,10 +113,10 @@ class FeSpace:
 
         # element geometry: grad(lambda_i) is the edge opposite vertex i,
         # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
-        v = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
-        self.det = 2.0 * signed_areas(mesh)
-        edge = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-        self.grad_lam = np.stack([-edge[..., 1], edge[..., 0]], axis=2) / self.det[:, None, None]
+        self.det = 2.0 * mesh.signed_areas
+        x, y = (np.take(c, mesh.triangles) for c in mesh.vertices.T)  # (nt, 3) each
+        ex, ey = x[:, [2, 0, 1]] - x[:, [1, 2, 0]], y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+        self.grad_lam = np.stack([-ey, ex], axis=2) / self.det[:, None, None]
 
     def zero_trace(self) -> FeSpace:
         """V_0h, the dofs off the polygonal boundary, as a view of this full
@@ -245,12 +245,18 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     c = np.r_[G.col[~spread], turned[at[G.col[spread], None] + np.arange(m)].ravel()]
     v = np.r_[G.data[~spread], np.repeat(G.data[spread], m)]
     G = sp.csr_matrix((v, (i, c)), shape=G.shape)
-    # row u is row rep[u] of G with its columns turned shift[u] times
+    # row u is row rep[u] of G with its columns turned shift[u] times; the
+    # n-long arrays are built in int32, in place, one temporary at a time
     length = np.diff(G.indptr)[rep]
-    indptr = np.r_[0, np.cumsum(length)]
-    src = np.arange(indptr[-1]) + np.repeat(G.indptr[rep] - indptr[:-1], length)
-    indices = turned[at[G.indices][src] + np.repeat(shift, length)]
-    mat = sp.csr_matrix((G.data[src], indices, indptr), shape=(space.n_full, space.n_full))
+    indptr = np.r_[0, np.cumsum(length)].astype(np.int32)
+    src = np.repeat((G.indptr[rep] - indptr[:-1]).astype(np.int32), length)
+    src += np.arange(indptr[-1], dtype=np.int32)  # entry j of the result is entry src[j] of G
+    indices = np.take(at[G.indices].astype(np.int32), src)
+    indices += np.repeat(shift.astype(np.int32), length)
+    np.take(turned.astype(np.int32), indices, out=indices)
+    data = np.take(G.data, src)
+    del src
+    mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
     mat.sort_indices()
     return mat
 

@@ -7,6 +7,11 @@ four via edge midpoints); midpoints of edges whose endpoints lie on the
 same circle are projected back onto that circle, so the polygonal
 interfaces converge to the circles and the region tags stay exact at every
 level.
+
+Only the base mesh (and a mesh given as arrays) derives its topology by
+sorting its edge occurrences (`mesh_from_arrays`); a refined mesh's
+edges, faces and neighbours are written by construction from its
+parent's (`refine_uniform`), array for array the same.
 """
 
 from __future__ import annotations
@@ -113,6 +118,18 @@ class Mesh:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def signed_areas(self) -> np.ndarray:
+        """Signed triangle areas, positive for positive orientation, from
+        1-D coordinate gathers.  Computed once per mesh, read-only: the
+        refinement's inversion check, the space's det, the quadratures and
+        `validate` share it."""
+        x, y = (np.take(c, self.triangles) for c in self.vertices.T)  # (nt, 3) each
+        a, b = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]), (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+        out = 0.5 * (a - b)
+        out.setflags(write=False)
+        return out
+
 
 @dataclass
 class MeshDiagnostics:
@@ -169,12 +186,22 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
     shared = counts > 1
     edge_tris[shared, 1] = order[starts[shared] + 1] // 3
 
+    return _mesh(
+        vertices, triangles, region_tag, vertex_circle, level, edges, tri_edges, edge_tris, counts
+    )
+
+
+def _mesh(
+    vertices, triangles, region_tag, vertex_circle, level, edges, tri_edges, edge_tris, counts,
+    rotation=None,
+) -> Mesh:
+    """The Mesh of the given topology, with its boundary and its size h,
+    the longest edge, taken from 1-D coordinate gathers."""
     boundary_edges = np.nonzero(counts == 1)[0]
-    boundary_vertices = np.unique(edges[boundary_edges])
-
-    edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    h = float(np.sqrt((edge_vec**2).sum(axis=1).max())) if ne else 0.0
-
+    h = 0.0
+    if edges.size:
+        dx, dy = (c[edges[:, 1]] - c[edges[:, 0]] for c in vertices.T)
+        h = float(np.sqrt((dx * dx + dy * dy).max()))
     return Mesh(
         vertices=vertices,
         triangles=triangles,
@@ -187,15 +214,9 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
         edge_tris=edge_tris,
         edge_counts=counts,
         boundary_edges=boundary_edges,
-        boundary_vertices=boundary_vertices,
+        boundary_vertices=np.unique(edges[boundary_edges]),
+        rotation=rotation,
     )
-
-
-def signed_areas(mesh: Mesh) -> np.ndarray:
-    v = np.take(mesh.vertices, mesh.triangles, axis=0)  # (nt, 3, 2)
-    a = v[:, 1] - v[:, 0]
-    b = v[:, 2] - v[:, 0]
-    return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
 def element_diameters(mesh: Mesh) -> np.ndarray:
@@ -257,7 +278,7 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
     rotation = np.concatenate([[0], 1 + turn, 1 + m + turn, 1 + 2 * m + turn])
     mesh = mesh_from_arrays(vertices, tris, tags, level=0, vertex_circle=vertex_circle)
     mesh = replace(mesh, rotation=rotation)
-    if signed_areas(mesh).min() <= 0.0:
+    if mesh.signed_areas.min() <= 0.0:
         raise ValueError("degenerate base mesh; increase sectors")
     for _ in range(level):
         mesh = refine_uniform(mesh, geometry)
@@ -267,6 +288,14 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
 def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
     """Red refinement; same-circle edge midpoints are projected radially.
 
+    The midpoint of parent edge e is vertex nv + e; child 4t + i is the
+    corner of parent t at its vertex i (i < 3) or its middle (i = 3).  The
+    child's topology is written by construction, array for array that of
+    `mesh_from_arrays`, without its sort: edge e splits into the half edges
+    (v, nv + e), in (v, e) order, before the three midpoint edges of each
+    parent, whose ends are >= nv; a half edge keeps the triangle order and
+    count of its parent edge.  The parent must be conforming.
+
     A recorded rotation carries over to the midpoints
     (`Mesh.rotation_with_midpoints`).  The radial projection moves
     interface midpoints outward by r_c * (1 - cos(pi/m)); if an annulus is
@@ -274,8 +303,9 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
     would invert, which is rejected with the same remedy as at
     construction: more sectors.
     """
+    if mesh.edge_counts.max(initial=0) > 2:
+        raise ValueError("red refinement needs every edge in at most two triangles")
     radii = np.array([0.0, geometry.r1, geometry.r2, geometry.r3])
-    nv = mesh.n_vertices
     e0, e1 = mesh.edges[:, 0], mesh.edges[:, 1]
     mids = np.take(mesh.vertices, mesh.edges, axis=0)  # (ne, 2, 2) edge ends
     mids = 0.5 * (mids[:, 0] + mids[:, 1])  # rebound: frees the ends
@@ -290,40 +320,67 @@ def refine_uniform(mesh: Mesh, geometry: Geometry) -> Mesh:
 
     new_vertices = np.vstack([mesh.vertices, mids])
     new_circle = np.concatenate([mesh.vertex_circle, mid_circle])
-
-    t = mesh.triangles
-    m01 = nv + mesh.tri_edges[:, 0]
-    m12 = nv + mesh.tri_edges[:, 1]
-    m20 = nv + mesh.tri_edges[:, 2]
-    children = np.stack(
-        [
-            np.column_stack([t[:, 0], m01, m20]),
-            np.column_stack([t[:, 1], m12, m01]),
-            np.column_stack([t[:, 2], m20, m12]),
-            np.column_stack([m01, m12, m20]),
-        ],
-        axis=1,
-    ).reshape(-1, 3)
-    child_tags = np.repeat(mesh.region_tag, 4)
-
-    child = mesh_from_arrays(
-        new_vertices, children, child_tags, level=mesh.level + 1, vertex_circle=new_circle
+    children, *topology = _red_topology(mesh)
+    child = _mesh(
+        new_vertices, children, np.repeat(mesh.region_tag, 4), new_circle, mesh.level + 1,
+        *topology, None if mesh.rotation is None else mesh.rotation_with_midpoints,
     )
-    if on.size and signed_areas(child).min() <= 0.0:
+    if on.size and child.signed_areas.min() <= 0.0:
         raise ValueError(
             "circle projection inverted a triangle; the annuli are too thin "
             "for this sector count, rebuild with more sectors"
         )
-    if mesh.rotation is not None:
-        child = replace(child, rotation=mesh.rotation_with_midpoints)
     return child
+
+
+def _red_topology(mesh: Mesh):
+    """The triangles, edges, tri_edges, edge_tris and edge counts of the red
+    refinement of `mesh`, written from its own (`refine_uniform`)."""
+    nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    t, te = mesh.triangles, mesh.tri_edges
+    nxt, prev = [1, 2, 0], [2, 0, 1]
+    m = nv + te  # m[:, j]: the midpoint of local edge j, from vertex j to vertex nxt[j]
+    children = np.concatenate([np.stack([t, m, m[:, prev]], axis=2), m[:, None]], axis=1)
+
+    # the half edges (v, nv + e) in (v, e) order; end s of edge e has rank half[2 e + s]
+    order = np.argsort(mesh.edges.ravel(), kind="stable")
+    half = np.empty_like(order)
+    half[order] = np.arange(2 * ne)
+    counts = np.full(2 * ne + 3 * nt, 2, dtype=np.int64)
+    counts[: 2 * ne] = mesh.edge_counts[order // 2]
+    # midpoint edge j of parent t joins m[t, j] and m[t, nxt[j]]; its rank is mid[t, j]
+    lo, hi = np.minimum(m, m[:, nxt]).ravel(), np.maximum(m, m[:, nxt]).ravel()
+    by_key = np.argsort(lo * (nv + ne) + hi)
+    mid = np.empty_like(by_key)
+    mid[by_key] = np.arange(2 * ne, 2 * ne + 3 * nt)
+    mid = mid.reshape(nt, 3)
+    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int64)
+    edges[: 2 * ne, 0], edges[: 2 * ne, 1] = mesh.edges.ravel()[order], nv + order // 2
+    edges[2 * ne :, 0], edges[2 * ne :, 1] = lo[by_key], hi[by_key]
+
+    # local edge j of parent t at its vertex j (first) and at its vertex nxt[j] (second)
+    first = half[2 * te + (t > t[:, nxt])]
+    second = half[2 * te + (t < t[:, nxt])]
+    tri_edges = np.concatenate(
+        [np.stack([first, mid[:, prev], second[:, prev]], axis=2), mid[:, None]], axis=1
+    )
+    # slot 0 holds the smaller child: a half edge takes its parent edge's
+    # slot, a midpoint edge lies in corner child nxt[j], then in the middle
+    base = 4 * np.arange(nt)[:, None]
+    slot = mesh.edge_tris[te, 1] == np.arange(nt)[:, None]
+    edge_tris = -np.ones((2 * ne + 3 * nt, 2), dtype=np.int64)
+    edge_tris.reshape(-1)[2 * first + slot] = base + [0, 1, 2]
+    edge_tris.reshape(-1)[2 * second + slot] = base + nxt
+    edge_tris[mid, 0] = base + nxt
+    edge_tris[mid, 1] = base + 3
+    return children.reshape(-1, 3), edges, tri_edges.reshape(-1, 3), edge_tris, counts
 
 
 def validate(mesh: Mesh) -> MeshDiagnostics:
     """Check mesh invariants; collect violations instead of raising."""
     violations = []
 
-    areas = signed_areas(mesh)
+    areas = mesh.signed_areas
     for i in np.nonzero(areas <= 0.0)[0]:
         violations.append(f"triangle {i}: nonpositive signed area {areas[i]:.3e}")
 

@@ -77,21 +77,25 @@ class Saddle:
 
     def __getitem__(self, rows):
         rows = np.asarray(rows)
-        dual = rows >= self.S.shape[0]
-        p, d = rows[~dual], rows[dual] - self.S.shape[0]
-        top = sp.hstack([self.S[p] + self.M_omega[p], self.B[:, p].T], format="csr")
-        bottom = sp.hstack([self.B[d], -self.A0[d]], format="csr")
-        K = sp.vstack([top, bottom], format="csr")[np.argsort(np.argsort(dual, kind="stable"))]
-        K.sort_indices()
-        return K
+        n = self.S.shape[0]
+        dual = rows >= n
+        p, d = rows[~dual], rows[dual] - n
+        at_p, at_d = (np.flatnonzero(mask).astype(np.int32) for mask in (~dual, dual))
+        top, bt = (self.S[p] + self.M_omega[p]).tocoo(), self.B[:, p].tocoo()
+        bottom, a0 = self.B[d].tocoo(), self.A0[d].tocoo()
+        # each block in sorted row order; a row's left block precedes its
+        # right one, so one COO -> CSR pass gives K[rows] sorted
+        row = np.concatenate([at_p[top.row], at_p[bt.col], at_d[bottom.row], at_d[a0.row]])
+        col = np.concatenate([top.col, n + bt.row, bottom.col, n + a0.col])
+        data = np.concatenate([top.data, bt.data, bottom.data, -a0.data])
+        return sp.csr_matrix((data, (row, col)), shape=(rows.size, self.shape[1]))
 
     @cached_property
     def max_abs(self) -> float:
         S, M = self.S, self.M_omega
         summed = np.diff(M.indptr) > 0  # the rows where S + M_omega is not S
-        alone = S.data[np.repeat(~summed, np.diff(S.indptr))]
-        parts = (alone, (S[summed] + M[summed]).data, self.B.data, self.A0.data)
-        return float(max(np.abs(part).max(initial=0.0) for part in parts))
+        parts = (S[~summed].data, (S[summed] + M[summed]).data, self.B.data, self.A0.data)
+        return float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts))
 
 
 def compose_saddle(S, M_omega, B, A0) -> Saddle:

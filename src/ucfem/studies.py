@@ -27,7 +27,6 @@ from .mesh import (
     Region,
     build_disk_mesh,
     refine_uniform,
-    signed_areas,
 )
 from .quadrature import gauss_rule_01, tri_rule_collapsed
 from .solver import hminus1_residual, solve_uc
@@ -335,7 +334,7 @@ def ball_norm_sq_quadrature(
 
     elements = mesh.region_elements(regions)
     v = mesh.vertices
-    det = 2 * signed_areas(mesh)[elements]
+    det = 2 * mesh.signed_areas[elements]
     pts = np.einsum("qi,eia->eqa", rule.points, v[mesh.triangles[elements]])
     rsq = pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2
     tri_part = float(np.einsum("q,eq,e->", rule.weights, rsq**p, det))

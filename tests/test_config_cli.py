@@ -250,6 +250,15 @@ class TestCli:
         header = (tmp_path / "mesh_l1.txt").read_text().splitlines()[0]
         assert header == "mesh v1 89 160"
 
+    def test_mesh_reports_time_and_peak_rss(self, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path), "--set", "levels = 2", "mesh"]) == 0
+        line = capsys.readouterr().out
+        assert re.search(r" mesh_s=\S+ peak_rss_mb=\S+\n$", line)
+        fields = dict(item.split("=", 1) for item in line.split()[1:])
+        assert 0.0 < float(fields["mesh_s"]) < 60.0
+        # this process has at least numpy and scipy loaded
+        assert 10.0 < float(fields["peak_rss_mb"]) < 1e5
+
     def test_config_error_exit_code(self, capsys):
         assert main(["--set", "geometry.r2 = 2.0", "alpha"]) == 2
         assert "error=config" in capsys.readouterr().err

@@ -30,7 +30,6 @@ from ucfem.mesh import (
     element_diameters,
     mesh_from_arrays,
     refine_uniform,
-    signed_areas,
 )
 from ucfem.solver import solve_poisson, verify_positivity
 
@@ -126,7 +125,7 @@ class TestMass:
     def test_partition_of_unity_by_region(self, mesh_l2):
         space = build_space(mesh_l2, 2)
         ones = np.ones(space.n_dofs)
-        areas = signed_areas(mesh_l2)
+        areas = mesh_l2.signed_areas
         for region in (Region.OMEGA_DATA, Region.TARGET_ANNULUS, Region.OUTER_ANNULUS):
             M = assemble_region_mass(space, [region]).matrix
             region_area = areas[mesh_l2.region_tag == region].sum()
@@ -136,7 +135,7 @@ class TestMass:
         space = build_space(mesh_l2, 1)
         M = assemble_region_mass(space, ALL_REGIONS).matrix
         ones = np.ones(space.n_dofs)
-        assert abs(ones @ (M @ ones) - signed_areas(mesh_l2).sum()) < 1e-12
+        assert abs(ones @ (M @ ones) - mesh_l2.signed_areas.sum()) < 1e-12
 
     def test_empty_region_rejected(self, base_mesh):
         space = build_space(base_mesh, 1)
@@ -186,7 +185,7 @@ class TestStabilization:
         f = lambda p: np.asarray(p)[:, 0] ** 2
         c = interpolate_nodal(space, f)
         L = assemble_cell_laplacian(space).matrix
-        expected = (element_diameters(mesh_l2) ** 2 * 4.0 * signed_areas(mesh_l2)).sum()
+        expected = (element_diameters(mesh_l2) ** 2 * 4.0 * mesh_l2.signed_areas).sum()
         assert abs(c @ (L @ c) - expected) < 1e-10 * expected
 
     def test_jump_annihilates_global_polynomials(self, mesh_l2):
@@ -221,7 +220,7 @@ class TestLoads:
     def test_constant_load_sums_to_region_area(self, mesh_l2):
         space = build_space(mesh_l2, 1)
         load = assemble_load_region(space, ConstantField(1.0), [Region.OMEGA_DATA])
-        omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
+        omega_area = mesh_l2.signed_areas[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         assert abs(load.sum() - omega_area) < 1e-13
 
     def test_unit_load_equals_mass_row_sums(self, base_mesh):
@@ -261,7 +260,7 @@ class TestInterpolationAndNorms:
     def test_zero_coeffs_against_one_gives_area(self, mesh_l2):
         space = build_space(mesh_l2, 1)
         err = error_norms(space, np.zeros(space.n_dofs), ConstantField(1.0), ALL_REGIONS)
-        assert abs(err.l2**2 - signed_areas(mesh_l2).sum()) < 1e-12
+        assert abs(err.l2**2 - mesh_l2.signed_areas.sum()) < 1e-12
 
     def test_interpolation_error_second_order(self, geometry, mesh_l2):
         # standard P1 interpolation of a smooth function: L2 error drops ~4x per level
@@ -283,7 +282,7 @@ class TestInterpolationAndNorms:
 
     def test_region_l2_norm_constant(self, mesh_l2):
         space = build_space(mesh_l2, 1)
-        omega_area = signed_areas(mesh_l2)[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
+        omega_area = mesh_l2.signed_areas[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         zeros = np.zeros(space.n_dofs)
         got = error_norms(space, zeros, ConstantField(2.0), [Region.OMEGA_DATA]).l2
         assert abs(got - 2.0 * math.sqrt(omega_area)) < 1e-13
@@ -332,7 +331,7 @@ def jittered_disk_mesh(geometry, level, seed, amplitude):
     longest = np.max(
         [np.linalg.norm(v[t[:, i]] - v[t[:, (i + 1) % 3]], axis=1) for i in range(3)], axis=0
     )
-    reach = 0.2 * (2.0 * signed_areas(mesh) / longest).min()
+    reach = 0.2 * (2.0 * mesh.signed_areas / longest).min()
     rng = np.random.default_rng(seed)
     shift = rng.uniform(-1.0, 1.0, v.shape)
     shift *= amplitude * reach / np.maximum(np.linalg.norm(shift, axis=1), 1.0)[:, None]
@@ -350,7 +349,7 @@ class TestAssemblyProperties:
     @settings(max_examples=20, deadline=None)
     def test_invariants_on_jittered_meshes(self, geometry, level, k, seed, amplitude):
         mesh = jittered_disk_mesh(geometry, level, seed, amplitude)
-        assert signed_areas(mesh).min() > 0.0
+        assert mesh.signed_areas.min() > 0.0
         space = build_space(mesh, k)
 
         # exact symmetry of every form built by the shared D^T D kernel
@@ -386,7 +385,7 @@ def test_phys_grads_are_barycentric_derivatives(geometry, k):
     # values in the direction dlam, the same on every element
     mesh = jittered_disk_mesh(geometry, level=1, seed=5, amplitude=0.8)
     space = build_space(mesh, k)
-    assert np.array_equal(space.det, 2 * signed_areas(mesh))
+    assert np.array_equal(space.det, 2 * mesh.signed_areas)
     elements = np.arange(mesh.n_triangles)
     bary = ASSEMBLY_RULE.points
     dlam = np.array([0.3, -0.5, 0.2])
@@ -453,7 +452,7 @@ def _check_forms_against_dense_assembly(mesh, k):
 
     rule = quadrature.tri_rule_collapsed(4)
     omega = set(mesh.region_elements([Region.OMEGA_DATA]))
-    diam, areas = element_diameters(mesh), np.abs(signed_areas(mesh))
+    diam, areas = element_diameters(mesh), np.abs(mesh.signed_areas)
     for e, dofs in enumerate(space.full_map):
         corners = mesh.vertices[mesh.triangles[e]]
         vals, grads, laps = zip(*(basis[e](lam @ corners) for lam in rule.points))
@@ -564,7 +563,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
     coeffs = np.random.default_rng(k).uniform(-1.0, 1.0, space.n_dofs)
     with_gradient = RadialQuadratic(0.3, -1.0)
     rule = quadrature.tri_rule_collapsed(4)
-    areas = signed_areas(mesh)
+    areas = mesh.signed_areas
 
     def per_element(field, elements):
         l2sq = h1sq = 0.0

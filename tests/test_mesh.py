@@ -12,9 +12,22 @@ from ucfem.mesh import (
     element_diameters,
     mesh_from_arrays,
     refine_uniform,
-    signed_areas,
     validate,
     write_mesh,
+)
+from test_fem import jittered_disk_mesh
+
+MESH_ARRAYS = (
+    "vertices",
+    "triangles",
+    "region_tag",
+    "vertex_circle",
+    "edges",
+    "tri_edges",
+    "edge_tris",
+    "edge_counts",
+    "boundary_edges",
+    "boundary_vertices",
 )
 
 
@@ -37,7 +50,7 @@ class TestBaseMesh:
         assert mesh.n_vertices == 89
 
     def test_positive_areas_and_orientation(self, base_mesh):
-        assert signed_areas(base_mesh).min() > 0
+        assert base_mesh.signed_areas.min() > 0
 
     def test_rejects_bad_sectors(self, geometry):
         with pytest.raises(ValueError):
@@ -51,6 +64,33 @@ class TestBaseMesh:
 
 
 class TestRefinement:
+    def test_refined_topology_matches_mesh_from_arrays(self, geometry, unit_triangle_mesh):
+        # the child's topology is written by construction: sorting its edge
+        # occurrences afresh must give every array, its dtype and h bit for bit
+        parents = [unit_triangle_mesh, jittered_disk_mesh(geometry, 1, seed=7, amplitude=0.8)]
+        for sectors in (8, 16):
+            parents.append(build_disk_mesh(geometry, sectors, 0))
+        while parents:
+            parent = parents.pop()
+            child = refine_uniform(parent, geometry)
+            want = mesh_from_arrays(
+                child.vertices, child.triangles, child.region_tag, child.level, child.vertex_circle
+            )
+            for name in MESH_ARRAYS:
+                got, ref = getattr(child, name), getattr(want, name)
+                assert got.dtype == ref.dtype and got.shape == ref.shape, name
+                assert got.tobytes() == ref.tobytes(), name
+            assert (child.h, child.level) == (want.h, want.level)
+            # disk meshes to level 5, the rotation-free jittered mesh twice
+            if child.level < (6 if child.rotation is not None else 3):
+                parents.append(child)
+
+    def test_refinement_rejects_an_edge_of_three_triangles(self, geometry, base_mesh):
+        tris = np.vstack([base_mesh.triangles, base_mesh.triangles[0:1]])
+        tags = np.concatenate([base_mesh.region_tag, base_mesh.region_tag[0:1]])
+        with pytest.raises(ValueError, match="at most two triangles"):
+            refine_uniform(mesh_from_arrays(base_mesh.vertices, tris, tags), geometry)
+
     def test_quadruples_triangles_and_doubles_boundary(self, geometry, base_mesh):
         mesh = base_mesh
         for _ in range(3):
@@ -130,17 +170,24 @@ class TestMetrics:
 
 
 class TestAreas:
+    def test_signed_areas_are_cached_and_read_only(self, mesh_l2):
+        areas = mesh_l2.signed_areas
+        assert areas is mesh_l2.signed_areas and not areas.flags.writeable
+        v = mesh_l2.vertices[mesh_l2.triangles]
+        a, b = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        assert areas.tobytes() == (0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])).tobytes()
+
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_domain_area_converges(self, geometry, level):
         mesh = build_disk_mesh(geometry, sectors=8, level=level)
-        area = signed_areas(mesh).sum()
+        area = mesh.signed_areas.sum()
         target = math.pi * geometry.r3**2
         assert abs(area - target) / target < 4 * (mesh.h / geometry.r3) ** 2
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_data_region_area_converges(self, geometry, level):
         mesh = build_disk_mesh(geometry, sectors=8, level=level)
-        omega = signed_areas(mesh)[mesh.region_tag == Region.OMEGA_DATA].sum()
+        omega = mesh.signed_areas[mesh.region_tag == Region.OMEGA_DATA].sum()
         target = math.pi * geometry.r1**2
         assert abs(omega - target) / target < 4 * (mesh.h / geometry.r3) ** 2
 
@@ -243,7 +290,7 @@ def test_generated_family_always_valid(r1, gap2, gap3, sectors, level):
     report = validate(mesh)
     assert report.ok, report.violations
     assert mesh.n_triangles == 5 * sectors * 4**level
-    area = signed_areas(mesh).sum()
+    area = mesh.signed_areas.sum()
     target = math.pi * geo.r3**2
     assert abs(area - target) / target < 4 * (mesh.h / geo.r3) ** 2
 
