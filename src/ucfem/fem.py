@@ -39,7 +39,10 @@ the error norms integrate non-polynomial fields with ASSEMBLY_RULE.
 On a straight triangle the barycentric gradients grad(lambda_i) are the
 whole element geometry: each is the edge opposite vertex i turned by +90
 degrees over det = 2 * signed area.  Every basis gradient, P2 cell
-Laplacian and face-point barycentric is built from them.
+Laplacian and face-point barycentric is built from them.  A space keeps
+only det; the gradients (`FeSpace.grad_lam`) and the element diameters are
+computed for the elements a form or norm asks for, mostly the eighth that
+hold a representative dof.
 """
 
 from __future__ import annotations
@@ -79,7 +82,10 @@ class FeSpace:
     recorded rotation, `rotation` maps each dof to the dof the turn carries
     it to (None otherwise); `orbits` is `sparse.cyclic_orbits` of that map,
     and `turns_mesh` whether the turn carries the vertices onto each other
-    (every form refuses a space without it).
+    (every form refuses a space without it).  `turn_table`, `turned_dofs`
+    and `turn_at` are the int32 orbit lookup of `_gram`: turn s of
+    representative number r is turn_table[r, s] (a fixed dof at every s),
+    and dof d turned s times, 0 <= s <= m, is turned_dofs[turn_at[d] + s].
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -105,22 +111,29 @@ class FeSpace:
         self.rotation = None
         if mesh.rotation is not None:
             self.rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints
-        self.orbits = cyclic_orbits(self.rotation, self.dof_coords)
+        self.orbits = orbits, fixed, rep, shift = cyclic_orbits(self.rotation, self.dof_coords)
         # the forms replicated by the turn (`_gram`) are this mesh's only if it turns its vertices
-        m = self.orbits[0].shape[1]
+        m = orbits.shape[1]
         z = mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(mesh.vertices).max()
         self.turns_mesh = m == 1 or abs(z[mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9
-
-        # element geometry: grad(lambda_i) is the edge opposite vertex i,
-        # running v_{i+1} -> v_{i+2}, turned by +90 degrees over det
+        self.turn_table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)]).astype(np.int32)
+        self.turned_dofs = np.tile(self.turn_table, 2).ravel()
+        self.turn_at = (rep * 2 * m + shift).astype(np.int32)
         self.det = 2.0 * mesh.signed_areas
-        x, y = (np.take(c, mesh.triangles) for c in mesh.vertices.T)  # (nt, 3) each
-        ex, ey = x[:, [2, 0, 1]] - x[:, [1, 2, 0]], y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
-        self.grad_lam = np.stack([-ey, ex], axis=2) / self.det[:, None, None]
+
+    def grad_lam(self, elements) -> np.ndarray:
+        """Barycentric gradients of `elements`, shape (nel, 3, 2), from 1-D
+        coordinate gathers: grad(lambda_i) is the edge opposite vertex i,
+        running v_{i+1} -> v_{i+2}, turned by +90 degrees over det.  The
+        result is C-ordered, as the matmul in `error_norms` rounds by layout."""
+        x, y = (np.take(c, self.mesh.triangles[elements]) for c in self.mesh.vertices.T)
+        ex, ey = (np.take(c, [2, 0, 1], axis=1) - np.take(c, [1, 2, 0], axis=1) for c in (x, y))
+        return np.stack([-ey, ex], axis=2) / self.det[elements][:, None, None]
 
     def zero_trace(self) -> FeSpace:
         """V_0h, the dofs off the polygonal boundary, as a view of this full
-        space: mesh, full_map, det and grad_lam are shared, not copied."""
+        space: mesh, full_map, det and the orbit lookup are shared, not
+        copied."""
         if self.dirichlet:
             return self
         mesh = self.mesh
@@ -129,7 +142,8 @@ class FeSpace:
             boundary = np.concatenate([boundary, mesh.n_vertices + mesh.boundary_edges])
         sub = copy.copy(self)
         sub.dirichlet = True
-        sub.active = np.setdiff1d(self.active, boundary)
+        # both sets are unique: without the flag, numpy re-uniques all dofs (1 s at 1.3M)
+        sub.active = np.setdiff1d(self.active, boundary, assume_unique=True)
         sub.n_dofs = int(sub.active.size)
         sub.dof_coords = self.dof_coords[sub.active]
         if self.rotation is not None:
@@ -164,7 +178,7 @@ class FeSpace:
         `bary` is (nq, 3), shared by every element, or (nel, nq, 3).
         """
         bary = np.asarray(bary, dtype=float)
-        g = self.grad_lam[elements][:, None]  # (nel, 1, 3, 2)
+        g = self.grad_lam(elements)[:, None]  # (nel, 1, 3, 2)
         if self.k == 1:
             return np.broadcast_to(g, (g.shape[0], bary.shape[-2], 3, 2))
         lam = bary[..., None]  # (nq | nel, nq, 3, 1)
@@ -202,7 +216,7 @@ def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
     # component, slot) order; D keeps both buffers, nothing is copied
     ndl = emap.shape[1]
     d = np.sqrt(scale[:, None] * weights)[:, :, None, None] * phi.swapaxes(2, 3)
-    idx = np.broadcast_to(emap.astype(np.int32)[:, None, None, :], d.shape).flatten()
+    idx = np.broadcast_to(emap[:, None, None, :], d.shape).flatten()
     nrows = d.size // ndl
     return sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, n_full))
 
@@ -220,15 +234,11 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     """The form D^T D over the full dofs, with sorted indices, replicated
     from the representatives' rows (module docstring); D holds the rows of
     the elements and faces `_near_reps` keeps, each with a dof once."""
-    orbits, fixed, rep, shift = space.orbits
+    orbits, _, rep, shift = space.orbits
     nr, m = orbits.shape
     if not space.turns_mesh:
         raise ValueError(f"the mesh rotation does not turn its vertices by 2 pi / {m}")
-    # turn s of representative number r: orbits[r, s], or the fixed dof itself
-    table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)])
-    # dof d turned s times, 0 <= s <= m, is turned[at[d] + s]
-    turned = np.tile(table, 2).ravel()
-    at = rep * 2 * m + shift
+    table, turned, at = space.turn_table, space.turned_dofs, space.turn_at
 
     # the representatives' rows; a fixed one only at representative columns,
     # as its other columns are their turns
@@ -251,9 +261,9 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     indptr = np.r_[0, np.cumsum(length)].astype(np.int32)
     src = np.repeat((G.indptr[rep] - indptr[:-1]).astype(np.int32), length)
     src += np.arange(indptr[-1], dtype=np.int32)  # entry j of the result is entry src[j] of G
-    indices = np.take(at[G.indices].astype(np.int32), src)
+    indices = np.take(at[G.indices], src)
     indices += np.repeat(shift.astype(np.int32), length)
-    np.take(turned.astype(np.int32), indices, out=indices)
+    np.take(turned, indices, out=indices)
     data = np.take(G.data, src)
     del src
     mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
@@ -313,11 +323,11 @@ def _jump_operator(space: FeSpace) -> sp.csr_matrix:
     dn, emap = [], []
     for tri in mesh.edge_tris[interior].T:
         if space.k == 1:
-            grads = space.grad_lam[tri][:, None]  # constant on the face
+            grads = space.grad_lam(tri)[:, None]  # constant on the face
         else:
             v0 = mesh.vertices[mesh.triangles[tri, 0]]
             # lambda(x) = e_0 + grad(lambda) . (x - v_0) at the face points
-            bary = np.einsum("fia,fqa->fqi", space.grad_lam[tri], pts - v0[:, None, :])
+            bary = np.einsum("fia,fqa->fqi", space.grad_lam(tri), pts - v0[:, None, :])
             bary[:, :, 0] += 1.0
             grads = space.phys_grads(tri, bary)
         dn.append(np.einsum("fqia,fa->fqi", grads, normal))
@@ -346,9 +356,9 @@ def _cell_operator(space: FeSpace) -> sp.csr_matrix:
     elements = np.flatnonzero(_near_reps(space))
     # Lap(lambda_i (2 lambda_i - 1)) = 4 |grad lambda_i|^2 and
     # Lap(4 lambda_a lambda_b) = 8 grad lambda_a . grad lambda_b
-    g = space.grad_lam[elements]
+    g = space.grad_lam(elements)
     lap = np.concatenate([4 * (g * g).sum(axis=2), 8 * (g * g[:, _NEXT]).sum(axis=2)], axis=1)
-    scale = element_diameters(space.mesh)[elements] ** 2 * (0.5 * np.abs(space.det[elements]))
+    scale = element_diameters(space.mesh, elements) ** 2 * (0.5 * np.abs(space.det[elements]))
     # the Laplacian is constant per element: one point of unit weight
     emap = space.full_map[elements]
     return _operator(lap[:, None, :, None], np.ones(1), scale, emap, space.n_full)

@@ -12,6 +12,11 @@ Only the base mesh (and a mesh given as arrays) derives its topology by
 sorting its edge occurrences (`mesh_from_arrays`); a refined mesh's
 edges, faces and neighbours are written by construction from its
 parent's (`refine_uniform`), array for array the same.
+
+Every index array is int32 and written in int32, which halves the mesh and
+the refinement's temporaries; a mesh whose counts do not fit is rejected.
+The sort and lookup keys of a vertex pair, up to about nv^2, stay int64:
+at 8 sectors nv^2 passes 2^31 from level 6 on.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ class Region(IntEnum):
 ALL_REGIONS = (Region.OMEGA_DATA, Region.TARGET_ANNULUS, Region.OUTER_ANNULUS)
 #: tagged realization of the continuation target B = B(r2)
 B_REGIONS = (Region.OMEGA_DATA, Region.TARGET_ANNULUS)
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -41,13 +47,15 @@ class Mesh:
     """Immutable triangle mesh with region tags and face adjacency.
 
     vertices : (nv, 2) float
-    triangles : (nt, 3) int, positively oriented
-    region_tag : (nt,) int, values from Region
+    triangles : (nt, 3) int32, positively oriented
+    region_tag : (nt,) int32, values from Region
     vertex_circle : (nv,) int8; 0 = interior, 1/2/3 = lies on circle r1/r2/r3
-    edges : (ne, 2) int, vertex pairs v0 < v1, lexicographically sorted
-    tri_edges : (nt, 3) int, edge index of local edges (0,1), (1,2), (2,0)
-    edge_tris : (ne, 2) int, adjacent triangles (-1 in slot 1 on the boundary)
-    rotation : (nv,) int or None; vertex v turned by 2 pi / m about the
+    edges : (ne, 2) int32, vertex pairs v0 < v1, lexicographically sorted
+    tri_edges : (nt, 3) int32, edge index of local edges (0,1), (1,2), (2,0)
+    edge_tris : (ne, 2) int32, adjacent triangles (-1 in slot 1 on the boundary)
+    edge_counts : (ne,) int32, triangles per edge
+    boundary_edges, boundary_vertices : int32, those of count-1 edges
+    rotation : (nv,) int32 or None; vertex v turned by 2 pi / m about the
         origin is vertex rotation[v], for a mesh that is m copies of one
         sector (None: no symmetry recorded)
     """
@@ -112,9 +120,12 @@ class Mesh:
         and the refined mesh share it."""
         nv = self.n_vertices
         ends = self.rotation[self.edges]
-        key = self.edges[:, 0] * nv + self.edges[:, 1]
-        turned = ends.min(axis=1) * nv + ends.max(axis=1)
-        out = np.concatenate([self.rotation, nv + np.searchsorted(key, turned)])
+        key = self.edges[:, 0].astype(np.int64) * nv + self.edges[:, 1]
+        turned = ends.min(axis=1).astype(np.int64) * nv + ends.max(axis=1)
+        out = np.empty(nv + self.n_edges, dtype=np.int32)
+        out[:nv] = self.rotation
+        out[nv:] = np.searchsorted(key, turned)
+        out[nv:] += nv
         out.setflags(write=False)
         return out
 
@@ -147,28 +158,37 @@ class MeshDiagnostics:
         return not self.violations
 
 
+def _check_int32_size(nv, nt):
+    """Reject a mesh whose vertex or edge-occurrence indices overflow int32."""
+    if max(nv, 3 * nt) > _INT32.max:
+        raise ValueError(f"mesh of {nv} vertices and {nt} triangles exceeds int32 indices")
+
+
 def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=None) -> Mesh:
     """Assemble a Mesh from raw arrays, computing adjacency and mesh size;
     no rotation is recorded."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    region_tag = np.ascontiguousarray(region_tag, dtype=np.int64)
-    nt = triangles.shape[0]
-    if vertex_circle is None:
-        vertex_circle = np.zeros(vertices.shape[0], dtype=np.int8)
-    else:
-        vertex_circle = np.ascontiguousarray(vertex_circle, dtype=np.int8)
-
     nv = vertices.shape[0]
+    triangles, region_tag = np.asarray(triangles), np.asarray(region_tag)
+    nt = triangles.shape[0]
+    _check_int32_size(nv, nt)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         raise ValueError(f"triangle vertex index outside 0..{nv - 1}")
+    if region_tag.size and (region_tag.min() < _INT32.min or region_tag.max() > _INT32.max):
+        raise ValueError("region tag outside the int32 range")
+    triangles = np.ascontiguousarray(triangles, dtype=np.int32)
+    region_tag = np.ascontiguousarray(region_tag, dtype=np.int32)
+    if vertex_circle is None:
+        vertex_circle = np.zeros(nv, dtype=np.int8)
+    else:
+        vertex_circle = np.ascontiguousarray(vertex_circle, dtype=np.int8)
 
     # one int64 key lo*nv + hi per edge occurrence; its stable sort orders
     # the edges lexicographically and groups the (triangle, local-slot)
     # occurrences of each edge in construction order
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-    key = lo * nv + hi
+    key = lo.astype(np.int64) * nv + hi
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     first = np.ones(key.size, dtype=bool)
@@ -176,12 +196,12 @@ def mesh_from_arrays(vertices, triangles, region_tag, level=0, vertex_circle=Non
     starts = np.nonzero(first)[0]
     edges = np.column_stack([lo[order[starts]], hi[order[starts]]])
     ne = edges.shape[0]
-    counts = np.diff(np.append(starts, key.size))
-    inverse = np.empty(key.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(starts, key.size)).astype(np.int32)
+    inverse = np.empty(key.size, dtype=np.int32)
+    inverse[order] = np.cumsum(first, dtype=np.int32) - 1
     tri_edges = inverse.reshape(nt, 3)
 
-    edge_tris = -np.ones((ne, 2), dtype=np.int64)
+    edge_tris = np.full((ne, 2), -1, dtype=np.int32)
     edge_tris[:, 0] = order[starts] // 3
     shared = counts > 1
     edge_tris[shared, 1] = order[starts[shared] + 1] // 3
@@ -197,7 +217,7 @@ def _mesh(
 ) -> Mesh:
     """The Mesh of the given topology, with its boundary and its size h,
     the longest edge, taken from 1-D coordinate gathers."""
-    boundary_edges = np.nonzero(counts == 1)[0]
+    boundary_edges = np.flatnonzero(counts == 1).astype(np.int32)
     h = 0.0
     if edges.size:
         dx, dy = (c[edges[:, 1]] - c[edges[:, 0]] for c in vertices.T)
@@ -219,10 +239,10 @@ def _mesh(
     )
 
 
-def element_diameters(mesh: Mesh) -> np.ndarray:
-    """Longest edge of each triangle."""
+def element_diameters(mesh: Mesh, elements=slice(None)) -> np.ndarray:
+    """Longest edge of each triangle, or of the given `elements` only."""
     v = mesh.vertices
-    t = mesh.triangles
+    t = mesh.triangles[elements]
     l01 = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
     l12 = np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
     l20 = np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
@@ -274,8 +294,8 @@ def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mes
             tags.extend([tag, tag])
 
     # ring vertex start + i turns into start + (i + 1) % m; the centre stays
-    turn = np.roll(np.arange(m), -1)
-    rotation = np.concatenate([[0], 1 + turn, 1 + m + turn, 1 + 2 * m + turn])
+    turn = np.roll(np.arange(m, dtype=np.int32), -1)
+    rotation = np.concatenate([np.zeros(1, np.int32), 1 + turn, 1 + m + turn, 1 + 2 * m + turn])
     mesh = mesh_from_arrays(vertices, tris, tags, level=0, vertex_circle=vertex_circle)
     mesh = replace(mesh, rotation=rotation)
     if mesh.signed_areas.min() <= 0.0:
@@ -337,24 +357,26 @@ def _red_topology(mesh: Mesh):
     """The triangles, edges, tri_edges, edge_tris and edge counts of the red
     refinement of `mesh`, written from its own (`refine_uniform`)."""
     nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    _check_int32_size(nv + ne, 4 * nt)
     t, te = mesh.triangles, mesh.tri_edges
-    nxt, prev = [1, 2, 0], [2, 0, 1]
+    nxt, prev = np.array([1, 2, 0], np.int32), np.array([2, 0, 1], np.int32)
     m = nv + te  # m[:, j]: the midpoint of local edge j, from vertex j to vertex nxt[j]
     children = np.concatenate([np.stack([t, m, m[:, prev]], axis=2), m[:, None]], axis=1)
 
     # the half edges (v, nv + e) in (v, e) order; end s of edge e has rank half[2 e + s]
-    order = np.argsort(mesh.edges.ravel(), kind="stable")
+    order = np.argsort(mesh.edges.ravel(), kind="stable").astype(np.int32)
     half = np.empty_like(order)
-    half[order] = np.arange(2 * ne)
-    counts = np.full(2 * ne + 3 * nt, 2, dtype=np.int64)
+    half[order] = np.arange(2 * ne, dtype=np.int32)
+    counts = np.full(2 * ne + 3 * nt, 2, dtype=np.int32)
     counts[: 2 * ne] = mesh.edge_counts[order // 2]
-    # midpoint edge j of parent t joins m[t, j] and m[t, nxt[j]]; its rank is mid[t, j]
+    # midpoint edge j of parent t joins m[t, j] and m[t, nxt[j]]; its rank is
+    # mid[t, j], from the int64 key lo * (nv + ne) + hi
     lo, hi = np.minimum(m, m[:, nxt]).ravel(), np.maximum(m, m[:, nxt]).ravel()
-    by_key = np.argsort(lo * (nv + ne) + hi)
-    mid = np.empty_like(by_key)
-    mid[by_key] = np.arange(2 * ne, 2 * ne + 3 * nt)
+    by_key = np.argsort(lo.astype(np.int64) * (nv + ne) + hi)
+    mid = np.empty(3 * nt, dtype=np.int32)
+    mid[by_key] = np.arange(2 * ne, 2 * ne + 3 * nt, dtype=np.int32)
     mid = mid.reshape(nt, 3)
-    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int64)
+    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int32)
     edges[: 2 * ne, 0], edges[: 2 * ne, 1] = mesh.edges.ravel()[order], nv + order // 2
     edges[2 * ne :, 0], edges[2 * ne :, 1] = lo[by_key], hi[by_key]
 
@@ -366,10 +388,10 @@ def _red_topology(mesh: Mesh):
     )
     # slot 0 holds the smaller child: a half edge takes its parent edge's
     # slot, a midpoint edge lies in corner child nxt[j], then in the middle
-    base = 4 * np.arange(nt)[:, None]
-    slot = mesh.edge_tris[te, 1] == np.arange(nt)[:, None]
-    edge_tris = -np.ones((2 * ne + 3 * nt, 2), dtype=np.int64)
-    edge_tris.reshape(-1)[2 * first + slot] = base + [0, 1, 2]
+    own = np.arange(nt, dtype=np.int32)[:, None]
+    base, slot = 4 * own, mesh.edge_tris[te, 1] == own
+    edge_tris = np.full((2 * ne + 3 * nt, 2), -1, dtype=np.int32)
+    edge_tris.reshape(-1)[2 * first + slot] = base + np.arange(3, dtype=np.int32)
     edge_tris.reshape(-1)[2 * second + slot] = base + nxt
     edge_tris[mid, 0] = base + nxt
     edge_tris[mid, 1] = base + 3
@@ -408,11 +430,16 @@ def validate(mesh: Mesh) -> MeshDiagnostics:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    """Write the line-oriented text format: header, `v x y`, `t i j k tag`."""
+    """Write the line-oriented text format: header, `v x y`, `t i j k tag`.
+
+    Lines are written 2^16 at a time, each chunk formatted by one `%` over
+    its `.tolist()` values, so no whole-block string or list of Python
+    numbers is held in memory."""
+    rows = np.column_stack([mesh.triangles, mesh.region_tag])
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"mesh v1 {mesh.n_vertices} {mesh.n_triangles}\n")
-        for x, y in mesh.vertices:
-            f.write(f"v {float(x)!r} {float(y)!r}\n")
-        for (i, j, k), tag in zip(mesh.triangles, mesh.region_tag):
-            f.write(f"t {i} {j} {k} {tag}\n")
+        for block, line in ((mesh.vertices, "v %r %r\n"), (rows, "t %d %d %d %d\n")):
+            for start in range(0, block.shape[0], 1 << 16):
+                part = block[start : start + (1 << 16)]
+                f.write(line * part.shape[0] % tuple(part.ravel().tolist()))
 

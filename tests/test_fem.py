@@ -66,8 +66,10 @@ class TestSpaces:
         assert np.array_equal(space0.active, np.setdiff1d(np.arange(space.n_full), boundary))
         assert space0.dirichlet and not space.dirichlet
         assert space0.zero_trace() is space0
-        for name in ("mesh", "full_map", "det", "grad_lam"):
+        for name in ("mesh", "full_map", "det", "turn_table", "turned_dofs", "turn_at"):
             assert getattr(space0, name) is getattr(space, name)
+        elements = np.arange(0, mesh.n_triangles, 3)
+        assert space0.grad_lam(elements).tobytes() == space.grad_lam(elements).tobytes()
 
         # the turn renumbered through the full-to-active map
         turn = mesh.rotation if k == 1 else mesh.rotation_with_midpoints
@@ -78,6 +80,27 @@ class TestSpaces:
 
         with pytest.raises(ValueError):
             solve_poisson(build_space(mesh, 1), ConstantField(4.0))
+
+    def test_grad_lam_is_rows_of_the_full_mesh_formula(self, geometry):
+        # computed per call for the asked elements, bit for bit the rows of
+        # the whole-mesh expression, and C-ordered like those rows
+        jittered = jittered_disk_mesh(geometry, 1, seed=3, amplitude=0.8)
+        for mesh in (build_disk_mesh(geometry, 8, 2), jittered):
+            space = build_space(mesh, 2)
+            x, y = (np.take(c, mesh.triangles) for c in mesh.vertices.T)
+            ex, ey = x[:, [2, 0, 1]] - x[:, [1, 2, 0]], y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+            full = np.stack([-ey, ex], axis=2) / space.det[:, None, None]
+            rng = np.random.default_rng(0)
+            for elements in (
+                np.arange(mesh.n_triangles),
+                rng.permutation(mesh.n_triangles)[: mesh.n_triangles // 3],
+                mesh.edge_tris[mesh.interior_edges, 1],
+                np.zeros(0, dtype=np.int64),
+            ):
+                got = space.grad_lam(elements)
+                assert got.flags.c_contiguous
+                assert got.shape == (elements.size, 3, 2)
+                assert got.tobytes() == np.ascontiguousarray(full[elements]).tobytes()
 
 
 class TestStiffness:

@@ -29,6 +29,31 @@ MESH_ARRAYS = (
     "boundary_edges",
     "boundary_vertices",
 )
+#: the index arrays of every mesh, all int32
+INDEX_ARRAYS = (
+    "triangles",
+    "region_tag",
+    "edges",
+    "tri_edges",
+    "edge_tris",
+    "edge_counts",
+    "boundary_edges",
+    "boundary_vertices",
+)
+
+
+def _sorted_rows(triangles):
+    """The triangles as vertex sets, in lexicographic order."""
+    t = np.sort(triangles, axis=1)
+    return t[np.lexsort(t.T[::-1])]
+
+
+def _assert_same_mesh(got, want):
+    for name in MESH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.h, got.level) == (want.h, want.level)
 
 
 class TestBaseMesh:
@@ -76,14 +101,37 @@ class TestRefinement:
             want = mesh_from_arrays(
                 child.vertices, child.triangles, child.region_tag, child.level, child.vertex_circle
             )
-            for name in MESH_ARRAYS:
-                got, ref = getattr(child, name), getattr(want, name)
-                assert got.dtype == ref.dtype and got.shape == ref.shape, name
-                assert got.tobytes() == ref.tobytes(), name
-            assert (child.h, child.level) == (want.h, want.level)
+            _assert_same_mesh(child, want)
             # disk meshes to level 5, the rotation-free jittered mesh twice
             if child.level < (6 if child.rotation is not None else 3):
                 parents.append(child)
+
+    def test_level7_refinement_matches_mesh_from_arrays(self, geometry):
+        # the midpoint-edge keys lo * (nv + ne) + hi of a level-5 or finer
+        # parent and the keys lo * nv + hi of this child pass 2^31: int32
+        # keys would give both sides a wrong topology
+        child = refine_uniform(build_disk_mesh(geometry, 8, 6), geometry)
+        assert child.n_vertices**2 > np.iinfo(np.int32).max
+        want = mesh_from_arrays(
+            child.vertices, child.triangles, child.region_tag, child.level, child.vertex_circle
+        )
+        _assert_same_mesh(child, want)
+
+    def test_index_arrays_are_int32(self, geometry, unit_triangle_mesh):
+        built = build_disk_mesh(geometry, 8, 0)
+        for mesh in (built, refine_uniform(built, geometry), unit_triangle_mesh):
+            for name in INDEX_ARRAYS:
+                assert getattr(mesh, name).dtype == np.int32, name
+            assert mesh.vertices.dtype == np.float64 and mesh.vertex_circle.dtype == np.int8
+            if mesh.rotation is not None:
+                assert mesh.rotation.dtype == mesh.rotation_with_midpoints.dtype == np.int32
+
+    def test_tag_outside_int32_rejected(self, unit_triangle_mesh):
+        v = unit_triangle_mesh.vertices
+        for tag in (2**31, -(2**31) - 1):
+            with pytest.raises(ValueError, match="int32"):
+                mesh_from_arrays(v, [[0, 1, 2]], [tag])
+        assert mesh_from_arrays(v, [[0, 1, 2]], [2**31 - 1]).region_tag[0] == 2**31 - 1
 
     def test_refinement_rejects_an_edge_of_three_triangles(self, geometry, base_mesh):
         tris = np.vstack([base_mesh.triangles, base_mesh.triangles[0:1]])
@@ -128,18 +176,19 @@ class TestRefinement:
 
     def test_rotation_turns_vertices_and_triangles(self, geometry):
         # build_disk_mesh records the turn by 2 pi / 8; refinement carries it
-        # to the edge midpoints without looking at coordinates
+        # to the edge midpoints without looking at coordinates.  Level 7 is
+        # the first whose rotation comes from edge keys past 2^31 (level 6's)
         c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
         turn = np.array([[c, -s], [s, c]])
         mesh = build_disk_mesh(geometry, sectors=8, level=0)
-        for level in range(4):
+        for level in range(8):
             rot = mesh.rotation
             assert np.array_equal(np.sort(rot), np.arange(mesh.n_vertices))
             assert np.abs(mesh.vertices[rot] - mesh.vertices @ turn.T).max() < 1e-14
-            turned = {tuple(sorted(t)) for t in rot[mesh.triangles].tolist()}
-            assert turned == {tuple(sorted(t)) for t in mesh.triangles.tolist()}
+            assert np.array_equal(_sorted_rows(rot[mesh.triangles]), _sorted_rows(mesh.triangles))
             assert np.array_equal(mesh.vertex_circle[rot], mesh.vertex_circle)
-            mesh = refine_uniform(mesh, geometry)
+            if level < 7:
+                mesh = refine_uniform(mesh, geometry)
 
     def test_projection_free_mesh_halves_exactly(self, unit_triangle_mesh):
         geo = Geometry(0.25, 0.5, 1.0)
