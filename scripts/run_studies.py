@@ -10,7 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from ucfem.cli import main as ucfem_main
+# run from a checkout: the package is imported from src/ beside this script
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ucfem.cli import main as ucfem_main  # noqa: E402
 
 STUDY_ARGS = {
     "converge": ["--set", "exact.n = 4", "--set", "levels = 2..5", "converge"],

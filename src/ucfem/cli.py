@@ -119,9 +119,7 @@ def _cmd_uc(args, cfg: RunConfig) -> int:
     exact = studies.exact_field_from_config(cfg)
     sol = solve_uc(msh, cfg.k, exact, cfg.perturbation, studies.resolve_hmin(cfg))
     err = fem.error_norms(sol.primal_space, sol.u, exact, meshmod.B_REGIONS)
-    s, dual, omega = fem.stability_terms(
-        sol.u, sol.z, sol.forms["S"], sol.forms["M_omega"], sol.forms["A0"]
-    )
+    s, dual, omega = fem.stability_terms(sol.u, sol.z, sol.K)
     print(
         f"uc level={level} k={cfg.k} dofs=({sol.primal_space.n_dofs},{sol.dual_space.n_dofs}) "
         f"h={msh.h:.6e} tik={sol.tikhonov_scale:.6e} err_l2_B={err.l2:.6e} "

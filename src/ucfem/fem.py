@@ -439,13 +439,14 @@ def error_norms(space: FeSpace, coeffs, exact, region) -> ErrorNorms:
     return ErrorNorms(l2=np.sqrt(max(l2sq, 0.0)), h1_semi=np.sqrt(max(h1sq, 0.0)))
 
 
-def stability_terms(u, z, S, M_omega, A0) -> tuple[float, float, float]:
+def stability_terms(u, z, K) -> tuple[float, float, float]:
     """The three terms s(u,u), a(z,z) and |u|^2_{L2(omega)} of the squared
-    stability norm, from the CSR matrices of s, of the data-region mass and
-    of the zero-trace stiffness."""
-    return float(u @ (S @ u)), float(z @ (A0 @ z)), float(u @ (M_omega @ u))
+    stability norm, from the forms K.S, K.A0 and K.M_omega of the saddle
+    system K (a `sparse.Saddle`)."""
+    return float(u @ (K.S @ u)), float(z @ (K.A0 @ z)), float(u @ (K.M_omega @ u))
 
 
-def triple_norm(u, z, S, M_omega, A0) -> float:
-    """Stability norm |||(u,z)||| = sqrt(s(u,u) + a(z,z) + |u|^2_{L2(omega)})."""
-    return float(np.sqrt(max(sum(stability_terms(u, z, S, M_omega, A0)), 0.0)))
+def triple_norm(u, z, K) -> float:
+    """Stability norm |||(u,z)||| = sqrt(s(u,u) + a(z,z) + |u|^2_{L2(omega)})
+    of the saddle system K (see `stability_terms`)."""
+    return float(np.sqrt(max(sum(stability_terms(u, z, K)), 0.0)))

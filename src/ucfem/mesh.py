@@ -21,7 +21,7 @@ at 8 sectors nv^2 passes 2^31 from level 6 on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from functools import cached_property
 
@@ -44,7 +44,8 @@ _INT32 = np.iinfo(np.int32)
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangle mesh with region tags and face adjacency.
+    """Immutable triangle mesh with region tags and face adjacency; every
+    array field is read-only.
 
     vertices : (nv, 2) float
     triangles : (nt, 3) int32, positively oriented
@@ -75,21 +76,10 @@ class Mesh:
     rotation: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name in (
-            "vertices",
-            "triangles",
-            "region_tag",
-            "vertex_circle",
-            "edges",
-            "tri_edges",
-            "edge_tris",
-            "edge_counts",
-            "boundary_edges",
-            "boundary_vertices",
-        ):
-            getattr(self, name).setflags(write=False)
-        if self.rotation is not None:
-            self.rotation.setflags(write=False)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:

@@ -11,9 +11,9 @@ mass, B the mixed stiffness and A0 the Dirichlet stiffness.  The saddle
 matrix is kept as these four forms (`sparse.Saddle`): the Fourier-mode
 blocks are built from its representatives' rows and the residual check
 applies it block by block, so neither it nor S + M_omega is formed.
-Testing the system with (u, -z) reproduces the squared stability norm,
-which is what guarantees solvability and is checked numerically by
-`verify_positivity`.
+Testing the system with (u, -z) reproduces the squared stability norm
+(`fem.stability_terms` of K), which guarantees solvability and is checked
+numerically by `verify_positivity`; `solve_uc` returns the K it solved.
 The data perturbation dq enters only through the right-hand side, so
 `make_perturbation` returns its load vector (dq, phi)_omega together with
 the certified norm ||dq||_{L2(omega)} on which the error estimates depend.
@@ -38,7 +38,7 @@ from .fem import (
 )
 from .fields import OscillatoryField
 from .mesh import ALL_REGIONS, Mesh, Region
-from .sparse import REL_TOL, CyclicModes, SolverError, achieved_residual, compose_saddle, solve_direct
+from .sparse import REL_TOL, CyclicModes, Saddle, SolverError, achieved_residual, compose_saddle, solve_direct
 
 
 @dataclass
@@ -53,17 +53,17 @@ class Perturbation:
 @dataclass
 class UcSolution:
     """The primal and dual coefficients, the relative residual of the saddle
-    solve and the Tikhonov scale it used; `forms` holds the CSR matrices S,
-    M_omega, A0 and B of the saddle system."""
+    solve and the Tikhonov scale it used; K is the `Saddle` that was solved,
+    whose forms S, M_omega and A0 also give the stability norm."""
 
     u: np.ndarray
     z: np.ndarray
     solve_residual: float
     tikhonov_scale: float
-    primal_space: FeSpace = dc_field(repr=False, default=None)
-    dual_space: FeSpace = dc_field(repr=False, default=None)
-    forms: dict = dc_field(repr=False, default=None)
-    perturbation: Perturbation = dc_field(repr=False, default=None)
+    primal_space: FeSpace = dc_field(repr=False)
+    dual_space: FeSpace = dc_field(repr=False)
+    K: Saddle = dc_field(repr=False)
+    perturbation: Perturbation = dc_field(repr=False)
 
 
 def solve_poisson(space0: FeSpace, f) -> np.ndarray:
@@ -134,8 +134,9 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
         return Perturbation(load=load, norm_l2_omega=scale * raw_norm)
 
     # nodal_noise
-    elements = space.mesh.region_elements(Region.OMEGA_DATA)
-    omega_dofs = np.searchsorted(space.active, np.intersect1d(space.full_map[elements], space.active))
+    in_omega = np.zeros(space.n_full, dtype=bool)
+    in_omega[space.full_map[space.mesh.region_elements(Region.OMEGA_DATA)]] = True
+    omega_dofs = np.flatnonzero(in_omega[space.active])
     rng = np.random.default_rng(spec.seed)
     coeffs = np.zeros(space.n_dofs)
     coeffs[omega_dofs] = rng.uniform(-1.0, 1.0, omega_dofs.size)
@@ -147,14 +148,14 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
     return Perturbation(load=load, norm_l2_omega=float(np.sqrt(coeffs @ load)))
 
 
-def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float):
-    """The CSR forms S, M_omega, A0 and B keyed by name, and the `Saddle` K of them."""
-    S = assemble_stabilization(space, tik).matrix
-    M_omega = assemble_region_mass(space, Region.OMEGA_DATA).matrix
-    A0 = assemble_stiffness(space0).matrix
-    B = assemble_stiffness(space0, space).matrix
-    K = compose_saddle(S, M_omega, B, A0)
-    return {"S": S, "M_omega": M_omega, "A0": A0, "B": B}, K
+def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float) -> Saddle:
+    """The `Saddle` of the CSR forms S, M_omega, B and A0 with Tikhonov scale tik."""
+    return compose_saddle(
+        S=assemble_stabilization(space, tik).matrix,
+        M_omega=assemble_region_mass(space, Region.OMEGA_DATA).matrix,
+        A0=assemble_stiffness(space0).matrix,
+        B=assemble_stiffness(space0, space).matrix,
+    )
 
 
 def solve_uc(
@@ -171,9 +172,9 @@ def solve_uc(
     space0 = space.zero_trace()
 
     tik = max(mesh.h, tikhonov_hmin)
-    forms, K = _assemble_saddle(space, space0, tik)
+    K = _assemble_saddle(space, space0, tik)
 
-    pert = make_perturbation(perturbation, space, forms["M_omega"])
+    pert = make_perturbation(perturbation, space, K.M_omega)
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
@@ -185,7 +186,7 @@ def solve_uc(
         tikhonov_scale=tik,
         primal_space=space,
         dual_space=space0,
-        forms=forms,
+        K=K,
         perturbation=pert,
     )
 
@@ -196,9 +197,10 @@ def hminus1_residual(space0: FeSpace, u, A0, B) -> float:
     Riesz-represents v -> a(u, v) on the zero-trace space and returns the
     energy norm of the representer; a computable surrogate for the H^-1
     norm of Lap u that scales identically in h.  A0 and B are the CSR
-    zero-trace and mixed stiffness matrices.  For the u of a `solve_uc`
-    solve the representer is its z (the saddle's second block row reads
-    B u = A0 z), so the result equals sqrt(a(z,z)) up to rounding.
+    zero-trace and mixed stiffness matrices, of a solve: sol.K.A0, sol.K.B.
+    For the u of a `solve_uc` solve the representer is its z (the saddle's
+    second block row reads B u = A0 z), so the result equals sqrt(a(z,z))
+    up to rounding.
     """
     r = B @ u
     phi = _solve_ordered(A0, r, space0.dof_coords, space0.rotation)[0]
@@ -210,7 +212,7 @@ def verify_positivity(space: FeSpace, space0: FeSpace, trials: int, seed: int = 
     squared stability norm over seeded random coefficient pairs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    forms, K = _assemble_saddle(space, space0, space.mesh.h)
+    K = _assemble_saddle(space, space0, space.mesh.h)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -219,7 +221,7 @@ def verify_positivity(space: FeSpace, space0: FeSpace, trials: int, seed: int = 
         z = rng.uniform(-1.0, 1.0, space0.n_dofs)
         test = np.concatenate([u, -z])
         lhs = float(test @ (K @ np.concatenate([u, z])))
-        rhs = sum(stability_terms(u, z, forms["S"], forms["M_omega"], forms["A0"]))
+        rhs = sum(stability_terms(u, z, K))
         denom = max(abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst

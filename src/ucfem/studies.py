@@ -134,17 +134,16 @@ def _meshes_for_levels(cfg: RunConfig):
 def _solve_level(cfg: RunConfig, mesh: Mesh, exact) -> LevelRecord:
     sol = solve_uc(mesh, cfg.k, exact, cfg.perturbation, resolve_hmin(cfg))
     primal, dual = sol.primal_space, sol.dual_space
-    S, M_omega, A0, B = (sol.forms[key] for key in ("S", "M_omega", "A0", "B"))
     u_interp = interpolate_nodal(primal, exact)
     err_b = error_norms(primal, sol.u, exact, B_REGIONS)
     err_omega = error_norms(primal, sol.u, exact, [Region.OMEGA_DATA])
-    tnorm = triple_norm(u_interp - sol.u, sol.z, S, M_omega, A0)
-    resid = hminus1_residual(dual, sol.u, A0, B)
+    tnorm = triple_norm(u_interp - sol.u, sol.z, sol.K)
+    resid = hminus1_residual(dual, sol.u, sol.K.A0, sol.K.B)
     # a field without a gradient: the H1 seminorm is not evaluated
     l2_uh = error_norms(primal, sol.u, ZeroField().value, ALL_REGIONS).l2
     # energy balance s(u_I,u_I) / |u_I|^2_omega: the data term engages the
     # solver only once it falls below about 1; None when u_I = 0 on omega
-    reg_energy, _, data_energy = stability_terms(u_interp, np.zeros(dual.n_dofs), S, M_omega, A0)
+    reg_energy, _, data_energy = stability_terms(u_interp, np.zeros(dual.n_dofs), sol.K)
     return LevelRecord(
         level=mesh.level,
         h=float(mesh.h),

@@ -32,6 +32,7 @@ from ucfem.mesh import (
     refine_uniform,
 )
 from ucfem.solver import solve_poisson, verify_positivity
+from ucfem.sparse import compose_saddle
 
 
 class TestSpaces:
@@ -312,36 +313,39 @@ class TestInterpolationAndNorms:
 
 
 class TestTripleNorm:
-    def _forms(self, mesh):
+    def _saddle(self, mesh):
         space = build_space(mesh, 1)
         space0 = space.zero_trace()
-        S = assemble_stabilization(space, mesh.h).matrix
-        M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
-        A0 = assemble_stiffness(space0).matrix
-        return space, space0, S, M, A0
+        K = compose_saddle(
+            assemble_stabilization(space, mesh.h).matrix,
+            assemble_region_mass(space, [Region.OMEGA_DATA]).matrix,
+            assemble_stiffness(space0, space).matrix,
+            assemble_stiffness(space0).matrix,
+        )
+        return space, space0, K
 
     def test_zero_pair(self, mesh_l2):
-        space, space0, S, M, A0 = self._forms(mesh_l2)
-        val = triple_norm(np.zeros(space.n_dofs), np.zeros(space0.n_dofs), S, M, A0)
+        space, space0, K = self._saddle(mesh_l2)
+        val = triple_norm(np.zeros(space.n_dofs), np.zeros(space0.n_dofs), K)
         assert val == 0.0
 
     def test_affine_closed_form(self, mesh_l2):
-        space, space0, S, M, A0 = self._forms(mesh_l2)
+        space, space0, K = self._saddle(mesh_l2)
         u = interpolate_nodal(space, AffineField(0.5, 1.0, 0.0))
         Mall = assemble_region_mass(space, ALL_REGIONS).matrix
         expected = math.sqrt(
-            mesh_l2.h**2 * (u @ (Mall @ u)) + u @ (M @ u)
+            mesh_l2.h**2 * (u @ (Mall @ u)) + u @ (K.M_omega @ u)
         )
-        got = triple_norm(u, np.zeros(space0.n_dofs), S, M, A0)
+        got = triple_norm(u, np.zeros(space0.n_dofs), K)
         assert abs(got - expected) < 1e-11 * expected
 
     def test_homogeneity(self, mesh_l2):
-        space, space0, S, M, A0 = self._forms(mesh_l2)
+        space, space0, K = self._saddle(mesh_l2)
         rng = np.random.default_rng(11)
         u = rng.standard_normal(space.n_dofs)
         z = rng.standard_normal(space0.n_dofs)
-        one = triple_norm(u, z, S, M, A0)
-        ten = triple_norm(10 * u, 10 * z, S, M, A0)
+        one = triple_norm(u, z, K)
+        ten = triple_norm(10 * u, 10 * z, K)
         assert abs(ten - 10 * one) < 1e-10 * one
 
 
@@ -537,9 +541,9 @@ def test_forms_are_exactly_rotation_invariant(geometry, k):
         mesh = build_disk_mesh(geometry, 8, level)
         space = build_space(mesh, k)
         rot = space.rotation
-        forms = _all_forms(space, mesh.h)
+        assembled = _all_forms(space, mesh.h)
         for name in ("stabilization", "data mass", "all-region mass", "stiffness"):
-            A = forms[name].matrix
+            A = assembled[name].matrix
             assert (A[rot][:, rot] != A).nnz == 0, (name, level)
             assert (A.T != A).nnz == 0, (name, level)
 

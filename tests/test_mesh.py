@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,20 @@ class TestRefinement:
             assert mesh.vertices.dtype == np.float64 and mesh.vertex_circle.dtype == np.int8
             if mesh.rotation is not None:
                 assert mesh.rotation.dtype == mesh.rotation_with_midpoints.dtype == np.int32
+
+    def test_array_fields_are_read_only(self, geometry, base_mesh, mesh_l2, unit_triangle_mesh):
+        # a refined mesh's rotation is its parent's read-only
+        # rotation_with_midpoints; the base mesh's is its own
+        meshes = (base_mesh, mesh_l2, refine_uniform(mesh_l2, geometry), unit_triangle_mesh)
+        for mesh in meshes:
+            arrays = {f.name: getattr(mesh, f.name) for f in dataclasses.fields(mesh)}
+            arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+            recorded = {"rotation"} if mesh.rotation is not None else set()
+            assert set(arrays) == set(MESH_ARRAYS) | recorded
+            for name, a in arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = a.flat[0]
+        assert base_mesh.rotation is not None and unit_triangle_mesh.rotation is None
 
     def test_tag_outside_int32_rejected(self, unit_triangle_mesh):
         v = unit_triangle_mesh.vertices

@@ -126,9 +126,8 @@ class TestHminus1Residual:
         mesh = build_disk_mesh(geometry, 8, 1)
         for level in (1, 2, 3):
             sol = solve_uc(mesh, k, HarmonicMonomial(3))
-            f = sol.forms
-            resid = hminus1_residual(sol.dual_space, sol.u, f["A0"], f["B"])
-            dual = stability_terms(sol.u, sol.z, f["S"], f["M_omega"], f["A0"])[1]
+            resid = hminus1_residual(sol.dual_space, sol.u, sol.K.A0, sol.K.B)
+            dual = stability_terms(sol.u, sol.z, sol.K)[1]
             assert abs(resid**2 - dual) <= 1e-9 * dual, level
             if level < 3:
                 mesh = refine_uniform(mesh, geometry)
@@ -141,11 +140,10 @@ def region_mass(space):
 def saddle_system(mesh, k, exact, perturbation=PerturbationSpec()):
     """The `Saddle`, load, dof points and dof rotation of `solve_uc`."""
     sol = solve_uc(mesh, k, exact, perturbation)
-    space, space0, f = sol.primal_space, sol.dual_space, sol.forms
-    K = compose_saddle(f["S"], f["M_omega"], f["B"], f["A0"])
+    space, space0 = sol.primal_space, sol.dual_space
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + sol.perturbation.load
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    return (K, rhs, *saddle_dofs(space, space0))
+    return (sol.K, rhs, *saddle_dofs(space, space0))
 
 
 NOISE = PerturbationSpec("nodal_noise", 1e-3, seed=5)
@@ -385,12 +383,22 @@ class TestSolveUc:
         # the nested-dissection order changes the factorization, not u
         exact = HarmonicMonomial(3)
         sol = solve_uc(mesh_l2, 1, exact)
-        f = sol.forms
-        K = composed(compose_saddle(f["S"], f["M_omega"], f["B"], f["A0"]))
+        K = composed(sol.K)
         load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA)
         x = spsolve(K.tocsc(), np.concatenate([load, np.zeros(sol.dual_space.n_dofs)]))
         u = x[: sol.primal_space.n_dofs]
         assert np.linalg.norm(sol.u - u) <= 1e-10 * np.linalg.norm(u)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_carries_the_solved_saddle(self, mesh_l2, k):
+        # K is the system the solve met the contract on: its residual at
+        # (u, z) is the reported one, bit for bit
+        exact = HarmonicMonomial(3)
+        sol = solve_uc(mesh_l2, k, exact, NOISE)
+        assert isinstance(sol.K, Saddle)
+        load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA) + sol.perturbation.load
+        rhs = np.r_[load, np.zeros(sol.dual_space.n_dofs)]
+        assert achieved_residual(sol.K, np.r_[sol.u, sol.z], rhs) == sol.solve_residual
 
     def test_a_priori_bound(self, geometry):
         # unperturbed primal solutions stay within twice the exact L2 size
@@ -417,7 +425,7 @@ class TestConsistencyIdentity:
         for level in (1, 2, 3):
             sol = solve_uc(mesh, 1, exact)
             sp = sol.primal_space
-            S, Mw, B = (sol.forms[key] for key in ("S", "M_omega", "B"))
+            S, Mw, B = sol.K.S, sol.K.M_omega, sol.K.B
             u_interp = interpolate_nodal(sp, exact)
             M_all = assemble_region_mass(sp, ALL_REGIONS).matrix
             load = assemble_load_region(sp, exact, Region.OMEGA_DATA)
@@ -460,7 +468,6 @@ class TestPositivity:
         # both sides of the identity are quadratic, so scaling (u, z) by 10
         # multiplies each by exactly 100 and leaves the deviation untouched
         from ucfem.fem import assemble_stabilization
-        from ucfem.sparse import compose_saddle
 
         space = build_space(mesh_l2, 1)
         space0 = space.zero_trace()
