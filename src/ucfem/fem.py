@@ -25,10 +25,12 @@ and fixed columns.  Each entry and its transpose, in another
 representative's row, become their mean ((a + b) / 2 is the same float in
 either order).  Row u is then its representative's row with each column
 turned as often as u is, and a fixed row is spread over the turns of its
-columns (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  So
-every form is exactly symmetric and rotation invariant, P A P^T == A bit
-for bit, with a stored pattern closed under transpose and rotation.  A
-mesh without a recorded rotation is the m = 1 case.
+columns (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979),
+written turn by turn into arrays of their final size, no temporary
+longer than the representatives' rows.  So every form is exactly
+symmetric and rotation invariant, P A P^T == A bit for bit, with a
+stored pattern closed under transpose and rotation.  A mesh without a
+recorded rotation is the m = 1 case.
 
 Each form takes the smallest rule exact for its polynomial integrand:
 tri_rule(2k-2) for the stiffness and tri_rule(2k) for the mass, the k-point
@@ -116,9 +118,11 @@ class FeSpace:
         m = orbits.shape[1]
         z = mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(mesh.vertices).max()
         self.turns_mesh = m == 1 or abs(z[mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9
-        self.turn_table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)]).astype(np.int32)
+        self.turn_table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)])
         self.turned_dofs = np.tile(self.turn_table, 2).ravel()
-        self.turn_at = (rep * 2 * m + shift).astype(np.int32)
+        if self.turned_dofs.size > np.iinfo(np.int32).max:  # rep * 2m + shift in int32
+            raise ValueError(f"{self.n_full} dofs exceed the int32 orbit lookup")
+        self.turn_at = rep * (2 * m) + shift
         self.det = 2.0 * mesh.signed_areas
 
     def grad_lam(self, elements) -> np.ndarray:
@@ -233,7 +237,8 @@ def _near_reps(space: FeSpace) -> np.ndarray:
 def _gram(space: FeSpace, D) -> sp.csr_matrix:
     """The form D^T D over the full dofs, with sorted indices, replicated
     from the representatives' rows (module docstring); D holds the rows of
-    the elements and faces `_near_reps` keeps, each with a dof once."""
+    the elements and faces `_near_reps` keeps, each with a dof once.  The
+    caller passes D without keeping it: it is freed after the product."""
     orbits, _, rep, shift = space.orbits
     nr, m = orbits.shape
     if not space.turns_mesh:
@@ -243,6 +248,7 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     # the representatives' rows; a fixed one only at representative columns,
     # as its other columns are their turns
     G = (D.T.tocsr()[table[:, 0]] @ D).tocoo()
+    del D
     keep = (G.row < nr) | (shift[G.col] == 0)
     i, c, v = G.row[keep], G.col[keep], G.data[keep]
     # entry (i, c) and its transpose, entry (rep[c], representative i turned
@@ -255,17 +261,23 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     c = np.r_[G.col[~spread], turned[at[G.col[spread], None] + np.arange(m)].ravel()]
     v = np.r_[G.data[~spread], np.repeat(G.data[spread], m)]
     G = sp.csr_matrix((v, (i, c)), shape=G.shape)
-    # row u is row rep[u] of G with its columns turned shift[u] times; the
-    # n-long arrays are built in int32, in place, one temporary at a time
-    length = np.diff(G.indptr)[rep]
-    indptr = np.r_[0, np.cumsum(length)].astype(np.int32)
-    src = np.repeat((G.indptr[rep] - indptr[:-1]).astype(np.int32), length)
-    src += np.arange(indptr[-1], dtype=np.int32)  # entry j of the result is entry src[j] of G
-    indices = np.take(at[G.indices], src)
-    indices += np.repeat(shift.astype(np.int32), length)
-    np.take(turned, indices, out=indices)
-    data = np.take(G.data, src)
-    del src
+    del i, c, v, spread
+    # row u is row rep[u] of G with its columns turned shift[u] times: turn s
+    # writes G's rows into rows table[:, s], all of them at s = 0 and the
+    # moved ones after, so no temporary is longer than G
+    length = np.diff(G.indptr)
+    indptr = np.zeros(space.n_full + 1, dtype=np.int32)
+    np.cumsum(length[rep], out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    cols = at[G.indices]
+    for s in range(m):
+        rows = table[:, 0] if s == 0 else table[:nr, s]
+        end = G.indptr[rows.size]
+        # entry e of row r of G goes to entry indptr[rows[r]] + e - G.indptr[r]
+        dest = np.repeat(indptr[rows] - G.indptr[: rows.size], length[: rows.size])
+        dest += np.arange(end, dtype=np.int32)
+        indices[dest] = turned[cols[:end] + s]
+        data[dest] = G.data[:end]
     mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
     mat.sort_indices()
     return mat
@@ -369,6 +381,15 @@ def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     return FormMatrix(_gram(space, _cell_operator(space)))
 
 
+def _stabilization_operator(space: FeSpace, tikhonov_scale: float) -> sp.csr_matrix:
+    """The stacked operator of s, returned to be passed on unnamed (`_gram`)."""
+    everywhere = np.arange(space.mesh.n_triangles)
+    D = [_cell_operator(space), _jump_operator(space), _mass_operator(space, everywhere)]
+    D[2].data *= tikhonov_scale**space.k
+    # Tikhonov rows first, so each entry sums its small terms before the O(1) ones
+    return sp.vstack(D[::-1], format="csr")
+
+
 def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     """Full regularization s(.,.): cell Laplacian + gradient jump + Tikhonov.
 
@@ -377,12 +398,7 @@ def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     """
     if tikhonov_scale <= 0.0:
         raise ValueError(f"tikhonov_scale must be positive, got {tikhonov_scale}")
-    everywhere = np.arange(space.mesh.n_triangles)
-    D = [_cell_operator(space), _jump_operator(space), _mass_operator(space, everywhere)]
-    D[2].data *= tikhonov_scale**space.k
-    # Tikhonov rows first, so each entry sums its small terms before the O(1) ones
-    D = sp.vstack(D[::-1], format="csr")  # rebound: frees the parts before the product
-    return FormMatrix(_gram(space, D))
+    return FormMatrix(_gram(space, _stabilization_operator(space, tikhonov_scale)))
 
 
 def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:

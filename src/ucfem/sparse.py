@@ -94,7 +94,14 @@ class Saddle:
     def max_abs(self) -> float:
         S, M = self.S, self.M_omega
         summed = np.diff(M.indptr) > 0  # the rows where S + M_omega is not S
-        parts = (S[~summed].data, (S[summed] + M[summed]).data, self.B.data, self.A0.data)
+        # S's row extremes outside them, read in place: no copy of S's rows
+        filled = np.diff(S.indptr) > 0
+        starts, alone = S.indptr[:-1][filled], ~summed[filled]
+        top = np.maximum.reduceat(S.data, starts)[alone], np.minimum.reduceat(S.data, starts)[alone]
+        # M_omega without its empty rows, on its own index and data arrays
+        indptr = np.concatenate([M.indptr[:1], M.indptr[1:][summed]])
+        M = sp.csr_matrix((M.data, M.indices, indptr), shape=(indptr.size - 1, M.shape[1]))
+        parts = (*top, (S[summed] + M).data, self.B.data, self.A0.data)
         return float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts))
 
 
@@ -335,38 +342,40 @@ def cyclic_orbits(rotation, coords):
     turn; fixed lists the unknowns the turn keeps.  The representatives
     are orbits[:, 0] then fixed, and unknown u is the shift[u]-th turn of
     representative number rep[u] (shift 0 for a representative, and for
-    every fixed unknown).  rotation None is the order-1 case: every
-    unknown is its own orbit and none is fixed.
+    every fixed unknown).  All four are int32.  rotation None is the
+    order-1 case: every unknown is its own orbit and none is fixed.
     """
     n = coords.shape[0]
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} unknowns exceed int32 indices")
     moved = np.empty(0) if rotation is None else np.flatnonzero(rotation != np.arange(n))
     if moved.size == 0:
-        own = np.arange(n)
-        return own[:, None], np.empty(0, dtype=np.int64), own, np.zeros(n, dtype=np.int64)
-    fixed = np.flatnonzero(rotation == np.arange(n))
+        own = np.arange(n, dtype=np.int32)
+        return own[:, None], np.empty(0, dtype=np.int32), own, np.zeros(n, dtype=np.int32)
+    fixed = np.flatnonzero(rotation == np.arange(n)).astype(np.int32)
     m, i = 1, rotation[moved[0]]
     while i != moved[0] and m <= n:
         i, m = rotation[i], m + 1
 
     angle = np.arctan2(coords[:, 1], coords[:, 0]) % (2.0 * np.pi)
-    turned, least, turns = moved, angle[moved], np.zeros(moved.size, dtype=np.int64)
+    turned, least, turns = moved, angle[moved], np.zeros(moved.size, dtype=np.int32)
     for s in range(1, m):
         turned = np.take(rotation, turned)
         turned_angle = np.take(angle, turned)
         turns[turned_angle < least] = s
         np.minimum(least, turned_angle, out=least)
-    orbits = np.empty((np.count_nonzero(turns == 0), m), dtype=np.int64)
+    orbits = np.empty((np.count_nonzero(turns == 0), m), dtype=np.int32)
     orbits[:, 0] = moved[turns == 0]
     for s in range(1, m):
         orbits[:, s] = rotation[orbits[:, s - 1]]
     members = np.bincount(np.concatenate([orbits.ravel(), fixed]), minlength=n)
     if np.any(members != 1) or np.any(rotation[orbits[:, -1]] != orbits[:, 0]):
         raise ValueError("rotation is not a permutation whose moved cycles share one length")
-    rep = np.empty(n, dtype=np.int64)
-    shift = np.zeros(n, dtype=np.int64)
-    rep[orbits] = np.arange(orbits.shape[0])[:, None]
-    shift[orbits] = np.arange(m)
-    rep[fixed] = orbits.shape[0] + np.arange(fixed.size)
+    rep = np.empty(n, dtype=np.int32)
+    shift = np.zeros(n, dtype=np.int32)
+    rep[orbits] = np.arange(orbits.shape[0], dtype=np.int32)[:, None]
+    shift[orbits] = np.arange(m, dtype=np.int32)
+    rep[fixed] = orbits.shape[0] + np.arange(fixed.size, dtype=np.int32)
     return orbits, fixed, rep, shift
 
 
@@ -389,10 +398,12 @@ class CyclicModes:
     mode.  `matrix` and `rhs` are the kept blocks, each in the
     nested-dissection order of the representatives' points, stacked
     diagonally; they are complex only when a mode other than 0 and m/2
-    is kept.  rotation None is the order-1 case: one mode, E = identity,
-    K itself.  Nothing here checks that K commutes with the rotation: a
-    K that does not gives an x that misses the residual contract on the
-    full K, which the caller checks (`achieved_residual`).
+    is kept (blocks 0 and m/2 then hold real values).  Each block is
+    converted alone and copied into the stacked CSC, allocated once at its
+    final size.  rotation None is the order-1 case: one mode, E =
+    identity, K itself.  Nothing here checks that K commutes with the
+    rotation: a K that does not gives an x that misses the residual
+    contract on the full K, which the caller checks (`achieved_residual`).
 
     `rel_tol` is the tolerance a `solve_direct` of `matrix` and `rhs` must
     meet for the recombined x to keep the contract on K, 0.5 REL_TOL
@@ -424,26 +435,39 @@ class CyclicModes:
         i, col, turn = rows.row, rep[rows.col], shift[rows.col]
         size = np.where(np.arange(reps.size) < nr, m, 1)
         data = rows.data * np.sqrt(size[i] / size[col])
+        del rows
         mode0 = sp.csr_matrix((data, (i, col)), shape=(reps.size, reps.size))
         order = nested_dissection(coords[reps], mode0)
+        # block j has the pattern of mode 0, over the moved representatives for j > 0
+        moved_nnz = np.count_nonzero(mode0.indices[: mode0.indptr[nr]] < nr)
+        nnz = sum(mode0.nnz if j == 0 else moved_nnz for j in self.modes)
+        del mode0
         phase = np.exp(2j * np.pi * np.arange(m) / m)
 
-        self._blocks, entries, rhs, offset = [], [], [], 0
+        n = sum(reps.size if j == 0 else nr for j in self.modes)
+        itype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+        indptr, indices = np.zeros(n + 1, dtype=itype), np.empty(nnz, dtype=itype)
+        values = np.empty(nnz, dtype=complex if any(0 < 2 * j < m for j in self.modes) else float)
+        self._blocks, rhs, offset, at = [], [], 0, 0
         for j in self.modes:
             if j == 0:
-                perm, keep, values = order, slice(None), data
+                perm, keep, v = order, slice(None), data
             else:
                 perm, keep = order[order < nr], (i < nr) & (col < nr)
                 w = (-1.0) ** np.arange(m) if 2 * j == m else phase[(j * np.arange(m)) % m]
-                values = data[keep] * w[turn[keep]]
-            pos = np.empty(perm.size, dtype=np.int64)
-            pos[perm] = offset + np.arange(perm.size)
-            entries.append((values, pos[i[keep]], pos[col[keep]]))
+                v = data[keep] * w[turn[keep]]
+            pos = np.empty(perm.size, dtype=np.int32)
+            pos[perm] = np.arange(perm.size, dtype=np.int32)
+            block = sp.csc_matrix((v, (pos[i[keep]], pos[col[keep]])), shape=(perm.size, perm.size))
+            end = at + block.nnz
+            values[at:end] = block.data
+            np.add(block.indices, offset, out=indices[at:end])
+            np.add(block.indptr[1:], at, out=indptr[offset + 1 : offset + perm.size + 1])
+            del v, keep, block
             rhs.append(np.concatenate([load[:, 0], b[fixed]])[perm] if j == 0 else load[perm, j])
             self._blocks.append((j, offset, perm))
-            offset += perm.size
-        values, r, c = (np.concatenate(parts) for parts in zip(*entries))
-        self.matrix = sp.csc_matrix((values, (r, c)), shape=(offset, offset))
+            offset, at = offset + perm.size, end
+        self.matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n))
         self.rhs = np.concatenate(rhs) if np.iscomplexobj(values) else np.concatenate(rhs).real
         # both maxima over assembled entries, duplicates summed
         self.rel_tol = 0.5 * REL_TOL * min(1.0, max_abs(K) / np.abs(self.matrix.data).max())

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +35,24 @@ from ucfem.mesh import (
 )
 from ucfem.solver import solve_poisson, verify_positivity
 from ucfem.sparse import compose_saddle
+
+
+def traced_peak(fn):
+    """fn() and the peak of what Python and numpy allocate while it runs,
+    in bytes above what was allocated before it (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(A):
+    """The bytes of a CSR/CSC matrix's data, indices and indptr."""
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 class TestSpaces:
@@ -238,6 +258,14 @@ class TestStabilization:
         space = build_space(base_mesh, 1)
         with pytest.raises(ValueError):
             assemble_stabilization(space, 0.0)
+
+    @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
+    def test_peak_memory_near_the_result(self, geometry, k, level):
+        # the stacked operator is freed after the product, and the replicated
+        # rows are written into arrays of their final size, one turn at a time
+        space = build_space(build_disk_mesh(geometry, 8, level), k)
+        S, peak = traced_peak(lambda: assemble_stabilization(space, space.mesh.h).matrix)
+        assert peak <= 2.0 * csr_bytes(S)
 
 
 class TestLoads:

@@ -37,7 +37,7 @@ from ucfem.sparse import (
     compose_saddle,
     cyclic_orbits,
 )
-from test_fem import jittered_disk_mesh
+from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
 from test_sparse import composed
 
 
@@ -173,6 +173,49 @@ class TestCyclicModes:
         split = CyclicModes(*saddle_system(mesh, 1, exact, perturbation))
         assert split.modes == modes
         assert np.iscomplexobj(split.matrix.data)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_blocks_are_the_dense_mode_projections(self, geometry, k):
+        # block j of the stacked matrix is E_j^H K E_j in the block's order,
+        # nothing lies outside the blocks, and blocks 0 and m/2 are real
+        K, rhs, coords, rot = saddle_system(build_disk_mesh(geometry, 8, 1), k, ZeroField(), NOISE)
+        split = CyclicModes(K, rhs, coords, rot)
+        orbits, fixed, rep, shift = cyclic_orbits(rot, coords)
+        assert all(a.dtype == np.int32 for a in (orbits, fixed, rep, shift))
+        nr, m = orbits.shape
+        assert split.modes == tuple(range(m // 2 + 1))
+        A, dense = split.matrix, composed(K).toarray()
+        assert A.has_canonical_format
+        inside = np.zeros(A.shape, dtype=bool)
+        for j, offset, perm in split._blocks:
+            E = np.zeros((K.shape[0], perm.size), dtype=complex)
+            E[orbits, np.arange(nr)[:, None]] = np.exp(2j * np.pi * j * np.arange(m) / m) / np.sqrt(m)
+            if j == 0:
+                E[fixed, nr + np.arange(fixed.size)] = 1.0
+            want = (E.conj().T @ dense @ E)[np.ix_(perm, perm)]
+            block = slice(offset, offset + perm.size)
+            got = A[block, block]
+            assert np.abs(got.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+            if j in (0, m // 2):
+                assert np.all(got.data.imag == 0.0)
+            inside[block, block] = True
+        assert offset + perm.size == A.shape[0]
+        coo = A.tocoo()
+        assert inside[coo.row, coo.col].all()
+
+    def test_orbits_refuse_more_unknowns_than_int32_indexes(self):
+        # a broadcast view: 2^31 points without allocating them
+        coords = np.broadcast_to(np.zeros(2), (2**31, 2))
+        with pytest.raises(ValueError, match="int32"):
+            cyclic_orbits(None, coords)
+
+    @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
+    def test_peak_memory_near_the_stacked_matrix(self, geometry, k, level):
+        # each block is converted on its own and copied into the stacked matrix
+        args = saddle_system(build_disk_mesh(geometry, 8, level), k, ZeroField(), NOISE)
+        split, peak = traced_peak(lambda: CyclicModes(*args))
+        assert split.modes == (0, 1, 2, 3, 4)
+        assert peak <= 3.0 * csr_bytes(split.matrix)
 
     @pytest.mark.parametrize("k, level, tol", [(1, 3, 1e-8), (2, 2, 1e-6)])
     def test_mode_solve_matches_order_one_solve(self, geometry, k, level, tol):

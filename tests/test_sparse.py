@@ -18,7 +18,7 @@ from ucfem.sparse import (
     nested_dissection,
     solve_direct,
 )
-from test_fem import jittered_disk_mesh
+from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
 
 
 def saddle(space, space0):
@@ -118,6 +118,29 @@ class TestComposeSaddle:
         kmax = ucfem.sparse.max_abs(heavy)
         assert kmax == np.abs(composed(heavy).data).max() > np.abs(K.S.data).max()
         assert ucfem.sparse.max_abs(composed(heavy)) == kmax
+
+    @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
+    def test_max_abs_copies_no_rows_of_S(self, geometry, k, level):
+        # the rows of S outside M_omega's are read in place
+        space = build_space(build_disk_mesh(geometry, 8, level), k)
+        K = saddle(space, space.zero_trace())
+        kmax, peak = traced_peak(lambda: K.max_abs)
+        assert kmax == np.abs(composed(K).data).max()
+        assert peak <= 0.9 * csr_bytes(K.S)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_max_abs_over_empty_and_unsummed_rows(self, sign):
+        # S has empty first and last rows and its largest |entry| in a row
+        # M_omega leaves out
+        S = np.zeros((4, 4))
+        S[1:3, 1:3] = [[sign * 5.0, 1.0], [1.0, 2.0]]
+        M = np.zeros((4, 4))
+        M[2, 2] = 2.5
+        S, M, B = sp.csr_matrix(S), sp.csr_matrix(M), sp.csr_matrix((1, 4))
+        K = compose_saddle(S, M, B, sp.csr_matrix(np.array([[1.0]])))
+        assert ucfem.sparse.max_abs(K) == np.abs(composed(K).data).max() == 5.0
+        empty = compose_saddle(sp.csr_matrix((4, 4)), M, B, sp.csr_matrix((1, 1)))
+        assert ucfem.sparse.max_abs(empty) == 2.5
 
     def test_positivity_identity_matrix_form(self, mesh_l2):
         # [u; -z]^T K [u; z] == u^T (S + M_w) u + z^T A0 z, the matrix form of
