@@ -322,8 +322,9 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
 
 def _jump_operator(space: FeSpace) -> sp.csr_matrix:
     mesh = space.mesh
-    interior = mesh.interior_edges
-    interior = interior[_near_reps(space)[mesh.edge_tris[interior]].any(axis=1)]
+    near, (t0, t1) = _near_reps(space), mesh.edge_tris.T
+    # the interior faces next to a kept element; slot 1 of a boundary edge is -1
+    interior = np.flatnonzero((mesh.edge_counts == 2) & (near[t0] | near[t1]))
     tq, wq = quadrature.gauss_rule_01(space.k)
     a = mesh.vertices[mesh.edges[interior, 0]]
     b = mesh.vertices[mesh.edges[interior, 1]]
@@ -422,37 +423,38 @@ def interpolate_nodal(space: FeSpace, f) -> np.ndarray:
 class ErrorNorms:
     l2: float
     h1_semi: float
+    l2_inner: float
+    l2_uh: float
 
 
-def error_norms(space: FeSpace, coeffs, exact, region) -> ErrorNorms:
+def error_norms(space: FeSpace, coeffs, exact, region, inner=()) -> ErrorNorms:
     """Quadrature L2 and H1-seminorm of (exact - u_h) over tagged elements.
 
     `exact` needs a `gradient` method for the seminorm; without one the
-    seminorm is reported as nan.
+    seminorm is reported as nan.  `l2_inner` is the L2 error over the
+    elements of `region` tagged `inner`, and `l2_uh` |u_h|_{L2} over the mesh.
     """
-    rule = ASSEMBLY_RULE
-    elements = space.mesh.region_elements(region)
+    rule, mesh = ASSEMBLY_RULE, space.mesh
     full = space.expand_coeffs(coeffs)
-    local = full[space.full_map[elements]]  # (nel, ndl)
-    vals = space.basis_values(rule.points)
-    pts = space.phys_points(elements, rule.points)
-    flatpts = pts.reshape(-1, 2)
-
-    uh = local @ vals.T  # (nel, nq)
-    ue = _field_values(exact, flatpts).reshape(uh.shape)
+    uh = full[space.full_map] @ space.basis_values(rule.points).T  # (n_triangles, nq)
+    elements = mesh.region_elements(region)
+    x, y = (c[mesh.triangles[elements]] @ rule.points.T for c in mesh.vertices.T)  # (nel, nq)
+    pts = np.stack([x, y], axis=2).reshape(-1, 2)
     det = space.det[elements]
-    l2sq = float(det @ ((ue - uh) ** 2 @ rule.weights))
+    sq = (_field_values(exact, pts).reshape(x.shape) - uh[elements]) ** 2 @ rule.weights
+    at_inner = np.isin(elements, mesh.region_elements(inner))
+    l2sq, inner_sq, uh_sq = det @ sq, det[at_inner] @ sq[at_inner], space.det @ (uh**2 @ rule.weights)
 
-    ge = _field_gradient(exact, flatpts)
+    ge = _field_gradient(exact, pts)
     if ge is None:
         h1sq = float("nan")
     else:
         # a P1 gradient is constant per element: take it at one point only
         g = space.phys_grads(elements, rule.points[: 1 if space.k == 1 else None])
-        gh = (local[:, None, None, :] @ g)[:, :, 0]  # (nel, 1 | nq, 2)
-        diff = ge.reshape(pts.shape) - gh
+        gh = (full[space.full_map[elements]][:, None, None, :] @ g)[:, :, 0]  # (nel, 1 | nq, 2)
+        diff = ge.reshape(*x.shape, 2) - gh
         h1sq = float(det @ ((diff * diff).sum(axis=2) @ rule.weights))
-    return ErrorNorms(l2=np.sqrt(max(l2sq, 0.0)), h1_semi=np.sqrt(max(h1sq, 0.0)))
+    return ErrorNorms(*(np.sqrt(max(float(v), 0.0)) for v in (l2sq, h1sq, inner_sq, uh_sq)))
 
 
 def stability_terms(u, z, K) -> tuple[float, float, float]:

@@ -12,6 +12,9 @@ pivoted SuperLU factorization with COLAMD ordering is the fallback.
 `CyclicModes` turns K x = b, for a K that commutes with a rotation of its
 unknowns, into one block-diagonal system of the Fourier modes the load
 excites.  Every step is deterministic for identical inputs.
+Importing the module sets each OpenBLAS copy in the process to one thread
+(`_limit_openblas_threads`; README, Solver); a program that wants threaded
+BLAS for its own dense work raises the count again after the import.
 """
 
 from __future__ import annotations
@@ -44,6 +47,33 @@ def _load_malloc_trim():
 
 
 _MALLOC_TRIM = _load_malloc_trim()
+
+_OPENBLAS_SETTERS = (  # numpy's ILP64 OpenBLAS, scipy's, a system one
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
+def _limit_openblas_threads():
+    """Set every OpenBLAS copy mapped in the process to one thread, through
+    the first of `_OPENBLAS_SETTERS` it exports.  Without /proc/self/maps
+    (macOS), without OpenBLAS (Accelerate, MKL) or where a library fails
+    to load, nothing is done."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]  # the copies already loaded
+    except OSError:
+        return
+    for lib in libs:
+        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+_limit_openblas_threads()
 
 
 def _check_finite(x, what):
@@ -348,28 +378,31 @@ def cyclic_orbits(rotation, coords):
     n = coords.shape[0]
     if n > np.iinfo(np.int32).max:
         raise ValueError(f"{n} unknowns exceed int32 indices")
-    moved = np.empty(0) if rotation is None else np.flatnonzero(rotation != np.arange(n))
-    if moved.size == 0:
+    same = None if rotation is None else rotation == np.arange(n, dtype=np.int32)
+    if same is None or same.all():
         own = np.arange(n, dtype=np.int32)
         return own[:, None], np.empty(0, dtype=np.int32), own, np.zeros(n, dtype=np.int32)
-    fixed = np.flatnonzero(rotation == np.arange(n)).astype(np.int32)
+    moved, fixed = np.flatnonzero(~same).astype(np.int32), np.flatnonzero(same).astype(np.int32)
     m, i = 1, rotation[moved[0]]
     while i != moved[0] and m <= n:
         i, m = rotation[i], m + 1
 
-    angle = np.arctan2(coords[:, 1], coords[:, 0]) % (2.0 * np.pi)
-    turned, least, turns = moved, angle[moved], np.zeros(moved.size, dtype=np.int32)
-    for s in range(1, m):
-        turned = np.take(rotation, turned)
-        turned_angle = np.take(angle, turned)
-        turns[turned_angle < least] = s
-        np.minimum(least, turned_angle, out=least)
-    orbits = np.empty((np.count_nonzero(turns == 0), m), dtype=np.int32)
-    orbits[:, 0] = moved[turns == 0]
+    # a moved unknown represents its orbit if no turn has a smaller angle
+    angle = np.arctan2(coords[:, 1], coords[:, 0])
+    np.remainder(angle, 2.0 * np.pi, out=angle)
+    own_angle, is_rep, turned = angle[moved], np.ones(moved.size, dtype=bool), moved
+    for _ in range(1, m):
+        turned = rotation[turned]
+        is_rep &= angle[turned] >= own_angle
+    del angle, own_angle, turned
+    orbits = np.empty((np.count_nonzero(is_rep), m), dtype=np.int32)
+    orbits[:, 0] = moved[is_rep]
+    del moved, is_rep
     for s in range(1, m):
         orbits[:, s] = rotation[orbits[:, s - 1]]
-    members = np.bincount(np.concatenate([orbits.ravel(), fixed]), minlength=n)
-    if np.any(members != 1) or np.any(rotation[orbits[:, -1]] != orbits[:, 0]):
+    seen = np.zeros(n, dtype=bool)  # n members, each unknown among them: each once
+    seen[orbits] = seen[fixed] = True
+    if orbits.size + fixed.size != n or not seen.all() or np.any(rotation[orbits[:, -1]] != orbits[:, 0]):
         raise ValueError("rotation is not a permutation whose moved cycles share one length")
     rep = np.empty(n, dtype=np.int32)
     shift = np.zeros(n, dtype=np.int32)
@@ -400,10 +433,11 @@ class CyclicModes:
     diagonally; they are complex only when a mode other than 0 and m/2
     is kept (blocks 0 and m/2 then hold real values).  Each block is
     converted alone and copied into the stacked CSC, allocated once at its
-    final size.  rotation None is the order-1 case: one mode, E =
-    identity, K itself.  Nothing here checks that K commutes with the
-    rotation: a K that does not gives an x that misses the residual
-    contract on the full K, which the caller checks (`achieved_residual`).
+    final size; a single kept block is `matrix` itself, without a copy.
+    rotation None is the order-1 case: one mode, E = identity, K itself.
+    Nothing here checks that K commutes with the rotation: a K that does
+    not gives an x that misses the residual contract on the full K, which
+    the caller checks (`achieved_residual`).
 
     `rel_tol` is the tolerance a `solve_direct` of `matrix` and `rhs` must
     meet for the recombined x to keep the contract on K, 0.5 REL_TOL
@@ -445,9 +479,11 @@ class CyclicModes:
         phase = np.exp(2j * np.pi * np.arange(m) / m)
 
         n = sum(reps.size if j == 0 else nr for j in self.modes)
-        itype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-        indptr, indices = np.zeros(n + 1, dtype=itype), np.empty(nnz, dtype=itype)
-        values = np.empty(nnz, dtype=complex if any(0 < 2 * j < m for j in self.modes) else float)
+        stacked = len(self.modes) > 1  # one kept block is the matrix itself, uncopied
+        if stacked:
+            itype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+            indptr, indices = np.zeros(n + 1, dtype=itype), np.empty(nnz, dtype=itype)
+            values = np.empty(nnz, dtype=complex if any(0 < 2 * j < m for j in self.modes) else float)
         self._blocks, rhs, offset, at = [], [], 0, 0
         for j in self.modes:
             if j == 0:
@@ -460,15 +496,19 @@ class CyclicModes:
             pos[perm] = np.arange(perm.size, dtype=np.int32)
             block = sp.csc_matrix((v, (pos[i[keep]], pos[col[keep]])), shape=(perm.size, perm.size))
             end = at + block.nnz
-            values[at:end] = block.data
-            np.add(block.indices, offset, out=indices[at:end])
-            np.add(block.indptr[1:], at, out=indptr[offset + 1 : offset + perm.size + 1])
+            if stacked:
+                values[at:end] = block.data
+                np.add(block.indices, offset, out=indices[at:end])
+                np.add(block.indptr[1:], at, out=indptr[offset + 1 : offset + perm.size + 1])
+            else:
+                self.matrix = block
             del v, keep, block
             rhs.append(np.concatenate([load[:, 0], b[fixed]])[perm] if j == 0 else load[perm, j])
             self._blocks.append((j, offset, perm))
             offset, at = offset + perm.size, end
-        self.matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n))
-        self.rhs = np.concatenate(rhs) if np.iscomplexobj(values) else np.concatenate(rhs).real
+        if stacked:
+            self.matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n))
+        self.rhs = np.concatenate(rhs) if np.iscomplexobj(self.matrix.data) else np.concatenate(rhs).real
         # both maxima over assembled entries, duplicates summed
         self.rel_tol = 0.5 * REL_TOL * min(1.0, max_abs(K) / np.abs(self.matrix.data).max())
 

@@ -135,12 +135,9 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact) -> LevelRecord:
     sol = solve_uc(mesh, cfg.k, exact, cfg.perturbation, resolve_hmin(cfg))
     primal, dual = sol.primal_space, sol.dual_space
     u_interp = interpolate_nodal(primal, exact)
-    err_b = error_norms(primal, sol.u, exact, B_REGIONS)
-    err_omega = error_norms(primal, sol.u, exact, [Region.OMEGA_DATA])
+    err = error_norms(primal, sol.u, exact, B_REGIONS, inner=[Region.OMEGA_DATA])
     tnorm = triple_norm(u_interp - sol.u, sol.z, sol.K)
     resid = hminus1_residual(dual, sol.u, sol.K.A0, sol.K.B)
-    # a field without a gradient: the H1 seminorm is not evaluated
-    l2_uh = error_norms(primal, sol.u, ZeroField().value, ALL_REGIONS).l2
     # energy balance s(u_I,u_I) / |u_I|^2_omega: the data term engages the
     # solver only once it falls below about 1; None when u_I = 0 on omega
     reg_energy, _, data_energy = stability_terms(u_interp, np.zeros(dual.n_dofs), sol.K)
@@ -149,12 +146,12 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact) -> LevelRecord:
         h=float(mesh.h),
         n_dofs_primal=primal.n_dofs,
         n_dofs_dual=dual.n_dofs,
-        err_l2_B=float(err_b.l2),
-        err_l2_omega=float(err_omega.l2),
-        err_h1semi_B=float(err_b.h1_semi),
+        err_l2_B=float(err.l2),
+        err_l2_omega=float(err.l2_inner),
+        err_h1semi_B=float(err.h1_semi),
         triple_norm=float(tnorm),
         residual_hminus1=float(resid),
-        l2_Omega_of_uh=float(l2_uh),
+        l2_Omega_of_uh=float(err.l2_uh),
         energy_ratio=reg_energy / data_energy if data_energy > 0 else None,
         tik_scale=float(sol.tikhonov_scale),
     )

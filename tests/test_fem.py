@@ -22,7 +22,7 @@ from ucfem.fem import (
     interpolate_nodal,
     triple_norm,
 )
-from ucfem.fields import AffineField, ConstantField, RadialQuadratic
+from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import (
     ALL_REGIONS,
@@ -641,6 +641,15 @@ def test_error_norms_match_per_element_loop(geometry, k):
         no_gradient = error_norms(space, coeffs, with_gradient.value, region)
         assert abs(no_gradient.l2 - want_l2) <= 1e-13 * want_l2
         assert math.isnan(no_gradient.h1_semi)
+
+    # the omega error and |u_h| over the mesh of one call over B, as the studies take them
+    got = error_norms(space, coeffs, with_gradient, B_REGIONS, inner=[Region.OMEGA_DATA])
+    want_l2 = per_element(with_gradient, mesh.region_elements([Region.OMEGA_DATA]))[0]
+    assert abs(got.l2_inner - want_l2) <= 1e-13 * want_l2
+    want_l2 = per_element(ZeroField(), mesh.region_elements(ALL_REGIONS))[0]
+    assert abs(got.l2_uh - want_l2) <= 1e-13 * want_l2
+    assert got.l2_inner == error_norms(space, coeffs, with_gradient, [Region.OMEGA_DATA]).l2
+    assert got.l2_uh == error_norms(space, coeffs, ZeroField(), ALL_REGIONS).l2
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -217,6 +217,22 @@ class TestCyclicModes:
         assert split.modes == (0, 1, 2, 3, 4)
         assert peak <= 3.0 * csr_bytes(split.matrix)
 
+    def test_one_kept_mode_is_not_copied(self, geometry):
+        # Re z^3 keeps mode 3 alone: its converted block is the matrix
+        args = saddle_system(build_disk_mesh(geometry, 8, 5), 1, HarmonicMonomial(4))
+        split, peak = traced_peak(lambda: CyclicModes(*args))
+        assert split.modes == (3,)
+        assert peak <= 4.3 * csr_bytes(split.matrix)
+
+    @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
+    def test_orbits_peak_memory_near_the_results(self, geometry, k, level):
+        # an int32 comparison, the angle taken in place and a boolean
+        # permutation check: no n-long int64 index or bincount
+        space = build_space(build_disk_mesh(geometry, 8, level), k)
+        coords, rot = saddle_dofs(space, space.zero_trace())
+        out, peak = traced_peak(lambda: cyclic_orbits(rot, coords))
+        assert peak <= 4.0 * sum(a.nbytes for a in out)
+
     @pytest.mark.parametrize("k, level, tol", [(1, 3, 1e-8), (2, 2, 1e-6)])
     def test_mode_solve_matches_order_one_solve(self, geometry, k, level, tol):
         mesh = build_disk_mesh(geometry, 8, level)

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import platform
 
@@ -45,6 +46,34 @@ def assert_same_csr(got, want):
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+#: the thread-count getters of numpy's ILP64 OpenBLAS, scipy's, and a system one
+OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
+
+
+def test_every_openblas_copy_runs_one_thread():
+    # importing ucfem.sparse sets each mapped OpenBLAS pool to one thread
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        name = next((name for name in OPENBLAS_GETTERS if hasattr(lib, name)), None)
+        if name is not None:
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts[path] = getter()
+    if not counts:
+        pytest.skip("no OpenBLAS copy in the process")
+    assert counts == {path: 1 for path in counts}
 
 
 class TestComposeSaddle:
