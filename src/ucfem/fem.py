@@ -152,7 +152,7 @@ class FeSpace:
         sub.dof_coords = self.dof_coords[sub.active]
         if self.rotation is not None:
             # a turn maps the boundary onto itself, so V_0h onto V_0h
-            sub.rotation = np.searchsorted(sub.active, self.rotation[sub.active])
+            sub.rotation = np.searchsorted(sub.active, self.rotation[sub.active]).astype(np.int32)
         return sub
 
     def basis_values(self, bary) -> np.ndarray:

@@ -140,12 +140,13 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
     rng = np.random.default_rng(spec.seed)
     coeffs = np.zeros(space.n_dofs)
     coeffs[omega_dofs] = rng.uniform(-1.0, 1.0, omega_dofs.size)
-    raw_norm = np.sqrt(coeffs @ (M_omega @ coeffs))
+    # np.sum, not a BLAS dot, whose last bits depend on its thread count
+    raw_norm = np.sqrt(np.sum(coeffs * (M_omega @ coeffs)))
     if raw_norm == 0.0:
         raise ValueError("nodal noise degenerated to the zero field")
     coeffs *= spec.epsilon / raw_norm
     load = M_omega @ coeffs
-    return Perturbation(load=load, norm_l2_omega=float(np.sqrt(coeffs @ load)))
+    return Perturbation(load=load, norm_l2_omega=float(np.sqrt(np.sum(coeffs * load))))
 
 
 def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float) -> Saddle:

@@ -55,22 +55,23 @@ _OPENBLAS_SETTERS = (  # numpy's ILP64 OpenBLAS, scipy's, a system one
 )
 
 
-def _limit_openblas_threads():
-    """Set every OpenBLAS copy mapped in the process to one thread, through
-    the first of `_OPENBLAS_SETTERS` it exports.  Without /proc/self/maps
-    (macOS), without OpenBLAS (Accelerate, MKL) or where a library fails
-    to load, nothing is done."""
+def _limit_openblas_threads(threads=1):
+    """Set every OpenBLAS copy mapped in the process to `threads` threads
+    through the first of `_OPENBLAS_SETTERS` it exports; the number of
+    copies set.  Without /proc/self/maps (macOS), without OpenBLAS
+    (Accelerate, MKL) or where a library fails to load, none is set."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
         libs = [ctypes.CDLL(path) for path in paths]  # the copies already loaded
     except OSError:
-        return
-    for lib in libs:
-        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+        return 0
+    found = (next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None) for lib in libs)
+    setters = [setter for setter in found if setter is not None]
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(threads)
+    return len(setters)
 
 
 _limit_openblas_threads()
@@ -201,6 +202,8 @@ def solve_direct(K, b, rel_tol: float = REL_TOL) -> np.ndarray:
 def _lu_solve(K, b, rel_tol, pivoting):
     """One SuperLU factorization of K (CSC) and a solve refined at most
     once; SolverError when the factorization or the contract fails."""
+    # relax and panel_size stay at SuperLU's defaults: no other value gained
+    # reliably, and panel_size=40 crashed (SIGSEGV) 5 of 7 k=2 perturb studies
     if pivoting:
         options = {}
     else:
@@ -255,7 +258,7 @@ def achieved_residual(K, x, b) -> float:
 
 
 #: parts of at most this many unknowns are not split further
-LEAF_SIZE = 64
+LEAF_SIZE = 8
 
 
 def nested_dissection(coords, A) -> np.ndarray:
@@ -263,19 +266,20 @@ def nested_dissection(coords, A) -> np.ndarray:
 
     Geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973) of
     A's graph, coords[i] being the point of unknown i.  Each part larger
-    than LEAF_SIZE is halved at the median of its longer bounding-box side;
-    its separator is a minimum vertex cover of the edges that cross the cut
-    (`_cut_cover`; Ashcraft & Liu, SIMAX 19, 1998), numbered after both
-    halves, which lose the separator's unknowns.  The half-0 endpoints
-    alone also separate, but at P2 they form a band about one element
-    wide where a line of shared nodes suffices (1.3x the fill of SuperLU's
-    minimum degree on the k=2 level-3 saddle, against 0.99x).  Leaves and
-    separators are numbered in coordinate order along their last cut (a
-    graph that is one leaf keeps its index order).  All parts of one depth
-    are split in one pass over the upper-triangle edge list and one
-    matching of all their cut edges, so the cost is O(nnz * depth) plus
-    the matchings; only stable sorts and deterministic graph searches are
-    used, so the result is deterministic.
+    than LEAF_SIZE is halved at its median along x or along y, whichever
+    cut has the smaller separator (the longer bounding-box side on a tie):
+    a minimum vertex cover of the edges that cross the cut (`_cut_cover`;
+    Ashcraft & Liu, SIMAX 19, 1998), numbered after both halves, which
+    lose its unknowns.  The half-0 endpoints alone also separate, but at
+    P2 they form a band about one element wide.  The factor of the full
+    k=2 level-3 saddle holds 0.97x the entries of SuperLU's minimum degree,
+    1.09x when each part is cut across its longer side down to leaves of 64.
+    Leaves and separators are numbered in coordinate order along their
+    last cut (a graph that is one leaf keeps its index order).  All parts
+    of one depth are split in one pass over the upper-triangle edge list
+    and one matching of the edges both cuts cross, so the cost is
+    O(nnz * depth) plus the matchings; only stable sorts and
+    deterministic graph searches are used, so the result is deterministic.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
@@ -285,7 +289,7 @@ def nested_dissection(coords, A) -> np.ndarray:
     ei, ej = upper.row.astype(np.int64), upper.col.astype(np.int64)
     perm = np.empty(n, dtype=np.int64)
     part = np.zeros(n, dtype=np.int64)  # part of each unnumbered unknown, else -1
-    half1 = np.zeros(n, dtype=bool)
+    half1 = np.zeros(n, dtype=np.uint8)  # bit 0: in half 1 of the cut along x, bit 1: along y
     # the unnumbered unknowns, part after part; per part: size, first position in perm
     verts = np.arange(n)
     size = np.array([n])
@@ -302,20 +306,28 @@ def nested_dissection(coords, A) -> np.ndarray:
         label = np.repeat(np.arange(size.size), size)
         part[verts] = label
 
+        # each part in coordinate order along x and along y, halved at the median
         pts = coords[verts]
-        extent = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
-        side = np.argmax(extent, axis=1)[label]
-        verts = verts[np.lexsort((pts[np.arange(verts.size), side], label))]
+        by_axis = [verts[np.lexsort((pts[:, axis], label))] for axis in (0, 1)]
         up = np.arange(verts.size) - np.repeat(start, size) >= np.repeat(size // 2, size)
-        half1[verts] = up
+        half1[by_axis[0]] = up
+        half1[by_axis[1]] |= up.view(np.uint8) << 1
 
         inside = (part[ei] >= 0) & (part[ei] == part[ej])
         ei, ej = ei[inside], ej[inside]
-        cut = half1[ei] != half1[ej]
-        e0, e1 = ei[cut], ej[cut]
-        flip = half1[e0]
+        # both cuts' edges in one bipartite graph, the y cut's unknowns shifted by n
+        crossed = half1[ei] ^ half1[ej]
+        axis, t = np.nonzero(np.stack([crossed & 1, crossed >> 1]).view(bool))
+        e0, e1 = ei[t], ej[t]
+        flip = (half1[e0] >> axis) & 1
+        ends = np.where(flip, e1, e0) + axis * n, np.where(flip, e0, e1) + axis * n
+        cover_axis, cover = np.divmod(_cut_cover(*ends), n)
+        count = np.bincount(2 * part[cover] + cover_axis, minlength=2 * size.size).reshape(-1, 2)
+        extent = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
+        side = np.where(count[:, 0] == count[:, 1], np.argmax(extent, axis=1), np.argmin(count, axis=1))
+        verts = np.where(side[label] == 0, by_axis[0], by_axis[1])
         is_sep = np.zeros(n, dtype=bool)
-        is_sep[_cut_cover(np.where(flip, e1, e0), np.where(flip, e0, e1))] = True
+        is_sep[cover[side[part[cover]] == cover_axis]] = True
 
         sep = is_sep[verts]
         n0 = np.add.reduceat(~up & ~sep, start)

@@ -33,7 +33,7 @@ from ucfem.mesh import (
     mesh_from_arrays,
     refine_uniform,
 )
-from ucfem.solver import solve_poisson, verify_positivity
+from ucfem.solver import saddle_dofs, solve_poisson, verify_positivity
 from ucfem.sparse import compose_saddle
 
 
@@ -101,6 +101,14 @@ class TestSpaces:
 
         with pytest.raises(ValueError):
             solve_poisson(build_space(mesh, 1), ConstantField(4.0))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_trace_and_saddle_rotations_are_int32(self, geometry, k):
+        # cyclic_orbits walks the rotation: int64 would double its temporaries
+        space = build_space(build_disk_mesh(geometry, 8, 2), k)
+        space0 = space.zero_trace()
+        assert space0.rotation.dtype == np.int32
+        assert saddle_dofs(space, space0)[1].dtype == np.int32
 
     def test_grad_lam_is_rows_of_the_full_mesh_formula(self, geometry):
         # computed per call for the asked elements, bit for bit the rows of

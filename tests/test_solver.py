@@ -33,6 +33,7 @@ from ucfem.sparse import (
     CyclicModes,
     Saddle,
     SolverError,
+    _limit_openblas_threads,
     achieved_residual,
     compose_saddle,
     cyclic_orbits,
@@ -385,6 +386,22 @@ class TestPerturbation:
         outside = np.linalg.norm(space.dof_coords, axis=1) > geometry.r1 + 1e-9
         assert np.abs(pert.load[outside]).max() == 0.0
         assert np.abs(pert.load[~outside]).max() > 0.0
+
+    def test_nodal_noise_independent_of_openblas_threads(self, geometry):
+        # a BLAS dot of these vectors differs in its last bits between one
+        # and two threads (seed 0 at k=1 level 5 shows it; most seeds do not)
+        space = build_space(build_disk_mesh(geometry, 8, 5), 1)
+        M_omega = region_mass(space)
+        spec = PerturbationSpec("nodal_noise", 1e-3, seed=0)
+        loads = []
+        try:
+            for threads in (1, 2):
+                if not _limit_openblas_threads(threads):
+                    pytest.skip("no OpenBLAS copy in the process")
+                loads.append(make_perturbation(spec, space, M_omega).load)
+        finally:
+            _limit_openblas_threads(1)
+        assert loads[0].tobytes() == loads[1].tobytes()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

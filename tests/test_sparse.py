@@ -334,6 +334,17 @@ class TestNestedDissection:
         assert np.array_equal(p[:hub], np.arange(hub))
         assert np.array_equal(p[hub:-1], np.arange(hub + 1, n))
 
+    def test_cut_along_the_axis_with_the_smaller_cover(self):
+        # two rows of LEAF_SIZE points, each row a clique, joined by one
+        # rung at x = 0: the median cut across the longer side (x) crosses
+        # both cliques, while the cut between the rows crosses the rung
+        # alone, whose half-0 end is the separator
+        m = LEAF_SIZE
+        A = sp.block_diag([np.ones((m, m)), np.ones((m, m))], format="lil")
+        A[0, m] = A[m, 0] = 1.0
+        coords = np.stack([np.tile(np.arange(m, dtype=float), 2), np.repeat([0.0, 1.0], m)], axis=1)
+        assert np.array_equal(nested_dissection(coords, A.tocsr()), np.r_[1 : 2 * m, 0])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_cut_cover_is_minimum(self, seed):
         # against every subset of the nodes of a small random bipartite graph
@@ -352,8 +363,10 @@ class TestNestedDissection:
 
     def test_k2_fill_near_minimum_degree(self, geometry):
         # at P2 the half-0 endpoints of the cut edges form a band about one
-        # element wide (1.30x the fill of SuperLU's minimum degree here);
-        # the minimum cover is close to a line of shared nodes
+        # element wide; the minimum cover is close to a line of shared
+        # nodes, and cutting each part along the axis with the smaller
+        # cover, down to leaves of 8, brings the fill from 1.09x to 0.97x
+        # that of SuperLU's minimum degree here
         mesh = build_disk_mesh(geometry, 8, 3)
         space = build_space(mesh, 2)
         space0 = space.zero_trace()
@@ -362,13 +375,14 @@ class TestNestedDissection:
         symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         ordered = spla.splu(sp.csc_matrix(K[p][:, p]), permc_spec="NATURAL", **symmetric)
         mmd = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", **symmetric)
-        assert ordered.nnz <= 1.1 * mmd.nnz
+        assert ordered.nnz <= mmd.nnz
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             nested_dissection(np.zeros((3, 2)), sp.eye(4, format="csr"))
 
     def test_less_fill_than_colamd(self, geometry):
+        # 0.66x (0.73x when every part is cut across its longer side)
         mesh = build_disk_mesh(geometry, 8, 4)
         space = build_space(mesh, 1)
         space0 = space.zero_trace()
@@ -382,4 +396,4 @@ class TestNestedDissection:
             options={"SymmetricMode": True},
         )
         colamd = spla.splu(sp.csc_matrix(K))
-        assert ordered.nnz < colamd.nnz
+        assert ordered.nnz <= 0.70 * colamd.nnz
