@@ -124,7 +124,8 @@ def _cmd_uc(args, cfg: RunConfig) -> int:
         f"uc level={level} k={cfg.k} dofs=({sol.primal_space.n_dofs},{sol.dual_space.n_dofs}) "
         f"h={msh.h:.6e} tik={sol.tikhonov_scale:.6e} err_l2_B={err.l2:.6e} "
         f"residual={sol.solve_residual:.3e} s={s:.6e} dual={dual:.6e} omega={omega:.6e} "
-        f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e} peak_rss_mb={_peak_rss_mb():.1f}"
+        f"delta_q_norm={sol.perturbation.norm_l2_omega:.6e} forms_mb={sol.K.nbytes / 2**20:.2f} "
+        f"peak_rss_mb={_peak_rss_mb():.1f}"
     )
     return 0
 

@@ -14,8 +14,8 @@ Every form is a weighted sum of squares D^T D, where the sparse operator D
 evaluates sqrt(weight) * (basis data) at the quadrature points, one row per
 element or face, point and component; s is one D^T D of the stacked jump,
 cell-Laplacian and tik^k-scaled mass operators.  Every form is over the
-full dofs; only the stiffness is then restricted, to the dofs of the
-zero-trace space V_0h (`FeSpace.zero_trace`).
+full dofs; only the stiffness is then restricted, as a view, to the dofs
+of the zero-trace space V_0h (`FeSpace.zero_trace`).
 
 Every form commutes with the turn by 2 pi / m that a disk mesh records
 (`Mesh.rotation`), so only the rows of the orbit representatives (sector 0
@@ -23,14 +23,16 @@ and the fixed centre, `sparse.cyclic_orbits`) are computed, from D over
 the elements and faces that hold one, a fixed row only at representative
 and fixed columns.  Each entry and its transpose, in another
 representative's row, become their mean ((a + b) / 2 is the same float in
-either order).  Row u is then its representative's row with each column
-turned as often as u is, and a fixed row is spread over the turns of its
-columns (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979),
-written turn by turn into arrays of their final size, no temporary
-longer than the representatives' rows.  So every form is exactly
-symmetric and rotation invariant, P A P^T == A bit for bit, with a
-stored pattern closed under transpose and rotation.  A mesh without a
-recorded rotation is the m = 1 case.
+either order), and a fixed row is spread over the turns of its columns.
+Each assembler returns these rows, a `sparse.FormMatrix`: row u of the
+form is its representative's row with each column turned as often as u
+is (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  The
+solver applies and reads them turn by turn; only `FormMatrix.matrix`
+replicates them into the full CSR, on request, turn by turn into arrays
+of their final size.  So every form is exactly symmetric and rotation
+invariant, P A P^T == A bit for bit, with a stored pattern closed under
+transpose and rotation.  A mesh without a recorded rotation is the m = 1
+case, whose representatives' rows are the whole form.
 
 Each form takes the smallest rule exact for its polynomial integrand:
 tri_rule(2k-2) for the stiffness and tri_rule(2k) for the mass, the k-point
@@ -50,7 +52,7 @@ hold a representative dof.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,20 +60,13 @@ import scipy.sparse as sp
 from . import quadrature
 from .fields import _field_gradient, _field_values
 from .mesh import Mesh, element_diameters
-from .sparse import cyclic_orbits
+from .sparse import FormMatrix, cyclic_orbits
 
 #: the degree-4 rule of the load and the error norms, whose fields are not polynomial
 ASSEMBLY_RULE = quadrature.tri_rule(4)
 
 #: the P2 edge slots (0,1), (1,2), (2,0) pair vertex a with vertex _NEXT[a]
 _NEXT = [1, 2, 0]
-
-
-@dataclass(frozen=True)
-class FormMatrix:
-    """Assembled sparse form."""
-
-    matrix: sp.csr_matrix
 
 
 class FeSpace:
@@ -85,9 +80,10 @@ class FeSpace:
     it to (None otherwise); `orbits` is `sparse.cyclic_orbits` of that map,
     and `turns_mesh` whether the turn carries the vertices onto each other
     (every form refuses a space without it).  `turn_table`, `turned_dofs`
-    and `turn_at` are the int32 orbit lookup of `_gram`: turn s of
-    representative number r is turn_table[r, s] (a fixed dof at every s),
-    and dof d turned s times, 0 <= s <= m, is turned_dofs[turn_at[d] + s].
+    and `turn_at` are the int32 orbit lookup of `_gram` and of the forms
+    (`sparse.FormMatrix`): turn s of representative number r is
+    turn_table[r, s] (a fixed dof at every s), and dof d turned s times,
+    0 <= s <= m, is turned_dofs[turn_at[d] + s].
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -234,11 +230,12 @@ def _near_reps(space: FeSpace) -> np.ndarray:
     return near
 
 
-def _gram(space: FeSpace, D) -> sp.csr_matrix:
-    """The form D^T D over the full dofs, with sorted indices, replicated
-    from the representatives' rows (module docstring); D holds the rows of
-    the elements and faces `_near_reps` keeps, each with a dof once.  The
-    caller passes D without keeping it: it is freed after the product."""
+def _gram(space: FeSpace, D) -> FormMatrix:
+    """The form D^T D over the full dofs, kept as the rows of the orbit
+    representatives, row r holding row turn_table[r, 0] (module docstring);
+    D holds the rows of the elements and faces `_near_reps` keeps, each with
+    a dof once.  The caller passes D without keeping it: it is freed after
+    the product."""
     orbits, _, rep, shift = space.orbits
     nr, m = orbits.shape
     if not space.turns_mesh:
@@ -260,35 +257,15 @@ def _gram(space: FeSpace, D) -> sp.csr_matrix:
     i = np.r_[G.row[~spread], np.repeat(G.row[spread], m)]
     c = np.r_[G.col[~spread], turned[at[G.col[spread], None] + np.arange(m)].ravel()]
     v = np.r_[G.data[~spread], np.repeat(G.data[spread], m)]
-    G = sp.csr_matrix((v, (i, c)), shape=G.shape)
-    del i, c, v, spread
-    # row u is row rep[u] of G with its columns turned shift[u] times: turn s
-    # writes G's rows into rows table[:, s], all of them at s = 0 and the
-    # moved ones after, so no temporary is longer than G
-    length = np.diff(G.indptr)
-    indptr = np.zeros(space.n_full + 1, dtype=np.int32)
-    np.cumsum(length[rep], out=indptr[1:])
-    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    cols = at[G.indices]
-    for s in range(m):
-        rows = table[:, 0] if s == 0 else table[:nr, s]
-        end = G.indptr[rows.size]
-        # entry e of row r of G goes to entry indptr[rows[r]] + e - G.indptr[r]
-        dest = np.repeat(indptr[rows] - G.indptr[: rows.size], length[: rows.size])
-        dest += np.arange(end, dtype=np.int32)
-        indices[dest] = turned[cols[:end] + s]
-        data[dest] = G.data[:end]
-    mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
-    mat.sort_indices()
-    return mat
+    return FormMatrix(sp.csr_matrix((v, (i, c)), shape=G.shape), space)
 
 
 def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> FormMatrix:
     """Laplace form: entry (i,j) = integral of grad(phi_j) . grad(phi_i).
 
-    A zero-trace space restricts its side of the full-dof product; mixed
-    pairs (zero-trace rows, full columns) give the constraint coupling
-    block of the saddle system.
+    A zero-trace space restricts its side of the full-dof product (a view of
+    the same representatives' rows); mixed pairs (zero-trace rows, full
+    columns) give the constraint coupling block of the saddle system.
     """
     col = space_row if space_col is None else space_col
     _same_discretization(space_row, col)
@@ -296,12 +273,12 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
     elements = np.flatnonzero(_near_reps(space_row))
     g = space_row.phys_grads(elements, rule.points)  # (nel, nq, ndl, 2)
     scale, emap = np.abs(space_row.det[elements]), space_row.full_map[elements]
-    mat = _gram(space_row, _operator(g, rule.weights, scale, emap, space_row.n_full))
-    if space_row.dirichlet:
-        mat = mat[space_row.active]
-    if col.dirichlet:
-        mat = mat[:, col.active]
-    return FormMatrix(mat)
+    form = _gram(space_row, _operator(g, rule.weights, scale, emap, space_row.n_full))
+    return replace(
+        form,
+        rows=space_row.active if space_row.dirichlet else None,
+        cols=col.active if col.dirichlet else None,
+    )
 
 
 def _mass_operator(space: FeSpace, elements) -> sp.csr_matrix:
@@ -317,7 +294,7 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
     elements = space.mesh.region_elements(region)
     if elements.size == 0:
         raise ValueError(f"empty region {region}")
-    return FormMatrix(_gram(space, _mass_operator(space, elements)))
+    return _gram(space, _mass_operator(space, elements))
 
 
 def _jump_operator(space: FeSpace) -> sp.csr_matrix:
@@ -360,7 +337,7 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
     The face weight is the face length (stands in for the adjacent-element
     size, equivalent under shape regularity); boundary faces are skipped.
     """
-    return FormMatrix(_gram(space, _jump_operator(space)))
+    return _gram(space, _jump_operator(space))
 
 
 def _cell_operator(space: FeSpace) -> sp.csr_matrix:
@@ -379,7 +356,7 @@ def _cell_operator(space: FeSpace) -> sp.csr_matrix:
 
 def assemble_cell_laplacian(space: FeSpace) -> FormMatrix:
     """Element term sum_T h_T^2 (Lap u, Lap v)_T; identically zero for k=1."""
-    return FormMatrix(_gram(space, _cell_operator(space)))
+    return _gram(space, _cell_operator(space))
 
 
 def _stabilization_operator(space: FeSpace, tikhonov_scale: float) -> sp.csr_matrix:
@@ -399,7 +376,7 @@ def assemble_stabilization(space: FeSpace, tikhonov_scale: float) -> FormMatrix:
     """
     if tikhonov_scale <= 0.0:
         raise ValueError(f"tikhonov_scale must be positive, got {tikhonov_scale}")
-    return FormMatrix(_gram(space, _stabilization_operator(space, tikhonov_scale)))
+    return _gram(space, _stabilization_operator(space, tikhonov_scale))
 
 
 def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:

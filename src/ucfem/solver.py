@@ -8,9 +8,10 @@ multiplier z_h (zero-trace space) through
 
 where S is the mesh-dependent regularization, M_omega the data-region
 mass, B the mixed stiffness and A0 the Dirichlet stiffness.  The saddle
-matrix is kept as these four forms (`sparse.Saddle`): the Fourier-mode
-blocks are built from its representatives' rows and the residual check
-applies it block by block, so neither it nor S + M_omega is formed.
+matrix is kept as these four forms (`sparse.Saddle`), each the rows of its
+orbit representatives (`sparse.FormMatrix`): the Fourier-mode blocks are
+built from those rows and the residual check applies K block by block and
+turn by turn, so neither K, S + M_omega nor any full-disk form is formed.
 Testing the system with (u, -z) reproduces the squared stability norm
 (`fem.stability_terms` of K), which guarantees solvability and is checked
 numerically by `verify_positivity`; `solve_uc` returns the K it solved.
@@ -54,7 +55,9 @@ class Perturbation:
 class UcSolution:
     """The primal and dual coefficients, the relative residual of the saddle
     solve and the Tikhonov scale it used; K is the `Saddle` that was solved,
-    whose forms S, M_omega and A0 also give the stability norm."""
+    whose forms S, M_omega and A0 also give the stability norm.  K holds
+    the forms' representatives' rows (`K.nbytes`); a form's `.matrix`
+    replicates it into full CSR on request."""
 
     u: np.ndarray
     z: np.ndarray
@@ -75,7 +78,7 @@ def solve_poisson(space0: FeSpace, f) -> np.ndarray:
     """
     if not space0.dirichlet:
         raise ValueError("solve_poisson requires a Dirichlet space")
-    A0 = assemble_stiffness(space0).matrix
+    A0 = assemble_stiffness(space0)
     b = assemble_load_region(space0, f, ALL_REGIONS)
     return _solve_ordered(A0, b, space0.dof_coords, space0.rotation)[0]
 
@@ -150,12 +153,12 @@ def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Pertur
 
 
 def _assemble_saddle(space: FeSpace, space0: FeSpace, tik: float) -> Saddle:
-    """The `Saddle` of the CSR forms S, M_omega, B and A0 with Tikhonov scale tik."""
+    """The `Saddle` of the forms S, M_omega, B and A0 with Tikhonov scale tik."""
     return compose_saddle(
-        S=assemble_stabilization(space, tik).matrix,
-        M_omega=assemble_region_mass(space, Region.OMEGA_DATA).matrix,
-        A0=assemble_stiffness(space0).matrix,
-        B=assemble_stiffness(space0, space).matrix,
+        S=assemble_stabilization(space, tik),
+        M_omega=assemble_region_mass(space, Region.OMEGA_DATA),
+        A0=assemble_stiffness(space0),
+        B=assemble_stiffness(space0, space),
     )
 
 
@@ -197,8 +200,9 @@ def hminus1_residual(space0: FeSpace, u, A0, B) -> float:
 
     Riesz-represents v -> a(u, v) on the zero-trace space and returns the
     energy norm of the representer; a computable surrogate for the H^-1
-    norm of Lap u that scales identically in h.  A0 and B are the CSR
-    zero-trace and mixed stiffness matrices, of a solve: sol.K.A0, sol.K.B.
+    norm of Lap u that scales identically in h.  A0 and B are the
+    zero-trace and mixed stiffness forms (`FormMatrix` or CSR), of a solve:
+    sol.K.A0, sol.K.B.
     For the u of a `solve_uc` solve the representer is its z (the saddle's
     second block row reads B u = A0 z), so the result equals sqrt(a(z,z))
     up to rounding.

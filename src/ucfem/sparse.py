@@ -3,8 +3,10 @@ ordering, a direct sparse solver with residual checks, and the split of a
 rotation-invariant system into its Fourier modes.
 
 Matrices are scipy CSR throughout (sorted indices, summed duplicates),
-except the saddle matrix, which is never formed: `Saddle` applies it block
-by block and builds only the rows `CyclicModes` reads.
+except the assembled forms and the saddle matrix.  A form is kept as the
+rows of its orbit representatives (`FormMatrix`), applied turn by turn and
+replicated only on request; the saddle matrix is never formed: `Saddle`
+applies it block by block and builds only the rows `CyclicModes` reads.
 `solve_direct` factors with SuperLU in the order it is given, without
 pivoting; callers order the system first with `nested_dissection`, whose
 separators are minimum vertex covers of the edges each cut crosses.  A
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -82,48 +84,299 @@ def _check_finite(x, what):
         raise ValueError(f"{what} contains NaN or Inf")
 
 
-@dataclass(frozen=True, eq=False)
-class Saddle:
-    """K = [[S + M_omega, B^T], [B, -A0]] kept as its CSR blocks, S and
-    M_omega (N,N), B (M,N), A0 (M,M); neither K nor S + M_omega is formed.
+#: a row request writes about this many entries at a time, or 1/32 of them
+#: if that is more (`_csr_rows`)
+_ROW_CHUNK = 8192
 
-    `K @ x` is taken block by block.  `K[rows]` builds the requested rows of
-    K, in the order asked, bit for bit: a primal row p is S[p] + M_omega[p],
-    summed as S + M_omega sums, then column p of B; a dual row d is B[d],
-    then -A0[d].  `max_abs` is max|K|.  K is exactly symmetric.
+
+@dataclass(frozen=True, eq=False)
+class FormMatrix:
+    """An assembled form, the view F[rows][:, cols] of a full matrix F kept
+    as G, the rows of its orbit representatives.
+
+    With a `space` (a `fem.FeSpace`; its n_full, orbits, turn_table,
+    turned_dofs and turn_at are read), F is symmetric and commutes with the
+    space's dof rotation (`fem._gram`): row r of G is row turn_table[r, 0]
+    of F, and row u of F is row rep[u] of G with each column c turned
+    shift[u] times, to turned_dofs[turn_at[c] + shift[u]] (the
+    cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  `rows` and
+    `cols` are the dofs of the view, ascending (the zero-trace `active`),
+    None for all of them.  Without a space, G is the matrix itself, any
+    CSR; so is it on a mesh without a recorded rotation, the m = 1 case.
+
+    `F @ x` applies G turn by turn and `F[rows]` builds the requested rows
+    as CSR with sorted indices; neither forms F.  `T` is the transpose, a
+    view of the same G when F is symmetric.  `max_abs` is max|F| over the
+    view, read from G, and `nbytes` the bytes G holds.  Only `matrix`
+    replicates: it returns the view as CSR, built anew on each call (G
+    itself where G is the whole matrix).
     """
 
-    S: sp.csr_matrix
-    M_omega: sp.csr_matrix
-    B: sp.csr_matrix
-    A0: sp.csr_matrix
+    G: sp.csr_matrix
+    space: object = None
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+
+    @property
+    def _m(self) -> int:
+        """The number of turns of the rotation (1 without one)."""
+        return 1 if self.space is None else self.space.turn_table.shape[1]
+
+    @property
+    def shape(self):
+        n0, n1 = self.G.shape if self.space is None else (self.space.n_full,) * 2
+        return (n0 if self.rows is None else self.rows.size, n1 if self.cols is None else self.cols.size)
+
+    @property
+    def nbytes(self) -> int:
+        return self.G.data.nbytes + self.G.indices.nbytes + self.G.indptr.nbytes
+
+    @property
+    def T(self) -> FormMatrix:
+        if self.space is None:
+            return FormMatrix(self.G.T.tocsr())
+        return replace(self, rows=self.cols, cols=self.rows)
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        G = self.G
+        if self.cols is not None:
+            full = np.zeros(G.shape[1], dtype=x.dtype)
+            full[self.cols] = x
+            x = full
+        if self._m == 1:
+            y = G @ x
+        else:
+            space = self.space
+            nr, m = space.orbits[0].shape
+            # x turned s times is x[turned_dofs[turn_at + s]], and row table[r, s]
+            # of F is row r of G applied to it: the moved rows of G, each column c
+            # moved to turn_at[c], applied to the slice s.. of x[turned_dofs]
+            twice = x[space.turned_dofs]
+            at = space.turn_at[G.indices[: G.indptr[nr]]]
+            moved = sp.csr_matrix((G.data[: at.size], at, G.indptr[: nr + 1]), shape=(nr, twice.size - m + 1))
+            y = np.empty(G.shape[1], dtype=np.result_type(G.dtype, x.dtype))
+            for s in range(m):
+                y[space.turn_table[:nr, s]] = moved @ twice[s : s + moved.shape[1]]
+            y[space.turn_table[nr:, 0]] = G[nr:] @ x  # the fixed rows, few and whole
+        return y if self.rows is None else y[self.rows]
+
+    def __getitem__(self, rows):
+        rows = np.asarray(rows)
+        nnz = int(self._lengths(rows).sum())
+        return _csr_rows((rows.size, self.shape[1]), nnz, lambda lo, hi: [self._block(None, rows[lo:hi])])
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        mat = self.G
+        if self._m > 1:
+            G, space = self.G, self.space
+            orbits, _, rep, _ = space.orbits
+            nr, m = orbits.shape
+            table, turned, at = space.turn_table, space.turned_dofs, space.turn_at
+            # row u is row rep[u] of G with its columns turned shift[u] times: turn s
+            # writes G's rows into rows table[:, s], all of them at s = 0 and the
+            # moved ones after, so no temporary is longer than G
+            length = np.diff(G.indptr)
+            indptr = np.zeros(space.n_full + 1, dtype=np.int32)
+            np.cumsum(length[rep], out=indptr[1:])
+            indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+            cols = at[G.indices]
+            for s in range(m):
+                rows = table[:, 0] if s == 0 else table[:nr, s]
+                end = G.indptr[rows.size]
+                # entry e of row r of G goes to entry indptr[rows[r]] + e - G.indptr[r]
+                dest = np.repeat(indptr[rows] - G.indptr[: rows.size], length[: rows.size])
+                dest += np.arange(end, dtype=np.int32)
+                indices[dest] = turned[cols[:end] + s]
+                data[dest] = G.data[:end]
+            mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
+            mat.sort_indices()
+        if self.rows is not None:
+            mat = mat[self.rows]
+        if self.cols is not None:
+            mat = mat[:, self.cols]
+        return mat
+
+    @cached_property
+    def max_abs(self) -> float:
+        G = self.G
+        keep = True
+        if self.rows is not None:
+            in_rows = np.zeros(G.shape[1], dtype=bool)
+            in_rows[self.rows] = True
+            keep = np.repeat(in_rows[self.space.turn_table[:, 0]], np.diff(G.indptr))
+        if self.cols is not None:
+            keep = keep & self._to_view(G.indices)[1]
+        return float(max(G.data.max(initial=0.0, where=keep), -G.data.min(initial=0.0, where=keep)))
+
+    @cached_property
+    def _off(self) -> np.ndarray:
+        """The full columns off the view (the boundary dofs of a zero-trace
+        view), ascending, then -1, which no column equals."""
+        off = np.ones(self.G.shape[1], dtype=bool)
+        off[self.cols] = False
+        return np.append(np.flatnonzero(off).astype(self.G.indices.dtype), -1)
+
+    def _to_view(self, col):
+        """The view's column of each full column in col, and whether it is in
+        the view."""
+        before = np.searchsorted(self._off[:-1], col)  # the columns off the view before it
+        return col - before.astype(col.dtype), self._off[before] != col
+
+    @cached_property
+    def _kept(self) -> np.ndarray:
+        """The entries of each row of G at the view's columns; a turn keeps
+        the view's columns in it, so each count serves the row's turns."""
+        G = self.G
+        count = np.zeros(G.nnz + 1, dtype=np.int64)
+        np.cumsum(self._to_view(G.indices)[1], out=count[1:])
+        return (count[G.indptr[1:]] - count[G.indptr[:-1]]).astype(np.int32)
+
+    def _source(self, rows):
+        """G's row of each view row, and how often it turns (None for no turn)."""
+        full = rows if self.rows is None else self.rows[rows]
+        if self._m == 1:
+            return full, None
+        rep, shift = self.space.orbits[2:]
+        turns = shift[full]
+        return rep[full], (turns if turns.any() else None)
+
+    def _lengths(self, rows):
+        """The entry count of each view row."""
+        r = self._source(rows)[0]
+        return self.G.indptr[r + 1] - self.G.indptr[r] if self.cols is None else self._kept[r]
+
+    def _block(self, at, rows, offset=0, sign=1.0):
+        """The `_csr_rows` block of view rows `rows` at chunk rows `at`, their
+        columns moved by offset and their values times sign.  Its entries
+        are read when it is written: the turned columns come unsorted."""
+
+        def fill():
+            G, (r, turns) = self.G, self._source(rows)
+            first = G.indptr[r]
+            length = G.indptr[r + 1] - first
+            src = np.repeat(first - _starts(length), length) + np.arange(length.sum())
+            col, val = G.indices[src], G.data[src]
+            del src
+            if turns is not None:
+                col = self.space.turned_dofs[self.space.turn_at[col] + np.repeat(turns, length)]
+            if self.cols is not None:
+                col, keep = self._to_view(col)
+                col, val = col[keep], val[keep]
+            if offset:
+                np.add(col, offset, out=col)
+            if sign != 1.0:
+                np.multiply(val, sign, out=val)
+            return col, val
+
+        return at, self._lengths(rows), fill
+
+
+def _csr_rows(shape, nnz, blocks):
+    """The CSR matrix of `shape` with nnz entries, sorted, written chunk by
+    chunk into arrays allocated once.
+
+    blocks(lo, hi) lists the blocks of rows lo..hi-1, each (at, lengths,
+    fill): the chunk rows it fills (None: all, in order), its entry count
+    in each, and fill() its entries' indices and data, row after row.  A
+    row's blocks follow one another in the order listed.  A chunk holds
+    about _ROW_CHUNK entries, or 1/32 of them if that is more, and its
+    blocks are read one at a time, so no temporary outgrows a small share
+    of the result.
+    """
+    n = shape[0]
+    itype = np.int32 if max(nnz, shape[1]) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    indices, data = np.empty(nnz, dtype=itype), np.empty(nnz)
+    step = max(1, n * max(_ROW_CHUNK, nnz // 32) // max(nnz, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        parts = blocks(lo, hi)
+        count = np.zeros(hi - lo, dtype=np.int64)
+        for at, length, _ in parts:
+            count[slice(None) if at is None else at] += length
+        start = indptr[lo] + _starts(count)  # where each row's next block goes
+        indptr[lo + 1 : hi + 1] = indptr[lo] + np.cumsum(count)
+        for at, length, fill in parts:
+            at = slice(None) if at is None else at
+            dest = np.repeat(start[at] - _starts(length), length) + np.arange(length.sum())
+            indices[dest], data[dest] = fill()
+            start[at] += length
+    K = sp.csr_matrix((data, indices, indptr), shape=shape)
+    K.sort_indices()
+    return K
+
+
+@dataclass(frozen=True, eq=False)
+class Saddle:
+    """K = [[S + M_omega, B^T], [B, -A0]] kept as its `FormMatrix` blocks,
+    S and M_omega (N,N), B (M,N), A0 (M,M); neither K nor S + M_omega is
+    formed, and from assembled forms neither is any block.
+
+    `K @ x` is taken block by block, B^T as the transpose view of B.
+    `K[rows]` builds the requested rows of K, in the order asked, bit for
+    bit, straight into CSR a chunk of rows at a time (`_csr_rows`): a primal
+    row p is S[p] + M_omega[p], summed as S + M_omega sums (S[p] as stored
+    where M_omega's row is empty), then row p of B^T; a dual row d is B[d],
+    then -A0[d].  `max_abs` is max|K|, read from the blocks' stored rows,
+    and `nbytes` the bytes the blocks hold.  K is exactly symmetric.
+    """
+
+    S: FormMatrix
+    M_omega: FormMatrix
+    B: FormMatrix
+    A0: FormMatrix
 
     @property
     def shape(self):
         return (self.S.shape[0] + self.A0.shape[0],) * 2
 
+    @property
+    def nbytes(self) -> int:
+        return sum(form.nbytes for form in (self.S, self.M_omega, self.B, self.A0))
+
+    @cached_property
+    def _Bt(self) -> FormMatrix:
+        return self.B.T
+
     def __matmul__(self, x):
         u, z = x[: self.S.shape[0]], x[self.S.shape[0] :]
-        return np.concatenate([self.S @ u + self.M_omega @ u + self.B.T @ z, self.B @ u - self.A0 @ z])
+        return np.concatenate([self.S @ u + self.M_omega @ u + self._Bt @ z, self.B @ u - self.A0 @ z])
 
     def __getitem__(self, rows):
         rows = np.asarray(rows)
         n = self.S.shape[0]
-        dual = rows >= n
-        p, d = rows[~dual], rows[dual] - n
-        at_p, at_d = (np.flatnonzero(mask).astype(np.int32) for mask in (~dual, dual))
-        top, bt = (self.S[p] + self.M_omega[p]).tocoo(), self.B[:, p].tocoo()
-        bottom, a0 = self.B[d].tocoo(), self.A0[d].tocoo()
-        # each block in sorted row order; a row's left block precedes its
-        # right one, so one COO -> CSR pass gives K[rows] sorted
-        row = np.concatenate([at_p[top.row], at_p[bt.col], at_d[bottom.row], at_d[a0.row]])
-        col = np.concatenate([top.col, n + bt.row, bottom.col, n + a0.col])
-        data = np.concatenate([top.data, bt.data, bottom.data, -a0.data])
-        return sp.csr_matrix((data, (row, col)), shape=(rows.size, self.shape[1]))
+        S, M, Bt, B, A0 = self.S, self.M_omega, self._Bt, self.B, self.A0
+        p, d = rows[rows < n], rows[rows >= n] - n
+        summed = M._lengths(p) > 0  # the rows where S + M_omega is not S
+        top = FormMatrix(S[p[summed]] + M[p[summed]])  # those rows, in request order
+        nnz = top.G.nnz + int(S._lengths(p[~summed]).sum() + Bt._lengths(p).sum())
+        nnz += int(B._lengths(d).sum() + A0._lengths(d).sum())
+        del p, d, summed
+        done = 0  # rows of top written
+
+        def blocks(lo, hi):
+            nonlocal done
+            chunk = rows[lo:hi]
+            dual = chunk >= n
+            at_p, at_d = np.flatnonzero(~dual), np.flatnonzero(dual)
+            p, d = chunk[at_p], chunk[at_d] - n
+            summed = M._lengths(p) > 0
+            done += np.count_nonzero(summed)
+            return [
+                S._block(at_p[~summed], p[~summed]),
+                top._block(at_p[summed], np.arange(done - at_p[summed].size, done)),
+                B._block(at_d, d),
+                Bt._block(at_p, p, offset=n),
+                A0._block(at_d, d, offset=n, sign=-1.0),
+            ]
+
+        return _csr_rows((rows.size, self.shape[1]), nnz, blocks)
 
     @cached_property
     def max_abs(self) -> float:
-        S, M = self.S, self.M_omega
+        S, M = self.S.G, self.M_omega.G  # the rows of one space's representatives
         summed = np.diff(M.indptr) > 0  # the rows where S + M_omega is not S
         # S's row extremes outside them, read in place: no copy of S's rows
         filled = np.diff(S.indptr) > 0
@@ -132,24 +385,33 @@ class Saddle:
         # M_omega without its empty rows, on its own index and data arrays
         indptr = np.concatenate([M.indptr[:1], M.indptr[1:][summed]])
         M = sp.csr_matrix((M.data, M.indices, indptr), shape=(indptr.size - 1, M.shape[1]))
-        parts = (*top, (S[summed] + M).data, self.B.data, self.A0.data)
-        return float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts))
+        parts = (*top, (S[summed] + M).data)
+        extremes = (max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts)
+        return float(max(*extremes, self.B.max_abs, self.A0.max_abs))
 
 
 def compose_saddle(S, M_omega, B, A0) -> Saddle:
-    """The primal-dual `Saddle` of the CSR forms: S the stabilization,
-    M_omega the data-region mass, B the constraint coupling, A0 the dual stiffness."""
+    """The primal-dual `Saddle` of the forms S the stabilization, M_omega
+    the data-region mass, B the constraint coupling and A0 the dual
+    stiffness: `FormMatrix` views of one space pair, or plain CSR matrices,
+    each of which is taken as its own G."""
+    S, M_omega, B, A0 = (f if isinstance(f, FormMatrix) else FormMatrix(sp.csr_matrix(f)) for f in (S, M_omega, B, A0))
     n, m = S.shape[0], A0.shape[0]
     if S.shape != (n, n) or M_omega.shape != (n, n) or A0.shape != (m, m) or B.shape != (m, n):
         raise ValueError(
             f"incompatible blocks: S{S.shape}, M_omega{M_omega.shape}, B{B.shape}, A0{A0.shape}"
         )
+    if S.space is not M_omega.space or S.rows is not None or M_omega.rows is not None:
+        raise ValueError("S and M_omega must be forms over all dofs of one space")
     return Saddle(S, M_omega, B, A0)
 
 
 def max_abs(K) -> float:
-    """max|K| over the entries of a CSR/CSC matrix (duplicates summed) or a `Saddle`."""
-    return K.max_abs if isinstance(K, Saddle) else float(np.abs(K.data).max(initial=0.0))
+    """max|K| over the entries of a CSR/CSC matrix (duplicates summed), a
+    `FormMatrix` or a `Saddle`."""
+    if isinstance(K, (FormMatrix, Saddle)):
+        return K.max_abs
+    return float(np.abs(K.data).max(initial=0.0))
 
 
 def solve_direct(K, b, rel_tol: float = REL_TOL) -> np.ndarray:
@@ -294,21 +556,29 @@ def nested_dissection(coords, A) -> np.ndarray:
     verts = np.arange(n)
     size = np.array([n])
     first = np.zeros(1, dtype=np.int64)
+    cut = np.full(1, -1)  # per part, the axis of its last cut (-1: not cut yet)
     while verts.size:
         # parts of at most LEAF_SIZE unknowns are numbered in their current order
         leaf = np.repeat(size <= LEAF_SIZE, size)
         perm[(np.arange(verts.size) + np.repeat(first - _starts(size), size))[leaf]] = verts[leaf]
         part[verts[leaf]] = -1
-        verts, size, first = verts[~leaf], size[size > LEAF_SIZE], first[size > LEAF_SIZE]
+        split = size > LEAF_SIZE
+        verts, size, first, cut = verts[~leaf], size[split], first[split], cut[split]
         if not verts.size:
             break
         start = _starts(size)
         label = np.repeat(np.arange(size.size), size)
         part[verts] = label
 
-        # each part in coordinate order along x and along y, halved at the median
+        # each part in coordinate order along x and along y, halved at the median;
+        # a part is in order along its last cut already, where a stable sort
+        # would keep it as it is, so only its other axis is sorted
         pts = coords[verts]
-        by_axis = [verts[np.lexsort((pts[:, axis], label))] for axis in (0, 1)]
+        by_axis = []
+        for axis in (0, 1):
+            order, todo = verts.copy(), np.repeat(cut != axis, size)
+            order[todo] = verts[todo][np.lexsort((pts[todo, axis], label[todo]))]
+            by_axis.append(order)
         up = np.arange(verts.size) - np.repeat(start, size) >= np.repeat(size // 2, size)
         half1[by_axis[0]] = up
         half1[by_axis[1]] |= up.view(np.uint8) << 1
@@ -339,6 +609,7 @@ def nested_dissection(coords, A) -> np.ndarray:
         verts = verts[~sep]
         size = np.stack([n0, n1], axis=1).ravel()
         first = np.stack([first, first + n0], axis=1).ravel()[size > 0]
+        cut = np.repeat(side, 2)[size > 0]
         size = size[size > 0]
     return perm
 
@@ -353,8 +624,8 @@ def _cut_cover(e0, e1):
     unreached half-0 endpoints and the reached half-1 endpoints.  Where
     both sides cover equally well, it is the half-0 side.
     """
-    left, li = np.unique(e0, return_inverse=True)
-    right, ri = np.unique(e1, return_inverse=True)
+    bound = int(max(e0.max(initial=0), e1.max(initial=0))) + 1
+    (left, li), (right, ri) = (_ranked(e, bound) for e in (e0, e1))
     nl, nr = left.size, right.size
     match = csgraph.maximum_bipartite_matching(
         sp.csr_matrix((np.ones(li.size), (li, ri)), shape=(nl, nr)), perm_type="column"
@@ -367,6 +638,14 @@ def _cut_cover(e0, e1):
     reached = np.zeros(source + 1, dtype=bool)
     reached[csgraph.breadth_first_order(paths, source, return_predecessors=False)] = True
     return np.concatenate([left[~reached[:nl]], right[reached[nl:source]]])
+
+
+def _ranked(ids, bound):
+    """np.unique(ids, return_inverse=True) for ids below bound, from a mark
+    array and its cumulative sum instead of a sort."""
+    mark = np.zeros(bound, dtype=bool)
+    mark[ids] = True
+    return np.flatnonzero(mark), (np.cumsum(mark) - 1)[ids]
 
 
 def _starts(size):
@@ -432,9 +711,10 @@ class CyclicModes:
     r of E_j holds exp(2 pi i j s / m) / sqrt(m) at the s-th turn of
     representative r (a fixed unknown belongs to mode 0 alone, with
     weight 1).  Block j, K_j = E_j^H K E_j, is built from the
-    representatives' rows of K, the only rows read (K is CSR or a
-    `Saddle`): K_j[r, r'] = sum_t exp(2 pi i j t / m) K[r, turn^t r'].  For real K and b mode m - j is the conjugate of mode
-    j, so only j = 0..m/2 are solved and
+    representatives' rows of K, the only rows read; K is CSR, a
+    `FormMatrix` or a `Saddle`.  Entry (r, r') of block j is
+    sum_t exp(2 pi i j t / m) K[r, turn^t r'].  For real K and b, mode
+    m - j is the conjugate of mode j, so only j = 0..m/2 are solved and
 
         x = sum_j c_j Re(E_j x_j),  c_j = 1 for j in {0, m/2}, else 2.
 

@@ -312,6 +312,14 @@ class TestCli:
         # this process has at least numpy and scipy loaded
         assert 10.0 < float(fields["peak_rss_mb"]) < 1e5
 
+    def test_uc_reports_the_bytes_of_the_solved_forms(self, capsys):
+        # the Saddle holds its forms' representatives' rows, printed before the peak
+        assert main(["--set", "levels = 3", "uc"]) == 0
+        line = capsys.readouterr().out
+        assert re.search(r" forms_mb=\S+ peak_rss_mb=\S+\n$", line)
+        fields = dict(item.split("=", 1) for item in line.split()[1:])
+        assert 0.0 < float(fields["forms_mb"]) < float(fields["peak_rss_mb"])
+
     def test_converge_writes_artifacts(self, tmp_path, capsys):
         code = main(["--out-dir", str(tmp_path), "--set", "levels = 1..2", "converge"])
         assert code == 0

@@ -501,7 +501,7 @@ class TestConsistencyIdentity:
         for level in (1, 2, 3):
             sol = solve_uc(mesh, 1, exact)
             sp = sol.primal_space
-            S, Mw, B = sol.K.S, sol.K.M_omega, sol.K.B
+            S, Mw, B = (form.matrix for form in (sol.K.S, sol.K.M_omega, sol.K.B))
             u_interp = interpolate_nodal(sp, exact)
             M_all = assemble_region_mass(sp, ALL_REGIONS).matrix
             load = assemble_load_region(sp, exact, Region.OMEGA_DATA)

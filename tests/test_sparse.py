@@ -7,35 +7,53 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import nested_dissection_reference as reference
 import ucfem.sparse
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
+from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import Region, build_disk_mesh
-from ucfem.solver import saddle_dofs
+from ucfem.solver import hminus1_residual, saddle_dofs, solve_uc
 from ucfem.sparse import (
     LEAF_SIZE,
     SolverError,
     _cut_cover,
     compose_saddle,
+    cyclic_orbits,
+    max_abs,
     nested_dissection,
     solve_direct,
 )
 from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
 
 
+def assembled_forms(space, space0):
+    """S, M_omega, B and A0 with Tikhonov scale h, as `FormMatrix` views of
+    their representatives' rows, as a solve holds them."""
+    S = assemble_stabilization(space, space.mesh.h)
+    M = assemble_region_mass(space, [Region.OMEGA_DATA])
+    return S, M, assemble_stiffness(space0, space), assemble_stiffness(space0)
+
+
 def saddle(space, space0):
-    """The `Saddle` [[S + M_omega, B^T], [B, -A0]] with Tikhonov scale h."""
-    S = assemble_stabilization(space, space.mesh.h).matrix
-    M = assemble_region_mass(space, [Region.OMEGA_DATA]).matrix
-    B = assemble_stiffness(space0, space).matrix
-    return compose_saddle(S, M, B, assemble_stiffness(space0).matrix)
+    """The `Saddle` [[S + M_omega, B^T], [B, -A0]] with Tikhonov scale h,
+    composed from the materialized CSR forms."""
+    return compose_saddle(*(form.matrix for form in assembled_forms(space, space0)))
 
 
 def composed(K):
-    """The matrix of the `Saddle` K composed with sp.bmat, sorted: the
-    reference its rows, products and maximum are tested against."""
-    full = sp.bmat([[K.S + K.M_omega, K.B.T], [K.B, -K.A0]], format="csr")
+    """The matrix of the `Saddle` K composed with sp.bmat from its
+    materialized forms, sorted: the reference its rows, products and
+    maximum are tested against."""
+    S, M, B, A0 = (form.matrix for form in (K.S, K.M_omega, K.B, K.A0))
+    full = sp.bmat([[S + M, B.T], [B, -A0]], format="csr")
     full.sort_indices()
     return full
+
+
+def representatives(space, space0):
+    """The saddle rows `CyclicModes` reads: the orbit representatives."""
+    orbits, fixed = cyclic_orbits(*saddle_dofs(space, space0)[::-1])[:2]
+    return np.concatenate([orbits[:, 0], fixed])
 
 
 def all_rows(K):
@@ -143,9 +161,9 @@ class TestComposeSaddle:
         # with a large data mass max|K| lies in S + M_omega, not in S alone
         space = build_space(mesh_l2, 1)
         K = saddle(space, space.zero_trace())
-        heavy = compose_saddle(K.S, 1e3 * K.M_omega, K.B, K.A0)
+        heavy = compose_saddle(K.S.matrix, 1e3 * K.M_omega.matrix, K.B.matrix, K.A0.matrix)
         kmax = ucfem.sparse.max_abs(heavy)
-        assert kmax == np.abs(composed(heavy).data).max() > np.abs(K.S.data).max()
+        assert kmax == np.abs(composed(heavy).data).max() > np.abs(K.S.matrix.data).max()
         assert ucfem.sparse.max_abs(composed(heavy)) == kmax
 
     @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
@@ -155,7 +173,7 @@ class TestComposeSaddle:
         K = saddle(space, space.zero_trace())
         kmax, peak = traced_peak(lambda: K.max_abs)
         assert kmax == np.abs(composed(K).data).max()
-        assert peak <= 0.9 * csr_bytes(K.S)
+        assert peak <= 0.9 * csr_bytes(K.S.matrix)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_max_abs_over_empty_and_unsummed_rows(self, sign):
@@ -188,6 +206,56 @@ class TestComposeSaddle:
             lhs = np.concatenate([u, -z]) @ (K @ np.concatenate([u, z]))
             rhs = u @ ((S + M) @ u) + z @ (A0 @ z)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+class TestRepRowForms:
+    @pytest.fixture(params=[(k, kind) for kind in ("rotated", "arrays") for k in (1, 2)], ids=str)
+    def spaces(self, request, geometry):
+        # a disk mesh turns its rows m = 8 times; a mesh_from_arrays mesh is m = 1
+        k, kind = request.param
+        if kind == "rotated":
+            mesh = build_disk_mesh(geometry, 8, 2)
+        else:
+            mesh = jittered_disk_mesh(geometry, 2, seed=5, amplitude=1.0)
+        space = build_space(mesh, k)
+        return space, space.zero_trace()
+
+    def test_products_match_the_materialized_forms(self, spaces):
+        S, M, B, A0 = assembled_forms(*spaces)
+        rng = np.random.default_rng(0)
+        for form in (S, M, A0, B, B.T):
+            x = rng.standard_normal(form.shape[1])
+            want = form.matrix @ x
+            assert np.abs(form @ x - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_rows_and_maximum_match_the_materialized_forms(self, spaces):
+        # the representatives' rows the mode blocks read, turned rows in any
+        # order and max|K| are bitwise those of the materialized forms
+        K = compose_saddle(*assembled_forms(*spaces))
+        want = composed(K)
+        n = K.shape[0]
+        rng = np.random.default_rng(1)
+        for rows in (representatives(*spaces), rng.permutation(n)[: n // 3], np.arange(n)):
+            assert_same_csr(K[rows], want[rows])
+        assert max_abs(K) == np.abs(want.data).max()
+        for form in (K.S, K.M_omega, K.B, K.A0):
+            rows = rng.permutation(form.shape[0])
+            assert_same_csr(form[rows], form.matrix[rows])
+            assert max_abs(form) == np.abs(form.matrix.data).max()
+
+    def test_saddle_holds_a_quarter_of_the_materialized_bytes(self, geometry):
+        sol = solve_uc(build_disk_mesh(geometry, 8, 4), 1, HarmonicMonomial(3))
+        forms = (sol.K.S, sol.K.M_omega, sol.K.B, sol.K.A0)
+        assert sol.K.nbytes == sum(csr_bytes(form.G) for form in forms)
+        assert sol.K.nbytes <= 0.25 * sum(csr_bytes(form.matrix) for form in forms)
+
+    def test_representatives_rows_peak_near_the_result(self, geometry):
+        # written straight into CSR a chunk of rows at a time, with no
+        # triplets of all rows
+        sol = solve_uc(build_disk_mesh(geometry, 8, 5), 1, HarmonicMonomial(3))
+        reps = representatives(sol.primal_space, sol.dual_space)
+        rows, peak = traced_peak(lambda: sol.K[reps])
+        assert peak <= 1.5 * csr_bytes(rows)
 
 
 class TestSolveDirect:
@@ -380,6 +448,31 @@ class TestNestedDissection:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             nested_dissection(np.zeros((3, 2)), sp.eye(4, format="csr"))
+
+    def test_permutation_is_the_reference_ordering(self, geometry, monkeypatch):
+        # the orderings the saddle and A0 solves ask for, a mesh without a
+        # rotation, and a graph of coincident point pairs (as the primal and
+        # dual twins are) come out bit for bit as the frozen reference's
+        graphs = []
+        order = ucfem.sparse.nested_dissection
+
+        def recorded(coords, A):
+            graphs.append((coords, A))
+            return order(coords, A)
+
+        monkeypatch.setattr(ucfem.sparse, "nested_dissection", recorded)
+        meshes = [(k, build_disk_mesh(geometry, 8, level)) for k, top in ((1, 4), (2, 3)) for level in range(1, top + 1)]
+        meshes.append((1, jittered_disk_mesh(geometry, 3, seed=2, amplitude=1.0)))
+        for k, mesh in meshes:
+            sol = solve_uc(mesh, k, HarmonicMonomial(3))
+            hminus1_residual(sol.dual_space, sol.u, sol.K.A0, sol.K.B)
+        assert len(graphs) == 2 * len(meshes)
+        side = np.arange(12.0)
+        points = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+        twins = sp.kron(sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(144, 144)), np.ones((2, 2)), format="csr")
+        graphs.append((np.repeat(points, 2, axis=0), twins))
+        for coords, A in graphs:
+            assert np.array_equal(order(coords, A), reference.nested_dissection(coords, A))
 
     def test_less_fill_than_colamd(self, geometry):
         # 0.66x (0.73x when every part is cut across its longer side)
