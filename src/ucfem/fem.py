@@ -27,11 +27,11 @@ either order), and a fixed row is spread over the turns of its columns.
 Each assembler returns these rows, a `sparse.FormMatrix`: row u of the
 form is its representative's row with each column turned as often as u
 is (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  The
-solver applies and reads them turn by turn; only `FormMatrix.matrix`
-replicates them into the full CSR, on request, turn by turn into arrays
-of their final size.  So every form is exactly symmetric and rotation
-invariant, P A P^T == A bit for bit, with a stored pattern closed under
-transpose and rotation.  A mesh without a recorded rotation is the m = 1
+solver applies them turn by turn and reads them as stored; only
+`FormMatrix.matrix` replicates them into the full CSR, on request, turn by
+turn into arrays of their final size.  So every form is exactly symmetric
+and rotation invariant, P A P^T == A bit for bit, with a stored pattern
+closed under transpose and rotation.  A mesh without a recorded rotation is the m = 1
 case, whose representatives' rows are the whole form.
 
 Each form takes the smallest rule exact for its polynomial integrand:

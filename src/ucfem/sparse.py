@@ -4,9 +4,10 @@ rotation-invariant system into its Fourier modes.
 
 Matrices are scipy CSR throughout (sorted indices, summed duplicates),
 except the assembled forms and the saddle matrix.  A form is kept as the
-rows of its orbit representatives (`FormMatrix`), applied turn by turn and
-replicated only on request; the saddle matrix is never formed: `Saddle`
-applies it block by block and builds only the rows `CyclicModes` reads.
+rows of its orbit representatives (`FormMatrix`), applied turn by turn,
+read at those rows alone and replicated only on request; the saddle matrix
+is never formed: `Saddle` applies it block by block and builds only the
+representatives' rows `CyclicModes` reads.
 `solve_direct` factors with SuperLU in the order it is given, without
 pivoting; callers order the system first with `nested_dissection`, whose
 separators are minimum vertex covers of the edges each cut crosses.  A
@@ -84,11 +85,6 @@ def _check_finite(x, what):
         raise ValueError(f"{what} contains NaN or Inf")
 
 
-#: a row request writes about this many entries at a time, or 1/32 of them
-#: if that is more (`_csr_rows`)
-_ROW_CHUNK = 8192
-
-
 @dataclass(frozen=True, eq=False)
 class FormMatrix:
     """An assembled form, the view F[rows][:, cols] of a full matrix F kept
@@ -104,12 +100,16 @@ class FormMatrix:
     None for all of them.  Without a space, G is the matrix itself, any
     CSR; so is it on a mesh without a recorded rotation, the m = 1 case.
 
-    `F @ x` applies G turn by turn and `F[rows]` builds the requested rows
-    as CSR with sorted indices; neither forms F.  `T` is the transpose, a
-    view of the same G when F is symmetric.  `max_abs` is max|F| over the
-    view, read from G, and `nbytes` the bytes G holds.  Only `matrix`
-    replicates: it returns the view as CSR, built anew on each call (G
-    itself where G is the whole matrix).
+    `F @ x` applies G turn by turn, without forming F.  `reps` are the
+    view's rows that are representatives' rows; every other row is a turn
+    of one of them, bit for bit.  `F[rows]` returns view rows of `reps`, in
+    the order asked, as stored (CSR with sorted indices), and raises
+    ValueError for a turned row; at m = 1 every row is a representative's.
+    `T` is the transpose, a view of the same G when F is symmetric.
+    `max_abs` is max|F| over the view, read from its representatives' rows,
+    and `nbytes` the bytes G holds.  Only `matrix` replicates: it returns
+    the view as CSR, built anew on each call (G itself where G is the whole
+    matrix).
     """
 
     G: sp.csr_matrix
@@ -130,6 +130,13 @@ class FormMatrix:
     @property
     def nbytes(self) -> int:
         return self.G.data.nbytes + self.G.indices.nbytes + self.G.indptr.nbytes
+
+    @property
+    def reps(self) -> np.ndarray:
+        if self._m == 1:
+            return np.arange(self.shape[0])
+        shift = self.space.orbits[3]
+        return np.flatnonzero((shift if self.rows is None else shift[self.rows]) == 0)
 
     @property
     def T(self) -> FormMatrix:
@@ -162,9 +169,13 @@ class FormMatrix:
         return y if self.rows is None else y[self.rows]
 
     def __getitem__(self, rows):
-        rows = np.asarray(rows)
-        nnz = int(self._lengths(rows).sum())
-        return _csr_rows((rows.size, self.shape[1]), nnz, lambda lo, hi: [self._block(None, rows[lo:hi])])
+        full = rows if self.rows is None else self.rows[rows]
+        if self._m > 1:
+            rep, shift = self.space.orbits[2:]
+            if shift[full].any():
+                raise ValueError("only representatives' rows are stored (`reps`); a turned row is not")
+            full = rep[full]
+        return self.G[full] if self.cols is None else self.G[full][:, self.cols]
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -200,112 +211,7 @@ class FormMatrix:
 
     @cached_property
     def max_abs(self) -> float:
-        G = self.G
-        keep = True
-        if self.rows is not None:
-            in_rows = np.zeros(G.shape[1], dtype=bool)
-            in_rows[self.rows] = True
-            keep = np.repeat(in_rows[self.space.turn_table[:, 0]], np.diff(G.indptr))
-        if self.cols is not None:
-            keep = keep & self._to_view(G.indices)[1]
-        return float(max(G.data.max(initial=0.0, where=keep), -G.data.min(initial=0.0, where=keep)))
-
-    @cached_property
-    def _off(self) -> np.ndarray:
-        """The full columns off the view (the boundary dofs of a zero-trace
-        view), ascending, then -1, which no column equals."""
-        off = np.ones(self.G.shape[1], dtype=bool)
-        off[self.cols] = False
-        return np.append(np.flatnonzero(off).astype(self.G.indices.dtype), -1)
-
-    def _to_view(self, col):
-        """The view's column of each full column in col, and whether it is in
-        the view."""
-        before = np.searchsorted(self._off[:-1], col)  # the columns off the view before it
-        return col - before.astype(col.dtype), self._off[before] != col
-
-    @cached_property
-    def _kept(self) -> np.ndarray:
-        """The entries of each row of G at the view's columns; a turn keeps
-        the view's columns in it, so each count serves the row's turns."""
-        G = self.G
-        count = np.zeros(G.nnz + 1, dtype=np.int64)
-        np.cumsum(self._to_view(G.indices)[1], out=count[1:])
-        return (count[G.indptr[1:]] - count[G.indptr[:-1]]).astype(np.int32)
-
-    def _source(self, rows):
-        """G's row of each view row, and how often it turns (None for no turn)."""
-        full = rows if self.rows is None else self.rows[rows]
-        if self._m == 1:
-            return full, None
-        rep, shift = self.space.orbits[2:]
-        turns = shift[full]
-        return rep[full], (turns if turns.any() else None)
-
-    def _lengths(self, rows):
-        """The entry count of each view row."""
-        r = self._source(rows)[0]
-        return self.G.indptr[r + 1] - self.G.indptr[r] if self.cols is None else self._kept[r]
-
-    def _block(self, at, rows, offset=0, sign=1.0):
-        """The `_csr_rows` block of view rows `rows` at chunk rows `at`, their
-        columns moved by offset and their values times sign.  Its entries
-        are read when it is written: the turned columns come unsorted."""
-
-        def fill():
-            G, (r, turns) = self.G, self._source(rows)
-            first = G.indptr[r]
-            length = G.indptr[r + 1] - first
-            src = np.repeat(first - _starts(length), length) + np.arange(length.sum())
-            col, val = G.indices[src], G.data[src]
-            del src
-            if turns is not None:
-                col = self.space.turned_dofs[self.space.turn_at[col] + np.repeat(turns, length)]
-            if self.cols is not None:
-                col, keep = self._to_view(col)
-                col, val = col[keep], val[keep]
-            if offset:
-                np.add(col, offset, out=col)
-            if sign != 1.0:
-                np.multiply(val, sign, out=val)
-            return col, val
-
-        return at, self._lengths(rows), fill
-
-
-def _csr_rows(shape, nnz, blocks):
-    """The CSR matrix of `shape` with nnz entries, sorted, written chunk by
-    chunk into arrays allocated once.
-
-    blocks(lo, hi) lists the blocks of rows lo..hi-1, each (at, lengths,
-    fill): the chunk rows it fills (None: all, in order), its entry count
-    in each, and fill() its entries' indices and data, row after row.  A
-    row's blocks follow one another in the order listed.  A chunk holds
-    about _ROW_CHUNK entries, or 1/32 of them if that is more, and its
-    blocks are read one at a time, so no temporary outgrows a small share
-    of the result.
-    """
-    n = shape[0]
-    itype = np.int32 if max(nnz, shape[1]) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=itype)
-    indices, data = np.empty(nnz, dtype=itype), np.empty(nnz)
-    step = max(1, n * max(_ROW_CHUNK, nnz // 32) // max(nnz, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        parts = blocks(lo, hi)
-        count = np.zeros(hi - lo, dtype=np.int64)
-        for at, length, _ in parts:
-            count[slice(None) if at is None else at] += length
-        start = indptr[lo] + _starts(count)  # where each row's next block goes
-        indptr[lo + 1 : hi + 1] = indptr[lo] + np.cumsum(count)
-        for at, length, fill in parts:
-            at = slice(None) if at is None else at
-            dest = np.repeat(start[at] - _starts(length), length) + np.arange(length.sum())
-            indices[dest], data[dest] = fill()
-            start[at] += length
-    K = sp.csr_matrix((data, indices, indptr), shape=shape)
-    K.sort_indices()
-    return K
+        return max_abs(self.G if self.rows is None and self.cols is None else self[self.reps])
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +222,12 @@ class Saddle:
 
     `K @ x` is taken block by block, B^T as the transpose view of B.
     `K[rows]` builds the requested rows of K, in the order asked, bit for
-    bit, straight into CSR a chunk of rows at a time (`_csr_rows`): a primal
-    row p is S[p] + M_omega[p], summed as S + M_omega sums (S[p] as stored
-    where M_omega's row is empty), then row p of B^T; a dual row d is B[d],
-    then -A0[d].  `max_abs` is max|K|, read from the blocks' stored rows,
-    and `nbytes` the bytes the blocks hold.  K is exactly symmetric.
+    bit, from four block slices and one COO -> CSR pass: a primal row p is
+    S[p] + M_omega[p], summed as S + M_omega sums, then row p of B^T; a
+    dual row d is B[d], then -A0[d].  Each row must be a representative's
+    in its blocks (`FormMatrix.reps`), as are the rows `CyclicModes` reads.
+    `max_abs` is max|K|, read from the blocks' stored rows, and `nbytes`
+    the bytes the blocks hold.  K is exactly symmetric.
     """
 
     S: FormMatrix
@@ -347,32 +254,17 @@ class Saddle:
     def __getitem__(self, rows):
         rows = np.asarray(rows)
         n = self.S.shape[0]
-        S, M, Bt, B, A0 = self.S, self.M_omega, self._Bt, self.B, self.A0
-        p, d = rows[rows < n], rows[rows >= n] - n
-        summed = M._lengths(p) > 0  # the rows where S + M_omega is not S
-        top = FormMatrix(S[p[summed]] + M[p[summed]])  # those rows, in request order
-        nnz = top.G.nnz + int(S._lengths(p[~summed]).sum() + Bt._lengths(p).sum())
-        nnz += int(B._lengths(d).sum() + A0._lengths(d).sum())
-        del p, d, summed
-        done = 0  # rows of top written
-
-        def blocks(lo, hi):
-            nonlocal done
-            chunk = rows[lo:hi]
-            dual = chunk >= n
-            at_p, at_d = np.flatnonzero(~dual), np.flatnonzero(dual)
-            p, d = chunk[at_p], chunk[at_d] - n
-            summed = M._lengths(p) > 0
-            done += np.count_nonzero(summed)
-            return [
-                S._block(at_p[~summed], p[~summed]),
-                top._block(at_p[summed], np.arange(done - at_p[summed].size, done)),
-                B._block(at_d, d),
-                Bt._block(at_p, p, offset=n),
-                A0._block(at_d, d, offset=n, sign=-1.0),
-            ]
-
-        return _csr_rows((rows.size, self.shape[1]), nnz, blocks)
+        dual = rows >= n
+        p, d = rows[~dual], rows[dual] - n
+        at_p, at_d = (np.flatnonzero(mask).astype(np.int32) for mask in (~dual, dual))
+        top, bt = (self.S[p] + self.M_omega[p]).tocoo(), self._Bt[p].tocoo()
+        bottom, a0 = self.B[d].tocoo(), self.A0[d].tocoo()
+        # each block in sorted row order; a row's left block precedes its
+        # right one, so one COO -> CSR pass gives K[rows] sorted
+        row = np.concatenate([at_p[top.row], at_p[bt.row], at_d[bottom.row], at_d[a0.row]])
+        col = np.concatenate([top.col, n + bt.col, bottom.col, n + a0.col])
+        data = np.concatenate([top.data, bt.data, bottom.data, -a0.data])
+        return sp.csr_matrix((data, (row, col)), shape=(rows.size, self.shape[1]))
 
     @cached_property
     def max_abs(self) -> float:

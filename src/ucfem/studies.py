@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .config import RunConfig, config_echo
-from .fem import error_norms, interpolate_nodal, stability_terms, triple_norm
+from .fem import error_norms, interpolate_nodal, triple_norm
 from .fields import ZeroField
 from .geometry import Geometry
 from .harmonic import HarmonicMonomial, monomial_sobolev_norm, optimal_alpha
@@ -140,7 +140,8 @@ def _solve_level(cfg: RunConfig, mesh: Mesh, exact) -> LevelRecord:
     resid = hminus1_residual(dual, sol.u, sol.K.A0, sol.K.B)
     # energy balance s(u_I,u_I) / |u_I|^2_omega: the data term engages the
     # solver only once it falls below about 1; None when u_I = 0 on omega
-    reg_energy, _, data_energy = stability_terms(u_interp, np.zeros(dual.n_dofs), sol.K)
+    reg_energy = float(u_interp @ (sol.K.S @ u_interp))
+    data_energy = float(u_interp @ (sol.K.M_omega @ u_interp))
     return LevelRecord(
         level=mesh.level,
         h=float(mesh.h),

@@ -229,17 +229,20 @@ class TestRepRowForms:
             assert np.abs(form @ x - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_rows_and_maximum_match_the_materialized_forms(self, spaces):
-        # the representatives' rows the mode blocks read, turned rows in any
-        # order and max|K| are bitwise those of the materialized forms
+        # the representatives' rows the mode blocks read, in any order, of
+        # the saddle and of each form, and max|K| are bitwise those of the
+        # materialized forms
         K = compose_saddle(*assembled_forms(*spaces))
         want = composed(K)
-        n = K.shape[0]
+        reps = representatives(*spaces)
+        primal, dual = reps[reps < K.S.shape[0]], reps[reps >= K.S.shape[0]][::-1]
+        mixed = np.ravel(np.column_stack([dual[: primal.size], primal[: dual.size]]))
         rng = np.random.default_rng(1)
-        for rows in (representatives(*spaces), rng.permutation(n)[: n // 3], np.arange(n)):
+        for rows in (rng.permutation(reps), rng.choice(reps, reps.size // 3, replace=False), mixed):
             assert_same_csr(K[rows], want[rows])
         assert max_abs(K) == np.abs(want.data).max()
-        for form in (K.S, K.M_omega, K.B, K.A0):
-            rows = rng.permutation(form.shape[0])
+        for form in (K.S, K.M_omega, K.B, K.A0, K.B.T):
+            rows = rng.permutation(form.reps)
             assert_same_csr(form[rows], form.matrix[rows])
             assert max_abs(form) == np.abs(form.matrix.data).max()
 
@@ -249,13 +252,26 @@ class TestRepRowForms:
         assert sol.K.nbytes == sum(csr_bytes(form.G) for form in forms)
         assert sol.K.nbytes <= 0.25 * sum(csr_bytes(form.matrix) for form in forms)
 
-    def test_representatives_rows_peak_near_the_result(self, geometry):
-        # written straight into CSR a chunk of rows at a time, with no
-        # triplets of all rows
-        sol = solve_uc(build_disk_mesh(geometry, 8, 5), 1, HarmonicMonomial(3))
-        reps = representatives(sol.primal_space, sol.dual_space)
-        rows, peak = traced_peak(lambda: sol.K[reps])
-        assert peak <= 1.5 * csr_bytes(rows)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_turned_rows_are_refused(self, geometry, k):
+        # a disk mesh stores only its representatives' rows; at m = 1 (a
+        # mesh_from_arrays mesh) every row is one, served in any order
+        space = build_space(build_disk_mesh(geometry, 8, 2), k)
+        space0 = space.zero_trace()
+        S, M, B, A0 = assembled_forms(space, space0)
+        turned = np.flatnonzero(space.orbits[3] != 0)
+        turned0 = np.flatnonzero(space.orbits[3][space0.active] != 0)
+        for form, rows in ((S, turned), (M, turned), (B.T, turned), (B, turned0), (A0, turned0)):
+            with pytest.raises(ValueError):
+                form[[0, rows[-1]]]
+        with pytest.raises(ValueError):
+            compose_saddle(S, M, B, A0)[[0, space.n_dofs + turned0[0]]]
+        plain = build_space(jittered_disk_mesh(geometry, 2, seed=5, amplitude=1.0), k)
+        rng = np.random.default_rng(k)
+        for form in assembled_forms(plain, plain.zero_trace()):
+            rows = rng.permutation(form.shape[0])
+            assert_same_csr(form[rows], form.matrix[rows])
 
 
 class TestSolveDirect:
