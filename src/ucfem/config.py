@@ -238,7 +238,3 @@ def _echo_value(key: str, value) -> str:
 def config_echo(cfg: RunConfig) -> dict:
     """Canonical key -> string map; re-parses to an equal RunConfig."""
     return {key: _echo_value(key, value) for key, value in _walk(cfg)}
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    return "".join(f"{key} = {val}\n" for key, val in config_echo(cfg).items())

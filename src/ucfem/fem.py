@@ -76,14 +76,16 @@ class FeSpace:
     `zero_trace()` is the subspace V_0h without the dofs on the polygonal
     boundary.  Coefficient vectors carry the dofs `active` (all of them
     here); `expand_coeffs` pads the others with zero.  On a mesh with a
-    recorded rotation, `rotation` maps each dof to the dof the turn carries
-    it to (None otherwise); `orbits` is `sparse.cyclic_orbits` of that map,
-    and `turns_mesh` whether the turn carries the vertices onto each other
-    (every form refuses a space without it).  `turn_table`, `turned_dofs`
-    and `turn_at` are the int32 orbit lookup of `_gram` and of the forms
-    (`sparse.FormMatrix`): turn s of representative number r is
-    turn_table[r, s] (a fixed dof at every s), and dof d turned s times,
-    0 <= s <= m, is turned_dofs[turn_at[d] + s].
+    recorded rotation, `rotation` maps each active dof to the active dof
+    the turn carries it to (None otherwise), and `turns_mesh` says whether
+    the turn carries the vertices onto each other (every form refuses a
+    space without it).  `orbits` is `sparse.cyclic_orbits` of the turn of
+    all dofs, and `turn_table`, `turned_dofs` and `turn_at` are the int32
+    orbit lookup of `_gram` and of the forms (`sparse.FormMatrix`): turn s
+    of representative number r is turn_table[r, s] (a fixed dof at every
+    s), and dof d turned s times, 0 <= s <= m, is turned_dofs[turn_at[d] +
+    s].  These four are the full space's on a `zero_trace()` space too,
+    shared, because its forms (the `A0` and `B` views) index full-dof rows.
     """
 
     def __init__(self, mesh: Mesh, k: int):

@@ -103,16 +103,6 @@ def _norm_constant_3d(n: int) -> Fraction:
     )
 
 
-def harmonic_norm_closed(mono: HarmonicMonomial, rho: float) -> float:
-    """Squared L2 norm of the complex monomial z^{n-1} on B(rho)."""
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    n = mono.n
-    if mono.dim == 2:
-        return math.pi / n * rho ** (2 * n)
-    return 2.0 * math.pi * float(_norm_constant_3d(n)) * rho ** (2 * n + 1)
-
-
 def log_norm(mono: HarmonicMonomial, rho: float) -> float:
     """log of the (unsquared) closed-form norm; safe for large n."""
     if rho <= 0.0:

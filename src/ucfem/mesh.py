@@ -93,11 +93,6 @@ class Mesh:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def interior_edges(self) -> np.ndarray:
-        """Indices of edges shared by exactly two triangles."""
-        return np.nonzero(self.edge_counts == 2)[0]
-
     def region_elements(self, regions) -> np.ndarray:
         regions = [int(r) for r in (regions if hasattr(regions, "__iter__") else [regions])]
         return np.nonzero(np.isin(self.region_tag, regions))[0]

@@ -47,26 +47,6 @@ def _orbit(a: float, b: float) -> np.ndarray:
     return np.where(np.eye(3, dtype=bool), a, b)
 
 
-def tri_rule_collapsed(degree: int) -> TriangleRule:
-    """Tensor Gauss rule mapped to the triangle, exact for `degree`.
-
-    Collapses the square [0,1]^2 via (xi, eta*(1-xi)); the Jacobian factor
-    (1-xi) raises the xi-degree by one.  Heavier than the symmetric rules
-    but generated from trusted Gauss-Legendre data for any degree.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    n_xi = (degree + 2) // 2 + 1
-    n_eta = (degree + 1) // 2 + 1
-    x_xi, w_xi = gauss_rule_01(n_xi)
-    x_eta, w_eta = gauss_rule_01(n_eta)
-    xi = np.repeat(x_xi, n_eta)
-    eta = np.tile(x_eta, n_xi) * (1.0 - xi)
-    wts = np.repeat(w_xi * (1.0 - x_xi), n_eta) * np.tile(w_eta, n_xi)
-    pts = np.column_stack([1.0 - xi - eta, xi, eta])
-    return TriangleRule(points=pts, weights=wts)
-
-
 def gauss_rule_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0,1], exact to degree 2n-1; weights sum to 1."""
     x, w = np.polynomial.legendre.leggauss(n)

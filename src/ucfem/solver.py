@@ -95,7 +95,7 @@ def _solve_ordered(K, b, coords, rotation) -> tuple[np.ndarray, float]:
         return np.zeros(K.shape[0]), 0.0
     modes = CyclicModes(K, b, coords, rotation)
     x = modes.recombine(solve_direct(modes.matrix, modes.rhs, rel_tol=modes.rel_tol))
-    res = achieved_residual(K, x, b)
+    res = achieved_residual(K, x, b, modes.kmax)
     if not res <= REL_TOL:
         raise SolverError(
             f"residual tolerance not met after recombining modes {modes.modes}: "

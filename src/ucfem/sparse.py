@@ -14,7 +14,8 @@ separators are minimum vertex covers of the edges each cut crosses.  A
 pivoted SuperLU factorization with COLAMD ordering is the fallback.
 `CyclicModes` turns K x = b, for a K that commutes with a rotation of its
 unknowns, into one block-diagonal system of the Fourier modes the load
-excites.  Every step is deterministic for identical inputs.
+excites; it reads max|K| from the representatives' rows it builds.
+Every step is deterministic for identical inputs.
 Importing the module sets each OpenBLAS copy in the process to one thread
 (`_limit_openblas_threads`; README, Solver); a program that wants threaded
 BLAS for its own dense work raises the count again after the import.
@@ -100,16 +101,13 @@ class FormMatrix:
     None for all of them.  Without a space, G is the matrix itself, any
     CSR; so is it on a mesh without a recorded rotation, the m = 1 case.
 
-    `F @ x` applies G turn by turn, without forming F.  `reps` are the
-    view's rows that are representatives' rows; every other row is a turn
-    of one of them, bit for bit.  `F[rows]` returns view rows of `reps`, in
-    the order asked, as stored (CSR with sorted indices), and raises
-    ValueError for a turned row; at m = 1 every row is a representative's.
-    `T` is the transpose, a view of the same G when F is symmetric.
-    `max_abs` is max|F| over the view, read from its representatives' rows,
-    and `nbytes` the bytes G holds.  Only `matrix` replicates: it returns
-    the view as CSR, built anew on each call (G itself where G is the whole
-    matrix).
+    `F @ x` applies G turn by turn, without forming F.  `F[rows]` returns
+    view rows that are representatives' rows (shift 0), in the order asked,
+    as stored (CSR with sorted indices), and raises ValueError for a turned
+    row; at m = 1 every row is a representative's.  `T` is the transpose, a
+    view of the same G when F is symmetric, and `nbytes` the bytes G holds.
+    Only `matrix` replicates: it returns the view as CSR, built anew on
+    each call (G itself where G is the whole matrix).
     """
 
     G: sp.csr_matrix
@@ -130,13 +128,6 @@ class FormMatrix:
     @property
     def nbytes(self) -> int:
         return self.G.data.nbytes + self.G.indices.nbytes + self.G.indptr.nbytes
-
-    @property
-    def reps(self) -> np.ndarray:
-        if self._m == 1:
-            return np.arange(self.shape[0])
-        shift = self.space.orbits[3]
-        return np.flatnonzero((shift if self.rows is None else shift[self.rows]) == 0)
 
     @property
     def T(self) -> FormMatrix:
@@ -173,7 +164,7 @@ class FormMatrix:
         if self._m > 1:
             rep, shift = self.space.orbits[2:]
             if shift[full].any():
-                raise ValueError("only representatives' rows are stored (`reps`); a turned row is not")
+                raise ValueError("only representatives' rows are stored; a turned row is not")
             full = rep[full]
         return self.G[full] if self.cols is None else self.G[full][:, self.cols]
 
@@ -209,10 +200,6 @@ class FormMatrix:
             mat = mat[:, self.cols]
         return mat
 
-    @cached_property
-    def max_abs(self) -> float:
-        return max_abs(self.G if self.rows is None and self.cols is None else self[self.reps])
-
 
 @dataclass(frozen=True, eq=False)
 class Saddle:
@@ -225,9 +212,8 @@ class Saddle:
     bit, from four block slices and one COO -> CSR pass: a primal row p is
     S[p] + M_omega[p], summed as S + M_omega sums, then row p of B^T; a
     dual row d is B[d], then -A0[d].  Each row must be a representative's
-    in its blocks (`FormMatrix.reps`), as are the rows `CyclicModes` reads.
-    `max_abs` is max|K|, read from the blocks' stored rows, and `nbytes`
-    the bytes the blocks hold.  K is exactly symmetric.
+    in its blocks, as are the rows `CyclicModes` reads.  `nbytes` is the
+    bytes the blocks hold.  K is exactly symmetric.
     """
 
     S: FormMatrix
@@ -266,44 +252,19 @@ class Saddle:
         data = np.concatenate([top.data, bt.data, bottom.data, -a0.data])
         return sp.csr_matrix((data, (row, col)), shape=(rows.size, self.shape[1]))
 
-    @cached_property
-    def max_abs(self) -> float:
-        S, M = self.S.G, self.M_omega.G  # the rows of one space's representatives
-        summed = np.diff(M.indptr) > 0  # the rows where S + M_omega is not S
-        # S's row extremes outside them, read in place: no copy of S's rows
-        filled = np.diff(S.indptr) > 0
-        starts, alone = S.indptr[:-1][filled], ~summed[filled]
-        top = np.maximum.reduceat(S.data, starts)[alone], np.minimum.reduceat(S.data, starts)[alone]
-        # M_omega without its empty rows, on its own index and data arrays
-        indptr = np.concatenate([M.indptr[:1], M.indptr[1:][summed]])
-        M = sp.csr_matrix((M.data, M.indices, indptr), shape=(indptr.size - 1, M.shape[1]))
-        parts = (*top, (S[summed] + M).data)
-        extremes = (max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts)
-        return float(max(*extremes, self.B.max_abs, self.A0.max_abs))
-
 
 def compose_saddle(S, M_omega, B, A0) -> Saddle:
     """The primal-dual `Saddle` of the forms S the stabilization, M_omega
     the data-region mass, B the constraint coupling and A0 the dual
-    stiffness: `FormMatrix` views of one space pair, or plain CSR matrices,
-    each of which is taken as its own G."""
+    stiffness: `FormMatrix` views, or plain CSR matrices, each of which is
+    taken as its own G; only the block shapes are checked."""
     S, M_omega, B, A0 = (f if isinstance(f, FormMatrix) else FormMatrix(sp.csr_matrix(f)) for f in (S, M_omega, B, A0))
     n, m = S.shape[0], A0.shape[0]
     if S.shape != (n, n) or M_omega.shape != (n, n) or A0.shape != (m, m) or B.shape != (m, n):
         raise ValueError(
             f"incompatible blocks: S{S.shape}, M_omega{M_omega.shape}, B{B.shape}, A0{A0.shape}"
         )
-    if S.space is not M_omega.space or S.rows is not None or M_omega.rows is not None:
-        raise ValueError("S and M_omega must be forms over all dofs of one space")
     return Saddle(S, M_omega, B, A0)
-
-
-def max_abs(K) -> float:
-    """max|K| over the entries of a CSR/CSC matrix (duplicates summed), a
-    `FormMatrix` or a `Saddle`."""
-    if isinstance(K, (FormMatrix, Saddle)):
-        return K.max_abs
-    return float(np.abs(K.data).max(initial=0.0))
 
 
 def solve_direct(K, b, rel_tol: float = REL_TOL) -> np.ndarray:
@@ -366,6 +327,7 @@ def _lu_solve(K, b, rel_tol, pivoting):
             "diag_pivot_thresh": 0.0,
             "options": {"SymmetricMode": True},
         }
+    kmax = float(np.abs(K.data).max(initial=0.0))
     if _MALLOC_TRIM is not None:
         # glibc keeps freed heap pages resident unless they top the heap by
         # more than a threshold that grows to 64 MB.  How many the assembly
@@ -387,10 +349,10 @@ def _lu_solve(K, b, rel_tol, pivoting):
             raise SolverError(f"zero pivot at index {int(swapped[0])}")
 
     x = lu.solve(b)
-    res = achieved_residual(K, x, b)
+    res = achieved_residual(K, x, b, kmax)
     if res > rel_tol:
         x = x + lu.solve(b - K @ x)
-        res = achieved_residual(K, x, b)
+        res = achieved_residual(K, x, b, kmax)
     if not np.isfinite(res):
         raise SolverError("non-finite solution")
     if res > rel_tol:
@@ -401,11 +363,10 @@ def _lu_solve(K, b, rel_tol, pivoting):
     return x
 
 
-def achieved_residual(K, x, b) -> float:
-    """Relative residual ||K x - b||_2 / (max|K| * ||x||_2 + ||b||_2), the
-    solve_direct contract's scaling; K is a CSR/CSC matrix with summed
-    duplicates or a `Saddle` (see `max_abs`)."""
-    scale = max_abs(K) * np.linalg.norm(x) + np.linalg.norm(b)
+def achieved_residual(K, x, b, kmax) -> float:
+    """Relative residual ||K x - b||_2 / (kmax ||x||_2 + ||b||_2), the
+    solve_direct contract's scaling, kmax = max|K| as the caller read it."""
+    scale = kmax * np.linalg.norm(x) + np.linalg.norm(b)
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(K @ x - b) / scale)
@@ -621,11 +582,15 @@ class CyclicModes:
     rotation None is the order-1 case: one mode, E = identity, K itself.
     Nothing here checks that K commutes with the rotation: a K that does
     not gives an x that misses the residual contract on the full K, which
-    the caller checks (`achieved_residual`).
+    the caller checks (`achieved_residual` at `kmax`).
+
+    `kmax` is max|K| read from the representatives' rows: exact for a K
+    that commutes with the rotation, whose rows are their turns bit for
+    bit, and at most max|K| otherwise, which only makes the check stricter.
 
     `rel_tol` is the tolerance a `solve_direct` of `matrix` and `rhs` must
     meet for the recombined x to keep the contract on K, 0.5 REL_TOL
-    min(1, max|K| / max|matrix|): the sqrt(m) K[r, f] couplings of mode 0
+    min(1, kmax / max|matrix|): the sqrt(m) K[r, f] couplings of mode 0
     to a fixed unknown f can lift max|matrix| above max|K|.  E is unitary
     and a conjugate pair enters x with weight 2, so |K x - b| is at most
     sqrt(2) times the block residual, under 0.5 REL_TOL (max|K| |x| +
@@ -653,6 +618,7 @@ class CyclicModes:
         i, col, turn = rows.row, rep[rows.col], shift[rows.col]
         size = np.where(np.arange(reps.size) < nr, m, 1)
         data = rows.data * np.sqrt(size[i] / size[col])
+        self.kmax = float(max(rows.data.max(initial=0.0), -rows.data.min(initial=0.0)))
         del rows
         mode0 = sp.csr_matrix((data, (i, col)), shape=(reps.size, reps.size))
         order = nested_dissection(coords[reps], mode0)
@@ -694,7 +660,7 @@ class CyclicModes:
             self.matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n))
         self.rhs = np.concatenate(rhs) if np.iscomplexobj(self.matrix.data) else np.concatenate(rhs).real
         # both maxima over assembled entries, duplicates summed
-        self.rel_tol = 0.5 * REL_TOL * min(1.0, max_abs(K) / np.abs(self.matrix.data).max())
+        self.rel_tol = 0.5 * REL_TOL * min(1.0, self.kmax / np.abs(self.matrix.data).max())
 
     def recombine(self, y) -> np.ndarray:
         """The real x = sum_j c_j Re(E_j x_j) of the stacked block solution y."""

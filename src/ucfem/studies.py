@@ -18,17 +18,14 @@ import numpy as np
 from .config import RunConfig, config_echo
 from .fem import error_norms, interpolate_nodal, triple_norm
 from .fields import ZeroField
-from .geometry import Geometry
 from .harmonic import HarmonicMonomial, monomial_sobolev_norm, optimal_alpha
 from .mesh import (
-    ALL_REGIONS,
     B_REGIONS,
     Mesh,
     Region,
     build_disk_mesh,
     refine_uniform,
 )
-from .quadrature import gauss_rule_01, tri_rule_collapsed
 from .solver import hminus1_residual, solve_uc
 
 #: boundedness constant for the normalized perturbation sensitivity
@@ -303,59 +300,3 @@ def report_to_json(report: ConvergenceReport) -> str:
         "verdicts": report.verdicts,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-# --- cross-oracle quadrature of monomial norms over a ball ------------------
-
-
-def ball_norm_sq_quadrature(
-    mesh: Mesh,
-    geometry: Geometry,
-    mono: HarmonicMonomial,
-    circle: int,
-) -> float:
-    """Squared L2 norm of the complex monomial over B(r_circle) by quadrature.
-
-    Integrates |z^{n-1}|^2 = (x^2+y^2)^{n-1} over the tagged triangles
-    inside the circle and completes the polygon-to-circle slivers with a
-    polar tensor rule per boundary chord, so the result is comparable to
-    the closed forms at full quadrature accuracy rather than being O(h^2)
-    short of them.
-    """
-    if circle not in (1, 2, 3):
-        raise ValueError(f"circle must be 1, 2 or 3, got {circle}")
-    rule = tri_rule_collapsed(max(2 * (mono.n - 1), 2))
-    regions = {1: (Region.OMEGA_DATA,), 2: B_REGIONS, 3: ALL_REGIONS}[circle]
-    rho = {1: geometry.r1, 2: geometry.r2, 3: geometry.r3}[circle]
-    p = mono.n - 1
-
-    elements = mesh.region_elements(regions)
-    v = mesh.vertices
-    det = 2 * mesh.signed_areas[elements]
-    pts = np.einsum("qi,eia->eqa", rule.points, v[mesh.triangles[elements]])
-    rsq = pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2
-    tri_part = float(np.einsum("q,eq,e->", rule.weights, rsq**p, det))
-
-    # boundary chords of the tagged region: edges with both ends on the circle
-    on_circle = mesh.vertex_circle == circle
-    chords = np.nonzero(on_circle[mesh.edges[:, 0]] & on_circle[mesh.edges[:, 1]])[0]
-    a = v[mesh.edges[chords, 0]]
-    b = v[mesh.edges[chords, 1]]
-    theta_a = np.arctan2(a[:, 1], a[:, 0])
-    theta_b = np.arctan2(b[:, 1], b[:, 0])
-    delta = np.mod(theta_b - theta_a + np.pi, 2 * np.pi) - np.pi  # signed, small
-    theta_lo = np.where(delta >= 0, theta_a, theta_b)
-    span = np.abs(delta)
-    dist = rho * np.cos(0.5 * span)  # chord distance from the origin
-
-    tq, wq = gauss_rule_01(8)
-    theta = theta_lo[:, None] + span[:, None] * tq[None, :]
-    r_chord = dist[:, None] / np.cos(theta - (theta_lo + 0.5 * span)[:, None])
-    width = rho - r_chord  # (nc, nq)
-    # radial Gauss points per (chord, theta)
-    r = r_chord[:, :, None] + width[:, :, None] * tq[None, None, :]
-    integrand = r ** (2 * p) * r  # f(r) * jacobian r
-    radial = np.einsum("s,cqs->cq", wq, integrand) * width
-    seg_part = float(np.einsum("q,cq,c->", wq, radial, span))
-
-    return tri_part + seg_part

@@ -23,14 +23,13 @@ from ucfem.geometry import Geometry
 from ucfem.harmonic import (
     HarmonicMonomial,
     combined_exponent,
-    harmonic_norm_closed,
     optimal_alpha,
     three_ball_ratio,
 )
 from ucfem.mesh import build_disk_mesh
 from ucfem.solver import verify_positivity
+from oracles import ball_norm_sq_quadrature, harmonic_norm_closed
 from ucfem.studies import (
-    ball_norm_sq_quadrature,
     fit_rate,
     run_convergence_study,
     run_perturbation_study,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import config_to_text
 from ucfem import cli, sparse
 from ucfem.cli import main
 from ucfem.config import (
@@ -14,7 +15,6 @@ from ucfem.config import (
     ConfigError,
     RunConfig,
     config_echo,
-    config_to_text,
     parse_config,
     parse_entries,
 )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import interior_edges, tri_rule_collapsed
 from ucfem import quadrature
 from ucfem.fem import (
     ASSEMBLY_RULE,
@@ -87,8 +88,11 @@ class TestSpaces:
         assert np.array_equal(space0.active, np.setdiff1d(np.arange(space.n_full), boundary))
         assert space0.dirichlet and not space.dirichlet
         assert space0.zero_trace() is space0
-        for name in ("mesh", "full_map", "det", "turn_table", "turned_dofs", "turn_at"):
+        # the A0 and B views index full-dof rows, so V_0h keeps the full
+        # space's orbits and turn tables; only its rotation is over V_0h
+        for name in ("mesh", "full_map", "det", "orbits", "turn_table", "turned_dofs", "turn_at"):
             assert getattr(space0, name) is getattr(space, name)
+        assert space0.rotation is not space.rotation
         elements = np.arange(0, mesh.n_triangles, 3)
         assert space0.grad_lam(elements).tobytes() == space.grad_lam(elements).tobytes()
 
@@ -123,7 +127,7 @@ class TestSpaces:
             for elements in (
                 np.arange(mesh.n_triangles),
                 rng.permutation(mesh.n_triangles)[: mesh.n_triangles // 3],
-                mesh.edge_tris[mesh.interior_edges, 1],
+                mesh.edge_tris[interior_edges(mesh), 1],
                 np.zeros(0, dtype=np.int64),
             ):
                 got = space.grad_lam(elements)
@@ -513,7 +517,7 @@ def _check_forms_against_dense_assembly(mesh, k):
         local = np.einsum("q,qi,qj->ij", weights, vectors, vectors)
         np.add.at(A, (dofs[:, None], dofs[None, :]), local)
 
-    rule = quadrature.tri_rule_collapsed(4)
+    rule = tri_rule_collapsed(4)
     omega = set(mesh.region_elements([Region.OMEGA_DATA]))
     diam, areas = element_diameters(mesh), np.abs(mesh.signed_areas)
     for e, dofs in enumerate(space.full_map):
@@ -528,7 +532,7 @@ def _check_forms_against_dense_assembly(mesh, k):
         add(cell, dofs, np.array(laps)[:1], np.array([diam[e] ** 2 * areas[e]]))
 
     t, wt = quadrature.gauss_rule_01(3)
-    for f in mesh.interior_edges:
+    for f in interior_edges(mesh):
         a, b = mesh.vertices[mesh.edges[f]]
         length = np.linalg.norm(b - a)
         normal = np.array([b[1] - a[1], a[0] - b[0]]) / length
@@ -625,7 +629,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
     coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
     coeffs = np.random.default_rng(k).uniform(-1.0, 1.0, space.n_dofs)
     with_gradient = RadialQuadratic(0.3, -1.0)
-    rule = quadrature.tri_rule_collapsed(4)
+    rule = tri_rule_collapsed(4)
     areas = mesh.signed_areas
 
     def per_element(field, elements):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import harmonic_norm_closed
 from ucfem.geometry import Geometry
 from ucfem.harmonic import (
     HarmonicMonomial,
     combined_exponent,
-    harmonic_norm_closed,
     log_norm,
     monomial_seminorm_sq,
     monomial_sobolev_norm,

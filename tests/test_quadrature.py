@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import tri_rule_collapsed
 from ucfem.quadrature import (
     gauss_rule_01,
     reference_monomial_integral,
     tri_rule,
-    tri_rule_collapsed,
 )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from oracles import harmonic_norm_closed
 from ucfem.config import PerturbationSpec
 from ucfem.fem import (
     assemble_gradient_jump,
@@ -17,7 +18,7 @@ from ucfem.fem import (
     stability_terms,
 )
 from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
-from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed
+from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh, refine_uniform
 from ucfem import solver
 from ucfem.solver import (
@@ -264,7 +265,10 @@ class TestCyclicModes:
         turned = build_space(with_turn, 1)
         rot = saddle_dofs(turned, turned.zero_trace())[1]
         split = CyclicModes(K, rhs, coords, rot)
-        assert achieved_residual(K, split.recombine(spsolve(split.matrix, split.rhs)), rhs) > 1e-6
+        # the sector-0 rows miss the largest |entry|: the read maximum is
+        # below max|K|, which only tightens the check
+        assert split.kmax < np.abs(composed(K).data).max()
+        assert achieved_residual(K, split.recombine(spsolve(split.matrix, split.rhs)), rhs, split.kmax) > 1e-6
         with pytest.raises(SolverError, match="residual"):
             solver._solve_ordered(K, rhs, coords, rot)
 
@@ -300,15 +304,16 @@ class TestCyclicModes:
             for _ in range(3):  # t: the residual t |A d| at rel_tol of the scale of y + t d
                 t = rel_tol * (kmax * np.linalg.norm(y + t * d) + np.linalg.norm(b))
                 t /= np.linalg.norm(A @ d)
-            assert achieved_residual(A, y + t * d, b) == pytest.approx(rel_tol, rel=1e-3)
+            assert achieved_residual(A, y + t * d, b, kmax) == pytest.approx(rel_tol, rel=1e-3)
             return y + t * d
 
         monkeypatch.setattr(solver, "CyclicModes", recorded)
         monkeypatch.setattr(solver, "solve_direct", at_tolerance)
+        full_max = np.abs(composed(K).data).max()
         for _ in range(5):
             x, res = solver._solve_ordered(K, rhs, coords, rot)
-            assert res == achieved_residual(K, x, rhs) <= REL_TOL
-        ratio = np.abs(composed(K).data).max() / np.abs(splits[0].matrix.data).max()
+            assert res == achieved_residual(K, x, rhs, full_max) <= REL_TOL
+        ratio = full_max / np.abs(splits[0].matrix.data).max()
         assert tols == [0.5 * REL_TOL * min(1.0, ratio)] * 5
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -327,6 +332,25 @@ class TestCyclicModes:
         orbits, fixed = cyclic_orbits(*saddle_dofs(sol.primal_space, sol.dual_space)[::-1])[:2]
         assert len(requests) == 1
         assert np.array_equal(requests[0], np.concatenate([orbits[:, 0], fixed]))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mesh_kind", ["rotated", "jittered"])
+    def test_kmax_is_max_abs_of_the_full_matrix(self, geometry, k, mesh_kind, monkeypatch):
+        # the maximum over the representatives' rows is max|K| bit for bit,
+        # for the saddle solve and for the A0 solve of hminus1_residual (the
+        # solve_poisson path)
+        if mesh_kind == "rotated":
+            mesh = build_disk_mesh(geometry, 8, 2)
+        else:
+            mesh = jittered_disk_mesh(geometry, 2, seed=3, amplitude=1.0)
+        splits = []
+        split_of = solver.CyclicModes
+        monkeypatch.setattr(solver, "CyclicModes", lambda *args: splits.append(split_of(*args)) or splits[-1])
+        sol = solve_uc(mesh, k, ZeroField(), NOISE)
+        hminus1_residual(sol.dual_space, sol.u, sol.K.A0, sol.K.B)
+        assert len(splits) == 2
+        assert splits[0].kmax == np.abs(composed(sol.K).data).max()
+        assert splits[1].kmax == np.abs(sol.K.A0.matrix.data).max()
 
     def test_zero_load_solves_nothing(self, geometry, monkeypatch):
         mesh = build_disk_mesh(geometry, 8, 2)
@@ -474,7 +498,8 @@ class TestSolveUc:
         assert isinstance(sol.K, Saddle)
         load = assemble_load_region(sol.primal_space, exact, Region.OMEGA_DATA) + sol.perturbation.load
         rhs = np.r_[load, np.zeros(sol.dual_space.n_dofs)]
-        assert achieved_residual(sol.K, np.r_[sol.u, sol.z], rhs) == sol.solve_residual
+        kmax = np.abs(composed(sol.K).data).max()
+        assert achieved_residual(sol.K, np.r_[sol.u, sol.z], rhs, kmax) == sol.solve_residual
 
     def test_a_priori_bound(self, geometry):
         # unperturbed primal solutions stay within twice the exact L2 size

@@ -15,15 +15,15 @@ from ucfem.mesh import Region, build_disk_mesh
 from ucfem.solver import hminus1_residual, saddle_dofs, solve_uc
 from ucfem.sparse import (
     LEAF_SIZE,
+    CyclicModes,
     SolverError,
     _cut_cover,
     compose_saddle,
     cyclic_orbits,
-    max_abs,
     nested_dissection,
     solve_direct,
 )
-from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
+from test_fem import csr_bytes, jittered_disk_mesh
 
 
 def assembled_forms(space, space0):
@@ -58,6 +58,19 @@ def representatives(space, space0):
 
 def all_rows(K):
     return K[np.arange(K.shape[0])]
+
+
+def kmax(K, coords=None, rotation=None):
+    """max|K| as a solve reads it, `CyclicModes.kmax`: over the rows of the
+    representatives of `rotation`, every row without one."""
+    n = K.shape[0]
+    return CyclicModes(K, np.ones(n), np.zeros((n, 2)) if coords is None else coords, rotation).kmax
+
+
+def view_reps(form):
+    """The rows of a `FormMatrix` view that are representatives' rows."""
+    shift = form.space.orbits[3]
+    return np.flatnonzero((shift if form.rows is None else shift[form.rows]) == 0)
 
 
 def assert_same_csr(got, want):
@@ -106,7 +119,7 @@ class TestComposeSaddle:
         assert np.array_equal(all_rows(K).toarray(), np.array([[2.0, 3.0], [3.0, -5.0]]))
         assert np.array_equal(K[[1, 0]].toarray(), np.array([[3.0, -5.0], [2.0, 3.0]]))
         assert np.array_equal(K @ np.array([1.0, 2.0]), np.array([8.0, -7.0]))
-        assert ucfem.sparse.max_abs(K) == 5.0
+        assert kmax(K) == 5.0
 
     def test_exactly_symmetric(self, mesh_l2):
         space = build_space(mesh_l2, 1)
@@ -133,7 +146,8 @@ class TestComposeSaddle:
     @pytest.mark.parametrize("mesh_kind", ["rotated", "jittered"])
     def test_blocks_match_the_composed_matrix(self, geometry, k, mesh_kind):
         # rows at the representatives and at arbitrary indices, in the order
-        # asked, and max|K| are bitwise those of the sp.bmat reference
+        # asked, and max|K| read from the representatives' rows are bitwise
+        # those of the sp.bmat reference
         if mesh_kind == "rotated":
             mesh = build_disk_mesh(geometry, 8, 2)
         else:
@@ -152,7 +166,7 @@ class TestComposeSaddle:
             np.arange(n),
         ):
             assert_same_csr(K[rows], want[rows])
-        assert ucfem.sparse.max_abs(K) == np.abs(want.data).max()
+        assert kmax(K, *saddle_dofs(space, space0)) == np.abs(want.data).max()
         for _ in range(3):
             x = rng.standard_normal(n)
             assert np.abs(K @ x - want @ x).max() <= 1e-15 * np.abs(want @ x).max()
@@ -162,18 +176,10 @@ class TestComposeSaddle:
         space = build_space(mesh_l2, 1)
         K = saddle(space, space.zero_trace())
         heavy = compose_saddle(K.S.matrix, 1e3 * K.M_omega.matrix, K.B.matrix, K.A0.matrix)
-        kmax = ucfem.sparse.max_abs(heavy)
-        assert kmax == np.abs(composed(heavy).data).max() > np.abs(K.S.matrix.data).max()
-        assert ucfem.sparse.max_abs(composed(heavy)) == kmax
-
-    @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
-    def test_max_abs_copies_no_rows_of_S(self, geometry, k, level):
-        # the rows of S outside M_omega's are read in place
-        space = build_space(build_disk_mesh(geometry, 8, level), k)
-        K = saddle(space, space.zero_trace())
-        kmax, peak = traced_peak(lambda: K.max_abs)
-        assert kmax == np.abs(composed(K).data).max()
-        assert peak <= 0.9 * csr_bytes(K.S.matrix)
+        coords = saddle_dofs(space, space.zero_trace())[0]
+        heavy_max = kmax(heavy, coords)
+        assert heavy_max == np.abs(composed(heavy).data).max() > np.abs(K.S.matrix.data).max()
+        assert kmax(composed(heavy), coords) == heavy_max
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_max_abs_over_empty_and_unsummed_rows(self, sign):
@@ -185,9 +191,9 @@ class TestComposeSaddle:
         M[2, 2] = 2.5
         S, M, B = sp.csr_matrix(S), sp.csr_matrix(M), sp.csr_matrix((1, 4))
         K = compose_saddle(S, M, B, sp.csr_matrix(np.array([[1.0]])))
-        assert ucfem.sparse.max_abs(K) == np.abs(composed(K).data).max() == 5.0
+        assert kmax(K) == np.abs(composed(K).data).max() == 5.0
         empty = compose_saddle(sp.csr_matrix((4, 4)), M, B, sp.csr_matrix((1, 1)))
-        assert ucfem.sparse.max_abs(empty) == 2.5
+        assert kmax(empty) == 2.5
 
     def test_positivity_identity_matrix_form(self, mesh_l2):
         # [u; -z]^T K [u; z] == u^T (S + M_w) u + z^T A0 z, the matrix form of
@@ -230,8 +236,8 @@ class TestRepRowForms:
 
     def test_rows_and_maximum_match_the_materialized_forms(self, spaces):
         # the representatives' rows the mode blocks read, in any order, of
-        # the saddle and of each form, and max|K| are bitwise those of the
-        # materialized forms
+        # the saddle and of each form, and the maxima over them are bitwise
+        # max|K| and max|F| of the materialized forms
         K = compose_saddle(*assembled_forms(*spaces))
         want = composed(K)
         reps = representatives(*spaces)
@@ -240,11 +246,11 @@ class TestRepRowForms:
         rng = np.random.default_rng(1)
         for rows in (rng.permutation(reps), rng.choice(reps, reps.size // 3, replace=False), mixed):
             assert_same_csr(K[rows], want[rows])
-        assert max_abs(K) == np.abs(want.data).max()
+        assert kmax(K, *saddle_dofs(*spaces)) == np.abs(want.data).max()
         for form in (K.S, K.M_omega, K.B, K.A0, K.B.T):
-            rows = rng.permutation(form.reps)
+            rows = rng.permutation(view_reps(form))
             assert_same_csr(form[rows], form.matrix[rows])
-            assert max_abs(form) == np.abs(form.matrix.data).max()
+            assert np.abs(form[rows].data).max() == np.abs(form.matrix.data).max()
 
     def test_saddle_holds_a_quarter_of_the_materialized_bytes(self, geometry):
         sol = solve_uc(build_disk_mesh(geometry, 8, 4), 1, HarmonicMonomial(3))

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ball_norm_sq_quadrature, config_to_text, harmonic_norm_closed
 from ucfem.config import parse_config
 from ucfem.fem import error_norms
 from ucfem.fields import AffineField
-from ucfem.harmonic import HarmonicMonomial, harmonic_norm_closed, optimal_alpha
+from ucfem.harmonic import HarmonicMonomial, optimal_alpha
 from ucfem.mesh import build_disk_mesh
 from ucfem.studies import (
-    ball_norm_sq_quadrature,
     fit_rate,
     report_to_csv,
     report_to_json,
@@ -71,8 +71,6 @@ class TestConvergenceStudy:
         assert [row.level for row in report.rows] == list(cfg.levels)
 
     def test_config_echo_round_trips(self, quick_report):
-        from ucfem.config import config_to_text
-
         report, cfg = quick_report
         text = "".join(f"{k} = {v}\n" for k, v in report.config_echo.items())
         assert parse_config(text) == cfg
