@@ -114,8 +114,10 @@ class FeSpace:
         self.orbits = orbits, fixed, rep, shift = cyclic_orbits(self.rotation, self.dof_coords)
         # the forms replicated by the turn (`_gram`) are this mesh's only if it turns its vertices
         m = orbits.shape[1]
-        z = mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(mesh.vertices).max()
-        self.turns_mesh = m == 1 or abs(z[mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9
+        self.turns_mesh = True
+        if m > 1:
+            z = mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(mesh.vertices).max()
+            self.turns_mesh = abs(z[mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9
         self.turn_table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)])
         self.turned_dofs = np.tile(self.turn_table, 2).ravel()
         if self.turned_dofs.size > np.iinfo(np.int32).max:  # rep * 2m + shift in int32

@@ -3,11 +3,12 @@ ordering, a direct sparse solver with residual checks, and the split of a
 rotation-invariant system into its Fourier modes.
 
 Matrices are scipy CSR throughout (sorted indices, summed duplicates),
-except the assembled forms and the saddle matrix.  A form is kept as the
-rows of its orbit representatives (`FormMatrix`), applied turn by turn,
-read at those rows alone and replicated only on request; the saddle matrix
-is never formed: `Saddle` applies it block by block and builds only the
-representatives' rows `CyclicModes` reads.
+except the assembled forms and the saddle matrix.  An assembled form is
+kept as the rows of its orbit representatives (`FormMatrix`; one turn at
+m = 1), applied turn by turn and read at those rows alone; only its
+`matrix` replicates it.  The saddle matrix is never formed: `Saddle` keeps
+its four blocks, forms or plain CSR, applies them one by one and builds
+only the representatives' rows `CyclicModes` reads.
 `solve_direct` factors with SuperLU in the order it is given, without
 pivoting; callers order the system first with `nested_dissection`, whose
 separators are minimum vertex covers of the edges each cut crosses.  A
@@ -26,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,109 +91,89 @@ class FormMatrix:
     """An assembled form, the view F[rows][:, cols] of a full matrix F kept
     as G, the rows of its orbit representatives.
 
-    With a `space` (a `fem.FeSpace`; its n_full, orbits, turn_table,
-    turned_dofs and turn_at are read), F is symmetric and commutes with the
-    space's dof rotation (`fem._gram`): row r of G is row turn_table[r, 0]
-    of F, and row u of F is row rep[u] of G with each column c turned
-    shift[u] times, to turned_dofs[turn_at[c] + shift[u]] (the
-    cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  `rows` and
-    `cols` are the dofs of the view, ascending (the zero-trace `active`),
-    None for all of them.  Without a space, G is the matrix itself, any
-    CSR; so is it on a mesh without a recorded rotation, the m = 1 case.
+    F is symmetric and commutes with the dof rotation of `space` (a
+    `fem.FeSpace`; its n_full, orbits, turn_table, turned_dofs and turn_at
+    are read; see `fem._gram`): row r of G is row turn_table[r, 0] of F,
+    and row u of F is row rep[u] of G with each column c turned shift[u]
+    times, to turned_dofs[turn_at[c] + shift[u]] (the cyclic-symmetry
+    method, D. L. Thomas, IJNME 14, 1979).  On a mesh without a recorded
+    rotation m = 1: one turn, no fixed row, and G holds F's rows in order.
+    `rows` and `cols` are the dofs of the view, ascending (the zero-trace
+    `active`), None for all of them.
 
     `F @ x` applies G turn by turn, without forming F.  `F[rows]` returns
     view rows that are representatives' rows (shift 0), in the order asked,
     as stored (CSR with sorted indices), and raises ValueError for a turned
-    row; at m = 1 every row is a representative's.  `T` is the transpose, a
-    view of the same G when F is symmetric, and `nbytes` the bytes G holds.
-    Only `matrix` replicates: it returns the view as CSR, built anew on
-    each call (G itself where G is the whole matrix).
+    row.  `T` is the transpose, a view of the same G.  Only `matrix`
+    replicates: it writes the view as a new CSR on each call.
     """
 
     G: sp.csr_matrix
-    space: object = None
+    space: object
     rows: np.ndarray | None = None
     cols: np.ndarray | None = None
 
     @property
-    def _m(self) -> int:
-        """The number of turns of the rotation (1 without one)."""
-        return 1 if self.space is None else self.space.turn_table.shape[1]
-
-    @property
     def shape(self):
-        n0, n1 = self.G.shape if self.space is None else (self.space.n_full,) * 2
-        return (n0 if self.rows is None else self.rows.size, n1 if self.cols is None else self.cols.size)
-
-    @property
-    def nbytes(self) -> int:
-        return self.G.data.nbytes + self.G.indices.nbytes + self.G.indptr.nbytes
+        n = self.space.n_full
+        return (n if self.rows is None else self.rows.size, n if self.cols is None else self.cols.size)
 
     @property
     def T(self) -> FormMatrix:
-        if self.space is None:
-            return FormMatrix(self.G.T.tocsr())
         return replace(self, rows=self.cols, cols=self.rows)
 
     def __matmul__(self, x):
         x = np.asarray(x)
-        G = self.G
+        G, space = self.G, self.space
         if self.cols is not None:
             full = np.zeros(G.shape[1], dtype=x.dtype)
             full[self.cols] = x
             x = full
-        if self._m == 1:
-            y = G @ x
-        else:
-            space = self.space
-            nr, m = space.orbits[0].shape
-            # x turned s times is x[turned_dofs[turn_at + s]], and row table[r, s]
-            # of F is row r of G applied to it: the moved rows of G, each column c
-            # moved to turn_at[c], applied to the slice s.. of x[turned_dofs]
-            twice = x[space.turned_dofs]
-            at = space.turn_at[G.indices[: G.indptr[nr]]]
-            moved = sp.csr_matrix((G.data[: at.size], at, G.indptr[: nr + 1]), shape=(nr, twice.size - m + 1))
-            y = np.empty(G.shape[1], dtype=np.result_type(G.dtype, x.dtype))
-            for s in range(m):
-                y[space.turn_table[:nr, s]] = moved @ twice[s : s + moved.shape[1]]
-            y[space.turn_table[nr:, 0]] = G[nr:] @ x  # the fixed rows, few and whole
+        nr, m = space.orbits[0].shape
+        # x turned s times is x[turned_dofs[turn_at + s]], and row table[r, s]
+        # of F is row r of G applied to it: the moved rows of G, each column c
+        # moved to turn_at[c], applied to the slice s.. of x[turned_dofs]
+        twice = x[space.turned_dofs]
+        at = space.turn_at[G.indices[: G.indptr[nr]]]
+        moved = sp.csr_matrix((G.data[: at.size], at, G.indptr[: nr + 1]), shape=(nr, twice.size - m + 1))
+        y = np.empty(G.shape[1], dtype=np.result_type(G.dtype, x.dtype))
+        for s in range(m):
+            y[space.turn_table[:nr, s]] = moved @ twice[s : s + moved.shape[1]]
+        y[space.turn_table[nr:, 0]] = G[nr:] @ x  # the fixed rows, few and whole
         return y if self.rows is None else y[self.rows]
 
     def __getitem__(self, rows):
         full = rows if self.rows is None else self.rows[rows]
-        if self._m > 1:
-            rep, shift = self.space.orbits[2:]
-            if shift[full].any():
-                raise ValueError("only representatives' rows are stored; a turned row is not")
-            full = rep[full]
+        rep, shift = self.space.orbits[2:]
+        if shift[full].any():
+            raise ValueError("only representatives' rows are stored; a turned row is not")
+        full = rep[full]
         return self.G[full] if self.cols is None else self.G[full][:, self.cols]
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        mat = self.G
-        if self._m > 1:
-            G, space = self.G, self.space
-            orbits, _, rep, _ = space.orbits
-            nr, m = orbits.shape
-            table, turned, at = space.turn_table, space.turned_dofs, space.turn_at
-            # row u is row rep[u] of G with its columns turned shift[u] times: turn s
-            # writes G's rows into rows table[:, s], all of them at s = 0 and the
-            # moved ones after, so no temporary is longer than G
-            length = np.diff(G.indptr)
-            indptr = np.zeros(space.n_full + 1, dtype=np.int32)
-            np.cumsum(length[rep], out=indptr[1:])
-            indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-            cols = at[G.indices]
-            for s in range(m):
-                rows = table[:, 0] if s == 0 else table[:nr, s]
-                end = G.indptr[rows.size]
-                # entry e of row r of G goes to entry indptr[rows[r]] + e - G.indptr[r]
-                dest = np.repeat(indptr[rows] - G.indptr[: rows.size], length[: rows.size])
-                dest += np.arange(end, dtype=np.int32)
-                indices[dest] = turned[cols[:end] + s]
-                data[dest] = G.data[:end]
-            mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
-            mat.sort_indices()
+        G, space = self.G, self.space
+        orbits, _, rep, _ = space.orbits
+        nr, m = orbits.shape
+        table, turned, at = space.turn_table, space.turned_dofs, space.turn_at
+        # row u is row rep[u] of G with its columns turned shift[u] times: turn s
+        # writes G's rows into rows table[:, s], all of them at s = 0 and the
+        # moved ones after, so no temporary is longer than G
+        length = np.diff(G.indptr)
+        indptr = np.zeros(space.n_full + 1, dtype=np.int32)
+        np.cumsum(length[rep], out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        cols = at[G.indices]
+        for s in range(m):
+            rows = table[:, 0] if s == 0 else table[:nr, s]
+            end = G.indptr[rows.size]
+            # entry e of row r of G goes to entry indptr[rows[r]] + e - G.indptr[r]
+            dest = np.repeat(indptr[rows] - G.indptr[: rows.size], length[: rows.size])
+            dest += np.arange(end, dtype=np.int32)
+            indices[dest] = turned[cols[:end] + s]
+            data[dest] = G.data[:end]
+        mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
+        mat.sort_indices()
         if self.rows is not None:
             mat = mat[self.rows]
         if self.cols is not None:
@@ -203,23 +183,25 @@ class FormMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Saddle:
-    """K = [[S + M_omega, B^T], [B, -A0]] kept as its `FormMatrix` blocks,
-    S and M_omega (N,N), B (M,N), A0 (M,M); neither K nor S + M_omega is
-    formed, and from assembled forms neither is any block.
+    """K = [[S + M_omega, B^T], [B, -A0]] kept as its four blocks, S and
+    M_omega (N,N), B (M,N), A0 (M,M), each an assembled `FormMatrix` or a
+    plain CSR matrix; neither K nor S + M_omega is formed, and no form is
+    replicated.
 
-    `K @ x` is taken block by block, B^T as the transpose view of B.
+    `K @ x` is taken block by block, B^T as `B.T`, the transpose view.
     `K[rows]` builds the requested rows of K, in the order asked, bit for
     bit, from four block slices and one COO -> CSR pass: a primal row p is
     S[p] + M_omega[p], summed as S + M_omega sums, then row p of B^T; a
     dual row d is B[d], then -A0[d].  Each row must be a representative's
-    in its blocks, as are the rows `CyclicModes` reads.  `nbytes` is the
-    bytes the blocks hold.  K is exactly symmetric.
+    in its form blocks, as are the rows `CyclicModes` reads.  `nbytes` is
+    the bytes of the blocks' stored arrays: a form's G, or the CSR itself.
+    K is exactly symmetric.
     """
 
-    S: FormMatrix
-    M_omega: FormMatrix
-    B: FormMatrix
-    A0: FormMatrix
+    S: FormMatrix | sp.csr_matrix
+    M_omega: FormMatrix | sp.csr_matrix
+    B: FormMatrix | sp.csr_matrix
+    A0: FormMatrix | sp.csr_matrix
 
     @property
     def shape(self):
@@ -227,15 +209,12 @@ class Saddle:
 
     @property
     def nbytes(self) -> int:
-        return sum(form.nbytes for form in (self.S, self.M_omega, self.B, self.A0))
-
-    @cached_property
-    def _Bt(self) -> FormMatrix:
-        return self.B.T
+        stored = (f.G if isinstance(f, FormMatrix) else f for f in (self.S, self.M_omega, self.B, self.A0))
+        return sum(A.data.nbytes + A.indices.nbytes + A.indptr.nbytes for A in stored)
 
     def __matmul__(self, x):
         u, z = x[: self.S.shape[0]], x[self.S.shape[0] :]
-        return np.concatenate([self.S @ u + self.M_omega @ u + self._Bt @ z, self.B @ u - self.A0 @ z])
+        return np.concatenate([self.S @ u + self.M_omega @ u + self.B.T @ z, self.B @ u - self.A0 @ z])
 
     def __getitem__(self, rows):
         rows = np.asarray(rows)
@@ -243,7 +222,7 @@ class Saddle:
         dual = rows >= n
         p, d = rows[~dual], rows[dual] - n
         at_p, at_d = (np.flatnonzero(mask).astype(np.int32) for mask in (~dual, dual))
-        top, bt = (self.S[p] + self.M_omega[p]).tocoo(), self._Bt[p].tocoo()
+        top, bt = (self.S[p] + self.M_omega[p]).tocoo(), self.B.T[p].tocoo()
         bottom, a0 = self.B[d].tocoo(), self.A0[d].tocoo()
         # each block in sorted row order; a row's left block precedes its
         # right one, so one COO -> CSR pass gives K[rows] sorted
@@ -256,9 +235,10 @@ class Saddle:
 def compose_saddle(S, M_omega, B, A0) -> Saddle:
     """The primal-dual `Saddle` of the forms S the stabilization, M_omega
     the data-region mass, B the constraint coupling and A0 the dual
-    stiffness: `FormMatrix` views, or plain CSR matrices, each of which is
-    taken as its own G; only the block shapes are checked."""
-    S, M_omega, B, A0 = (f if isinstance(f, FormMatrix) else FormMatrix(sp.csr_matrix(f)) for f in (S, M_omega, B, A0))
+    stiffness.  A `FormMatrix` or CSR block is kept as passed, any other
+    converted to CSR; only the block shapes are checked."""
+    kept = (FormMatrix, sp.csr_matrix)
+    S, M_omega, B, A0 = (f if isinstance(f, kept) else sp.csr_matrix(f) for f in (S, M_omega, B, A0))
     n, m = S.shape[0], A0.shape[0]
     if S.shape != (n, n) or M_omega.shape != (n, n) or A0.shape != (m, m) or B.shape != (m, n):
         raise ValueError(
@@ -564,10 +544,11 @@ class CyclicModes:
     r of E_j holds exp(2 pi i j s / m) / sqrt(m) at the s-th turn of
     representative r (a fixed unknown belongs to mode 0 alone, with
     weight 1).  Block j, K_j = E_j^H K E_j, is built from the
-    representatives' rows of K, the only rows read; K is CSR, a
-    `FormMatrix` or a `Saddle`.  Entry (r, r') of block j is
-    sum_t exp(2 pi i j t / m) K[r, turn^t r'].  For real K and b, mode
-    m - j is the conjugate of mode j, so only j = 0..m/2 are solved and
+    representatives' rows of K, the only rows read, as the CSR K[rows]
+    returns: K is a CSR matrix, a `FormMatrix` or a `Saddle`.  Entry
+    (r, r') of block j is sum_t exp(2 pi i j t / m) K[r, turn^t r'].  For
+    real K and b, mode m - j is the conjugate of mode j, so only
+    j = 0..m/2 are solved and
 
         x = sum_j c_j Re(E_j x_j),  c_j = 1 for j in {0, m/2}, else 2.
 

@@ -16,6 +16,7 @@ from ucfem.solver import hminus1_residual, saddle_dofs, solve_uc
 from ucfem.sparse import (
     LEAF_SIZE,
     CyclicModes,
+    FormMatrix,
     SolverError,
     _cut_cover,
     compose_saddle,
@@ -44,10 +45,15 @@ def composed(K):
     """The matrix of the `Saddle` K composed with sp.bmat from its
     materialized forms, sorted: the reference its rows, products and
     maximum are tested against."""
-    S, M, B, A0 = (form.matrix for form in (K.S, K.M_omega, K.B, K.A0))
+    S, M, B, A0 = (csr(block) for block in (K.S, K.M_omega, K.B, K.A0))
     full = sp.bmat([[S + M, B.T], [B, -A0]], format="csr")
     full.sort_indices()
     return full
+
+
+def csr(block):
+    """A `Saddle` block as CSR: a form materialized, a CSR block itself."""
+    return block.matrix if isinstance(block, FormMatrix) else block
 
 
 def representatives(space, space0):
@@ -135,6 +141,14 @@ class TestComposeSaddle:
         assert np.allclose(x[:2], [1.0, 1.0], atol=1e-14)
         assert x[2] == 0.0
 
+    def test_csr_blocks_are_kept_as_passed(self, mesh_l2):
+        # a CSR block is neither wrapped nor copied, and nbytes counts its arrays
+        space = build_space(mesh_l2, 1)
+        blocks = [form.matrix for form in assembled_forms(space, space.zero_trace())]
+        K = compose_saddle(*blocks)
+        assert all(got is block for got, block in zip((K.S, K.M_omega, K.B, K.A0), blocks))
+        assert K.nbytes == sum(csr_bytes(block) for block in blocks)
+
     def test_dimension_mismatch(self):
         eye2, eye3 = sp.eye(2, format="csr"), sp.eye(3, format="csr")
         with pytest.raises(ValueError):
@@ -175,10 +189,10 @@ class TestComposeSaddle:
         # with a large data mass max|K| lies in S + M_omega, not in S alone
         space = build_space(mesh_l2, 1)
         K = saddle(space, space.zero_trace())
-        heavy = compose_saddle(K.S.matrix, 1e3 * K.M_omega.matrix, K.B.matrix, K.A0.matrix)
+        heavy = compose_saddle(K.S, 1e3 * K.M_omega, K.B, K.A0)
         coords = saddle_dofs(space, space.zero_trace())[0]
         heavy_max = kmax(heavy, coords)
-        assert heavy_max == np.abs(composed(heavy).data).max() > np.abs(K.S.matrix.data).max()
+        assert heavy_max == np.abs(composed(heavy).data).max() > np.abs(K.S.data).max()
         assert kmax(composed(heavy), coords) == heavy_max
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -258,6 +272,23 @@ class TestRepRowForms:
         assert sol.K.nbytes == sum(csr_bytes(form.G) for form in forms)
         assert sol.K.nbytes <= 0.25 * sum(csr_bytes(form.matrix) for form in forms)
 
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_turn_stores_the_form(self, geometry, k):
+        # at m = 1 (a mesh_from_arrays mesh) G holds the form's rows in order:
+        # the turn loop's product is the replicated CSR's bit for bit, and
+        # `matrix` is G read at the view's dofs, written into new arrays
+        space = build_space(jittered_disk_mesh(geometry, 2, seed=5, amplitude=1.0), k)
+        assert space.orbits[0].shape[1] == 1
+        S, M, B, A0 = assembled_forms(space, space.zero_trace())
+        rng = np.random.default_rng(k)
+        for form in (S, M, A0, B, B.T):
+            mat = form.matrix
+            x = rng.standard_normal(form.shape[1])
+            assert np.array_equal(form @ x, mat @ x)
+            stored = form.G if form.rows is None else form.G[form.rows]
+            assert_same_csr(mat, stored if form.cols is None else stored[:, form.cols])
+            assert not np.shares_memory(mat.data, form.G.data)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_turned_rows_are_refused(self, geometry, k):
