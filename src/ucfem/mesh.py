@@ -224,14 +224,16 @@ def _mesh(
     )
 
 
+def _edge_lengths(mesh: Mesh, elements=slice(None)) -> np.ndarray:
+    """Lengths of the edges 01, 12 and 20 of each triangle, or of the given
+    `elements` only, shape (3, nel)."""
+    v, t = mesh.vertices, mesh.triangles[elements]
+    return np.stack([np.linalg.norm(v[t[:, b]] - v[t[:, a]], axis=1) for a, b in ((0, 1), (1, 2), (2, 0))])
+
+
 def element_diameters(mesh: Mesh, elements=slice(None)) -> np.ndarray:
     """Longest edge of each triangle, or of the given `elements` only."""
-    v = mesh.vertices
-    t = mesh.triangles[elements]
-    l01 = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-    l12 = np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
-    l20 = np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
-    return np.max(np.stack([l01, l12, l20]), axis=0)
+    return _edge_lengths(mesh, elements).max(axis=0)
 
 
 def build_disk_mesh(geometry: Geometry, sectors: int = 8, level: int = 0) -> Mesh:
@@ -402,15 +404,9 @@ def validate(mesh: Mesh) -> MeshDiagnostics:
     for i in bad_tags:
         violations.append(f"triangle {i}: invalid region tag {mesh.region_tag[i]}")
 
-    v = mesh.vertices
-    t = mesh.triangles
-    perim = (
-        np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-        + np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
-        + np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
-    )
-    inscribed = 4.0 * np.abs(areas) / perim
-    shape_ratio = float((element_diameters(mesh) / inscribed).max(initial=0.0))
+    lengths = _edge_lengths(mesh)
+    inscribed = 4.0 * np.abs(areas) / (lengths[0] + lengths[1] + lengths[2])
+    shape_ratio = float((lengths.max(axis=0) / inscribed).max(initial=0.0))
     return MeshDiagnostics(violations=violations, shape_ratio=shape_ratio)
 
 

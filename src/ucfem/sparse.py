@@ -7,8 +7,8 @@ except the assembled forms and the saddle matrix.  An assembled form is
 kept as the rows of its orbit representatives (`FormMatrix`; one turn at
 m = 1), applied turn by turn and read at those rows alone; only its
 `matrix` replicates it.  The saddle matrix is never formed: `Saddle` keeps
-its four blocks, forms or plain CSR, applies them one by one and builds
-only the representatives' rows `CyclicModes` reads.
+its four blocks, forms or plain CSR, applies them one by one and stacks
+slices of them into only the representatives' rows `CyclicModes` reads.
 `solve_direct` factors with SuperLU in the order it is given, without
 pivoting; callers order the system first with `nested_dissection`, whose
 separators are minimum vertex covers of the edges each cut crosses.  A
@@ -101,11 +101,14 @@ class FormMatrix:
     `rows` and `cols` are the dofs of the view, ascending (the zero-trace
     `active`), None for all of them.
 
-    `F @ x` applies G turn by turn, without forming F.  `F[rows]` returns
+    `F @ x` applies all of G at each turn, from s = m - 1 down to 0,
+    without forming F; a fixed row, stored whole, is written at every turn
+    and last at s = 0, as its stored row applied to x.  `F[rows]` returns
     view rows that are representatives' rows (shift 0), in the order asked,
     as stored (CSR with sorted indices), and raises ValueError for a turned
     row.  `T` is the transpose, a view of the same G.  Only `matrix`
-    replicates: it writes the view as a new CSR on each call.
+    replicates: it writes the view as a new CSR on each call, turn by turn
+    into arrays of their final size.
     """
 
     G: sp.csr_matrix
@@ -129,17 +132,16 @@ class FormMatrix:
             full = np.zeros(G.shape[1], dtype=x.dtype)
             full[self.cols] = x
             x = full
-        nr, m = space.orbits[0].shape
+        m = space.orbits[0].shape[1]
         # x turned s times is x[turned_dofs[turn_at + s]], and row table[r, s]
-        # of F is row r of G applied to it: the moved rows of G, each column c
-        # moved to turn_at[c], applied to the slice s.. of x[turned_dofs]
+        # of F is row r of G applied to it: G, each column c moved to turn_at[c],
+        # applied to the slice s.. of x[turned_dofs].  A fixed row is written
+        # at every turn, last at s = 0 as G's row applied to x itself
         twice = x[space.turned_dofs]
-        at = space.turn_at[G.indices[: G.indptr[nr]]]
-        moved = sp.csr_matrix((G.data[: at.size], at, G.indptr[: nr + 1]), shape=(nr, twice.size - m + 1))
+        moved = sp.csr_matrix((G.data, space.turn_at[G.indices], G.indptr), shape=(G.shape[0], twice.size - m + 1))
         y = np.empty(G.shape[1], dtype=np.result_type(G.dtype, x.dtype))
-        for s in range(m):
-            y[space.turn_table[:nr, s]] = moved @ twice[s : s + moved.shape[1]]
-        y[space.turn_table[nr:, 0]] = G[nr:] @ x  # the fixed rows, few and whole
+        for s in reversed(range(m)):
+            y[space.turn_table[:, s]] = moved @ twice[s : s + moved.shape[1]]
         return y if self.rows is None else y[self.rows]
 
     def __getitem__(self, rows):
@@ -153,25 +155,22 @@ class FormMatrix:
     @property
     def matrix(self) -> sp.csr_matrix:
         G, space = self.G, self.space
-        orbits, _, rep, _ = space.orbits
-        nr, m = orbits.shape
-        table, turned, at = space.turn_table, space.turned_dofs, space.turn_at
+        table = space.turn_table
         # row u is row rep[u] of G with its columns turned shift[u] times: turn s
-        # writes G's rows into rows table[:, s], all of them at s = 0 and the
-        # moved ones after, so no temporary is longer than G
+        # writes every row of G into rows table[:, s], a fixed row last at
+        # s = 0 with its own columns, so no temporary is longer than G
         length = np.diff(G.indptr)
         indptr = np.zeros(space.n_full + 1, dtype=np.int32)
-        np.cumsum(length[rep], out=indptr[1:])
+        np.cumsum(length[space.orbits[2]], out=indptr[1:])
         indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-        cols = at[G.indices]
-        for s in range(m):
-            rows = table[:, 0] if s == 0 else table[:nr, s]
-            end = G.indptr[rows.size]
-            # entry e of row r of G goes to entry indptr[rows[r]] + e - G.indptr[r]
-            dest = np.repeat(indptr[rows] - G.indptr[: rows.size], length[: rows.size])
-            dest += np.arange(end, dtype=np.int32)
-            indices[dest] = turned[cols[:end] + s]
-            data[dest] = G.data[:end]
+        cols = space.turn_at[G.indices]
+        # entry e of row r of G is entry e - G.indptr[r] of its rows in F
+        offset = np.arange(G.nnz, dtype=np.int32) - np.repeat(G.indptr[:-1], length)
+        for s in reversed(range(table.shape[1])):
+            dest = np.repeat(indptr[table[:, s]], length)
+            dest += offset
+            indices[dest] = space.turned_dofs[cols + s]
+            data[dest] = G.data
         mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
         mat.sort_indices()
         if self.rows is not None:
@@ -189,13 +188,13 @@ class Saddle:
     replicated.
 
     `K @ x` is taken block by block, B^T as `B.T`, the transpose view.
-    `K[rows]` builds the requested rows of K, in the order asked, bit for
-    bit, from four block slices and one COO -> CSR pass: a primal row p is
-    S[p] + M_omega[p], summed as S + M_omega sums, then row p of B^T; a
-    dual row d is B[d], then -A0[d].  Each row must be a representative's
-    in its form blocks, as are the rows `CyclicModes` reads.  `nbytes` is
-    the bytes of the blocks' stored arrays: a form's G, or the CSR itself.
-    K is exactly symmetric.
+    `K[rows]` builds the requested rows of K, bit for bit, as the stacked
+    block slices [[S[p] + M_omega[p], B^T[p]], [B[d], -A0[d]]] of the
+    primal rows p and the dual rows d asked (S[p] + M_omega[p] summed as
+    S + M_omega sums), gathered back in the order asked.  Each row must be
+    a representative's in its form blocks, as are the rows `CyclicModes`
+    reads.  `nbytes` is the bytes of the blocks' stored arrays: a form's G,
+    or the CSR itself.  K is exactly symmetric.
     """
 
     S: FormMatrix | sp.csr_matrix
@@ -221,15 +220,12 @@ class Saddle:
         n = self.S.shape[0]
         dual = rows >= n
         p, d = rows[~dual], rows[dual] - n
-        at_p, at_d = (np.flatnonzero(mask).astype(np.int32) for mask in (~dual, dual))
-        top, bt = (self.S[p] + self.M_omega[p]).tocoo(), self.B.T[p].tocoo()
-        bottom, a0 = self.B[d].tocoo(), self.A0[d].tocoo()
-        # each block in sorted row order; a row's left block precedes its
-        # right one, so one COO -> CSR pass gives K[rows] sorted
-        row = np.concatenate([at_p[top.row], at_p[bt.row], at_d[bottom.row], at_d[a0.row]])
-        col = np.concatenate([top.col, n + bt.col, bottom.col, n + a0.col])
-        data = np.concatenate([top.data, bt.data, bottom.data, -a0.data])
-        return sp.csr_matrix((data, (row, col)), shape=(rows.size, self.shape[1]))
+        # one expression, so that the slices and block rows are freed once stacked
+        K = sp.vstack(
+            [sp.hstack([self.S[p] + self.M_omega[p], self.B.T[p]]), sp.hstack([self.B[d], -self.A0[d]])], format="csr"
+        )
+        order = np.argsort(dual, kind="stable")  # row j of K is asked row order[j]
+        return K[np.argsort(order)]
 
 
 def compose_saddle(S, M_omega, B, A0) -> Saddle:

@@ -24,7 +24,7 @@ from ucfem.sparse import (
     nested_dissection,
     solve_direct,
 )
-from test_fem import csr_bytes, jittered_disk_mesh
+from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
 
 
 def assembled_forms(space, space0):
@@ -272,6 +272,31 @@ class TestRepRowForms:
         assert sol.K.nbytes == sum(csr_bytes(form.G) for form in forms)
         assert sol.K.nbytes <= 0.25 * sum(csr_bytes(form.matrix) for form in forms)
 
+
+    @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
+    def test_representatives_rows_peak_near_their_bytes(self, geometry, k, level):
+        # the rows `CyclicModes` reads come from stacked block slices and one
+        # row gather, with no per-entry triplets of the whole result
+        space = build_space(build_disk_mesh(geometry, 8, level), k)
+        space0 = space.zero_trace()
+        K = compose_saddle(*assembled_forms(space, space0))
+        reps = representatives(space, space0)
+        rows, peak = traced_peak(lambda: K[reps])
+        assert peak <= 3.4 * csr_bytes(rows)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fixed_rows_are_written_last_as_stored(self, geometry, k):
+        # a fixed (centre) row is written at every turn; its last write, at
+        # s = 0, is its stored row applied to x bit for bit
+        space = build_space(build_disk_mesh(geometry, 8, 2), k)
+        S, M, B, A0 = assembled_forms(space, space.zero_trace())
+        rng = np.random.default_rng(k)
+        for form in (S, M, A0, B, B.T):
+            dofs = np.arange(space.n_full) if form.rows is None else form.rows
+            pos = np.flatnonzero(np.isin(dofs, space.orbits[1]))
+            assert pos.size
+            x = rng.standard_normal(form.shape[1])
+            assert np.array_equal((form @ x)[pos], form[pos] @ x)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_turn_stores_the_form(self, geometry, k):
