@@ -173,8 +173,10 @@ class FeSpace:
         )
 
     def phys_points(self, elements, bary) -> np.ndarray:
-        """Physical coordinates sum_i lambda_i v_i, shape (nel, nq, 2)."""
-        return np.asarray(bary) @ self.mesh.vertices[self.mesh.triangles[elements]]
+        """Physical coordinates sum_i lambda_i v_i, shape (nel, nq, 2), of
+        the (nq, 3) barycentric points `bary`, one coordinate at a time."""
+        tri, at = self.mesh.triangles[elements], np.asarray(bary).T
+        return np.stack([c[tri] @ at for c in self.mesh.vertices.T], axis=-1)
 
     def phys_grads(self, elements, bary) -> np.ndarray:
         """Physical basis gradients, shape (nel, nq, ndl, 2).
@@ -419,21 +421,20 @@ def error_norms(space: FeSpace, coeffs, exact, region, inner=()) -> ErrorNorms:
     full = space.expand_coeffs(coeffs)
     uh = full[space.full_map] @ space.basis_values(rule.points).T  # (n_triangles, nq)
     elements = mesh.region_elements(region)
-    x, y = (c[mesh.triangles[elements]] @ rule.points.T for c in mesh.vertices.T)  # (nel, nq)
-    pts = np.stack([x, y], axis=2).reshape(-1, 2)
+    pts = space.phys_points(elements, rule.points)  # (nel, nq, 2)
     det = space.det[elements]
-    sq = (_field_values(exact, pts).reshape(x.shape) - uh[elements]) ** 2 @ rule.weights
+    sq = (_field_values(exact, pts.reshape(-1, 2)).reshape(pts.shape[:2]) - uh[elements]) ** 2 @ rule.weights
     at_inner = np.isin(elements, mesh.region_elements(inner))
     l2sq, inner_sq, uh_sq = det @ sq, det[at_inner] @ sq[at_inner], space.det @ (uh**2 @ rule.weights)
 
-    ge = _field_gradient(exact, pts)
+    ge = _field_gradient(exact, pts.reshape(-1, 2))
     if ge is None:
         h1sq = float("nan")
     else:
         # a P1 gradient is constant per element: take it at one point only
         g = space.phys_grads(elements, rule.points[: 1 if space.k == 1 else None])
         gh = (full[space.full_map[elements]][:, None, None, :] @ g)[:, :, 0]  # (nel, 1 | nq, 2)
-        diff = ge.reshape(*x.shape, 2) - gh
+        diff = ge.reshape(pts.shape) - gh
         h1sq = float(det @ ((diff * diff).sum(axis=2) @ rule.weights))
     return ErrorNorms(*(np.sqrt(max(float(v), 0.0)) for v in (l2sq, h1sq, inner_sq, uh_sq)))
 

@@ -15,7 +15,8 @@ separators are minimum vertex covers of the edges each cut crosses.  A
 pivoted SuperLU factorization with COLAMD ordering is the fallback.
 `CyclicModes` turns K x = b, for a K that commutes with a rotation of its
 unknowns, into one block-diagonal system of the Fourier modes the load
-excites; it reads max|K| from the representatives' rows it builds.
+excites, converted to CSC in one pass from the entries of all its blocks;
+it reads max|K| from the representatives' rows it builds.
 Every step is deterministic for identical inputs.
 Importing the module sets each OpenBLAS copy in the process to one thread
 (`_limit_openblas_threads`; README, Solver); a program that wants threaded
@@ -553,10 +554,12 @@ class CyclicModes:
     mode.  `matrix` and `rhs` are the kept blocks, each in the
     nested-dissection order of the representatives' points, stacked
     diagonally; they are complex only when a mode other than 0 and m/2
-    is kept (blocks 0 and m/2 then hold real values).  Each block is
-    converted alone and copied into the stacked CSC, allocated once at its
-    final size; a single kept block is `matrix` itself, without a copy.
-    rotation None is the order-1 case: one mode, E = identity, K itself.
+    is kept (blocks 0 and m/2 then hold real values).  The entries of
+    every kept block, each offset by the unknowns of the blocks before it,
+    are converted to CSC in one pass, however many blocks are kept; a
+    column holds its own block's entries alone, so its duplicates sum as
+    in that block by itself.  rotation None is the order-1 case: one
+    mode, E = identity, K itself.
     Nothing here checks that K commutes with the rotation: a K that does
     not gives an x that misses the residual contract on the full K, which
     the caller checks (`achieved_residual` at `kmax`).
@@ -597,44 +600,34 @@ class CyclicModes:
         data = rows.data * np.sqrt(size[i] / size[col])
         self.kmax = float(max(rows.data.max(initial=0.0), -rows.data.min(initial=0.0)))
         del rows
-        mode0 = sp.csr_matrix((data, (i, col)), shape=(reps.size, reps.size))
-        order = nested_dissection(coords[reps], mode0)
-        # block j has the pattern of mode 0, over the moved representatives for j > 0
-        moved_nnz = np.count_nonzero(mode0.indices[: mode0.indptr[nr]] < nr)
-        nnz = sum(mode0.nnz if j == 0 else moved_nnz for j in self.modes)
-        del mode0
+        order = nested_dissection(coords[reps], sp.csr_matrix((data, (i, col)), shape=(reps.size, reps.size)))
         phase = np.exp(2j * np.pi * np.arange(m) / m)
 
-        n = sum(reps.size if j == 0 else nr for j in self.modes)
-        stacked = len(self.modes) > 1  # one kept block is the matrix itself, uncopied
-        if stacked:
-            itype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-            indptr, indices = np.zeros(n + 1, dtype=itype), np.empty(nnz, dtype=itype)
-            values = np.empty(nnz, dtype=complex if any(0 < 2 * j < m for j in self.modes) else float)
-        self._blocks, rhs, offset, at = [], [], 0, 0
+        # each block's entries at its stacked positions, after the blocks before it
+        self._blocks, rhs, r, c, v, offset = [], [], [], [], [], 0
         for j in self.modes:
             if j == 0:
-                perm, keep, v = order, slice(None), data
+                perm, keep, part = order, slice(None), data
             else:
                 perm, keep = order[order < nr], (i < nr) & (col < nr)
                 w = (-1.0) ** np.arange(m) if 2 * j == m else phase[(j * np.arange(m)) % m]
-                v = data[keep] * w[turn[keep]]
+                part = data[keep] * w[turn[keep]]
             pos = np.empty(perm.size, dtype=np.int32)
-            pos[perm] = np.arange(perm.size, dtype=np.int32)
-            block = sp.csc_matrix((v, (pos[i[keep]], pos[col[keep]])), shape=(perm.size, perm.size))
-            end = at + block.nnz
-            if stacked:
-                values[at:end] = block.data
-                np.add(block.indices, offset, out=indices[at:end])
-                np.add(block.indptr[1:], at, out=indptr[offset + 1 : offset + perm.size + 1])
-            else:
-                self.matrix = block
-            del v, keep, block
+            pos[perm] = np.arange(offset, offset + perm.size, dtype=np.int32)
+            r.append(pos[i[keep]])
+            c.append(pos[col[keep]])
+            v.append(part)
             rhs.append(np.concatenate([load[:, 0], b[fixed]])[perm] if j == 0 else load[perm, j])
             self._blocks.append((j, offset, perm))
-            offset, at = offset + perm.size, end
-        if stacked:
-            self.matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n))
+            offset += perm.size
+        # free each list's parts once joined and the joined triplets once
+        # converted, which keeps the step's traced peak near 2.3x the matrix
+        del i, col, turn, data, part
+        r = np.concatenate(r)
+        c = np.concatenate(c)
+        v = np.concatenate(v)
+        self.matrix = sp.csc_matrix((v, (r, c)), shape=(offset, offset))
+        del r, c, v
         self.rhs = np.concatenate(rhs) if np.iscomplexobj(self.matrix.data) else np.concatenate(rhs).real
         # both maxima over assembled entries, duplicates summed
         self.rel_tol = 0.5 * REL_TOL * min(1.0, self.kmax / np.abs(self.matrix.data).max())

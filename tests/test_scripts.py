@@ -21,6 +21,24 @@ def test_run_studies_converge_smoke(tmp_path):
     assert header.endswith(",energy_ratio")
 
 
+def test_fingerprint_smoke():
+    # two runs print the same hashes: a saddle and a Riesz line per level
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
+    script = ROOT / "scripts" / "fingerprint.py"
+    runs = [subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True) for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert lines == runs[1].stdout.splitlines()
+    levels = {"k1_n4": range(1, 6), "k1_n3": range(1, 6), "k2_noise": range(1, 5)}
+    assert [line.split()[:3] for line in lines] == [
+        [name, f"level={level}", solve]
+        for name in levels
+        for level in levels[name]
+        for solve in ("saddle", "riesz")
+    ]
+    assert all("matrix=" in line and "rel_tol=" in line for line in lines)
+
+
 def test_failing_property_test_is_reported(tmp_path):
     # a failing @given test makes hypothesis import libcst, whose import
     # warns; under the suite's warning filters that must fail no more than

@@ -213,14 +213,16 @@ class TestCyclicModes:
 
     @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
     def test_peak_memory_near_the_stacked_matrix(self, geometry, k, level):
-        # each block is converted on its own and copied into the stacked matrix
+        # the entries of all five blocks are converted in one pass, each list
+        # of parts freed once joined and the joined entries once converted
         args = saddle_system(build_disk_mesh(geometry, 8, level), k, ZeroField(), NOISE)
         split, peak = traced_peak(lambda: CyclicModes(*args))
         assert split.modes == (0, 1, 2, 3, 4)
         assert peak <= 3.0 * csr_bytes(split.matrix)
 
     def test_one_kept_mode_is_not_copied(self, geometry):
-        # Re z^3 keeps mode 3 alone: its converted block is the matrix
+        # Re z^3 keeps mode 3 alone: the one conversion of its entries is the
+        # matrix, and the ordering of the mode-0 graph sets the peak
         args = saddle_system(build_disk_mesh(geometry, 8, 5), 1, HarmonicMonomial(4))
         split, peak = traced_peak(lambda: CyclicModes(*args))
         assert split.modes == (3,)
@@ -277,6 +279,23 @@ class TestCyclicModes:
         K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
         monkeypatch.setattr(solver, "solve_direct", lambda A, b, rel_tol: np.zeros_like(b))
         with pytest.raises(SolverError, match="residual"):
+            solver._solve_ordered(K, rhs, coords, rot)
+
+    def test_contract_is_one_in_ten_to_the_ten(self, geometry, monkeypatch):
+        # block solutions off by a fixed vector that leaves the recombined x
+        # at a relative residual of about 1e-8 on K: a contract looser than
+        # 1e-10 would take it
+        K, rhs, coords, rot = saddle_system(build_disk_mesh(geometry, 8, 2), 1, HarmonicMonomial(4))
+        split = CyclicModes(K, rhs, coords, rot)
+        y = spsolve(split.matrix, split.rhs)
+        d = np.cos(np.arange(y.size)).astype(y.dtype)
+        x, dx = split.recombine(y), split.recombine(d)
+        d *= 1e-8 * (split.kmax * np.linalg.norm(x) + np.linalg.norm(rhs)) / np.linalg.norm(K @ dx)
+        res = achieved_residual(K, split.recombine(y + d), rhs, split.kmax)
+        assert res > 1e-10 and res == pytest.approx(1e-8, rel=0.1)
+        off = solver.solve_direct
+        monkeypatch.setattr(solver, "solve_direct", lambda *args, **kwargs: off(*args, **kwargs) + d)
+        with pytest.raises(SolverError, match="required 1.000e-10"):
             solver._solve_ordered(K, rhs, coords, rot)
 
     @pytest.mark.parametrize("k, sectors", [(1, 8), (1, 16), (2, 8), (2, 16)])

@@ -365,6 +365,33 @@ class TestSolveDirect:
         scale = np.abs(A0.data).max() * np.linalg.norm(x) + np.linalg.norm(b)
         assert np.linalg.norm(A0 @ x - b) <= 1e-10 * scale
 
+    def test_contract_is_one_in_ten_to_the_ten(self, mesh_l2, monkeypatch):
+        # an LU whose solve is off by a fixed vector d: the refinement step
+        # adds solve(-K d) = -d + d, so both solves, unpivoted and pivoted,
+        # stay at a relative residual of about 1e-8, which a contract looser
+        # than 1e-10 would take
+        space0 = build_space(mesh_l2, 1).zero_trace()
+        A0 = assemble_stiffness(space0).matrix
+        b = np.sin(np.arange(space0.n_dofs) * 0.37)
+        kmax, x = np.abs(A0.data).max(), spla.spsolve(A0.tocsc(), b)
+        d = np.cos(np.arange(b.size))
+        d *= 1e-8 * (kmax * np.linalg.norm(x) + np.linalg.norm(b)) / np.linalg.norm(A0 @ d)
+        res = ucfem.sparse.achieved_residual(A0, x + d, b, kmax)
+        assert res > 1e-10 and res == pytest.approx(1e-8, rel=0.1)
+        splu = spla.splu
+
+        class OffLU:
+            def __init__(self, *args, **kwargs):
+                self.lu = splu(*args, **kwargs)
+                self.perm_r = self.lu.perm_r
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs) + d
+
+        monkeypatch.setattr(ucfem.sparse.spla, "splu", OffLU)
+        with pytest.raises(SolverError, match="required 1.000e-10"):
+            solve_direct(A0, b)
+
     def test_deterministic(self, mesh_l2):
         space0 = build_space(mesh_l2, 1).zero_trace()
         A0 = assemble_stiffness(space0).matrix

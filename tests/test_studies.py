@@ -144,6 +144,19 @@ class TestPerturbationStudy:
             # the normalized sensitivity is scale free
             assert abs(b.sensitivity - a.sensitivity) < 1e-9 * a.sensitivity
 
+    def test_k2_sensitivity_is_the_normalized_error(self):
+        # err_l2_B h^((1 - alpha) k) / eps with k = 2: at k = 1 an exponent
+        # without its factor k reads the same
+        cfg = parse_config(
+            "k = 2\nlevels = 1..3\nexact.kind = zero\n"
+            "perturbation.mode = oscillatory\nperturbation.epsilon = 1e-3\n"
+        )
+        alpha = optimal_alpha(*cfg.geometry.radii).alpha
+        rows = run_perturbation_study(cfg).rows
+        assert [row.level for row in rows] == [1, 2, 3]
+        for row in rows:
+            assert row.sensitivity == pytest.approx(row.err_l2_B * row.h ** ((1 - alpha) * 2) / 1e-3, rel=1e-14)
+
     def test_sensitivity_column_in_csv(self):
         cfg = parse_config("exact.kind = zero\nperturbation.epsilon = 1e-3\nlevels = 1..2\n")
         report = run_perturbation_study(cfg)
