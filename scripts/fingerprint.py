@@ -3,24 +3,27 @@
 configurations, one line per solve, to compare two checkouts bit for bit.
 
 Each configuration and level runs one `solver.solve_uc` (the saddle solve)
-and its `solver.hminus1_residual` (the Riesz solve with A0); both go
-through `solver.CyclicModes`, which the script wraps.  A line holds the
-first 16 hex digits of the SHA-256 of each of: the `CyclicModes` `matrix`
-(data, indices and indptr, with their dtypes), `rhs`, `rel_tol.hex()`,
-`kmax.hex()` and `modes`, then the solution: u, z and solve_residual on
-the saddle line, residual_hminus1 on the Riesz line.  Run it in each
-checkout and diff the output:
+and its `solver.hminus1_residual` (the Riesz solve with A0), on the disk
+mesh and, for the `_norot` configurations, on the same mesh without its
+recorded rotation (the order-1 path).  Each level of the `poisson_k*`
+lines runs one `solver.solve_poisson` of f = 4.  Every one of these solves
+goes through `solver.CyclicModes`, which the script wraps.  A line holds
+the first 16 hex digits of the SHA-256 of each of: the `CyclicModes`
+`matrix` (data, indices and indptr, with their dtypes), `rhs`,
+`rel_tol.hex()`, `kmax.hex()` and `modes`, then the solution: u, z and
+solve_residual on the saddle line, residual_hminus1 on the Riesz line, u
+on the Poisson line.  Run it in each checkout and diff the output:
 
     python3 scripts/fingerprint.py > fingerprint.txt
     diff fingerprint.txt ../other/fingerprint.txt
 
-Only these `CyclicModes` solves are covered: the order-1 path of a mesh
-without a recorded rotation, `solve_poisson`, the study outputs and the
-load and error-norm assembly are not.
+Only these solves are covered: the study outputs and the load and
+error-norm assembly are not.
 """
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,24 +33,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ucfem import solver, studies  # noqa: E402
 from ucfem.config import build_config  # noqa: E402
+from ucfem.fem import build_space  # noqa: E402
+from ucfem.fields import ConstantField  # noqa: E402
 from ucfem.mesh import build_disk_mesh  # noqa: E402
 
-#: (name, config entries, levels)
+#: nodal noise on zero data, the entries of a configuration but its order k
+NOISE = {
+    "exact.kind": "zero",
+    "perturbation.mode": "nodal_noise",
+    "perturbation.epsilon": "1e-3",
+    "perturbation.seed": "0",
+}
+
+#: (name, config entries, levels, whether the mesh keeps its recorded rotation)
 CONFIGS = (
-    ("k1_n4", {"k": "1", "exact.n": "4"}, range(1, 6)),
-    ("k1_n3", {"k": "1", "exact.n": "3"}, range(1, 6)),
-    (
-        "k2_noise",
-        {
-            "k": "2",
-            "exact.kind": "zero",
-            "perturbation.mode": "nodal_noise",
-            "perturbation.epsilon": "1e-3",
-            "perturbation.seed": "0",
-        },
-        range(1, 5),
-    ),
+    ("k1_n4", {"k": "1", "exact.n": "4"}, range(1, 6), True),
+    ("k1_n3", {"k": "1", "exact.n": "3"}, range(1, 6), True),
+    ("k2_noise", {"k": "2", **NOISE}, range(1, 5), True),
+    ("k1_noise_norot", {"k": "1", **NOISE}, range(1, 5), False),
+    ("k2_noise_norot", {"k": "2", **NOISE}, range(1, 5), False),
 )
+
+#: (name, k, levels) of the `solve_poisson` lines, on the default disk mesh
+POISSON = (("poisson_k1", 1, range(1, 5)), ("poisson_k2", 2, range(1, 5)))
 
 
 def digest(*parts) -> str:
@@ -81,12 +89,14 @@ def main() -> int:
             made.append(self)
 
     solver.CyclicModes = Recorded
-    for name, entries, levels in CONFIGS:
+    for name, entries, levels, rotated in CONFIGS:
         cfg = build_config(entries)
         exact = studies.exact_field_from_config(cfg)
         for level in levels:
             made.clear()
             mesh = build_disk_mesh(cfg.geometry, cfg.sectors, level)
+            if not rotated:
+                mesh = replace(mesh, rotation=None)
             sol = solver.solve_uc(mesh, cfg.k, exact, cfg.perturbation, studies.resolve_hmin(cfg))
             res = solver.hminus1_residual(sol.dual_space, sol.u, sol.K.A0, sol.K.B)
             saddle, riesz = made
@@ -95,6 +105,14 @@ def main() -> int:
                 f"z={digest(sol.z)} solve_residual={digest(sol.solve_residual.hex())}"
             )
             print(f"{name} level={level} riesz {modes_fields(riesz)} residual_hminus1={digest(res.hex())}")
+    cfg = build_config({})
+    for name, k, levels in POISSON:
+        for level in levels:
+            made.clear()
+            space0 = build_space(build_disk_mesh(cfg.geometry, cfg.sectors, level), k).zero_trace()
+            u = solver.solve_poisson(space0, ConstantField(4.0))
+            (poisson,) = made
+            print(f"{name} level={level} poisson {modes_fields(poisson)} u={digest(u)}")
     return 0
 
 

@@ -18,21 +18,17 @@ full dofs; only the stiffness is then restricted, as a view, to the dofs
 of the zero-trace space V_0h (`FeSpace.zero_trace`).
 
 Every form commutes with the turn by 2 pi / m that a disk mesh records
-(`Mesh.rotation`), so only the rows of the orbit representatives (sector 0
-and the fixed centre, `sparse.cyclic_orbits`) are computed, from D over
-the elements and faces that hold one, a fixed row only at representative
-and fixed columns.  Each entry and its transpose, in another
-representative's row, become their mean ((a + b) / 2 is the same float in
-either order), and a fixed row is spread over the turns of its columns.
-Each assembler returns these rows, a `sparse.FormMatrix`: row u of the
-form is its representative's row with each column turned as often as u
-is (the cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979).  The
-solver applies them turn by turn and reads them as stored; only
-`FormMatrix.matrix` replicates them into the full CSR, on request, turn by
-turn into arrays of their final size.  So every form is exactly symmetric
-and rotation invariant, P A P^T == A bit for bit, with a stored pattern
-closed under transpose and rotation.  A mesh without a recorded rotation is the m = 1
-case, whose representatives' rows are the whole form.
+(`Mesh.rotation`), so only the rows of the orbit representatives
+(`FeSpace.orbits`: sector 0 and the fixed centre) are computed, from D
+over the elements and faces that hold one, a fixed row only at
+representative and fixed columns.  Each entry and its transpose, in
+another representative's row, become their mean ((a + b) / 2 is the same
+float in either order), and a fixed row is spread over the turns of its
+columns.  Each assembler returns these rows, a `sparse.FormMatrix` (the
+cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979), so every form is
+exactly symmetric and rotation invariant, P A P^T == A bit for bit, with
+a stored pattern closed under transpose and rotation.  A mesh without a
+recorded rotation is the m = 1 case, whose rows are the whole form.
 
 Each form takes the smallest rule exact for its polynomial integrand:
 tri_rule(2k-2) for the stiffness and tri_rule(2k) for the mass, the k-point
@@ -75,17 +71,15 @@ class FeSpace:
 
     `zero_trace()` is the subspace V_0h without the dofs on the polygonal
     boundary.  Coefficient vectors carry the dofs `active` (all of them
-    here); `expand_coeffs` pads the others with zero.  On a mesh with a
-    recorded rotation, `rotation` maps each active dof to the active dof
-    the turn carries it to (None otherwise), and `turns_mesh` says whether
-    the turn carries the vertices onto each other (every form refuses a
-    space without it).  `orbits` is `sparse.cyclic_orbits` of the turn of
-    all dofs, and `turn_table`, `turned_dofs` and `turn_at` are the int32
-    orbit lookup of `_gram` and of the forms (`sparse.FormMatrix`): turn s
-    of representative number r is turn_table[r, s] (a fixed dof at every
-    s), and dof d turned s times, 0 <= s <= m, is turned_dofs[turn_at[d] +
-    s].  These four are the full space's on a `zero_trace()` space too,
-    shared, because its forms (the `A0` and `B` views) index full-dof rows.
+    here); `expand_coeffs` pads the others with zero.  `orbits` is
+    `sparse.cyclic_orbits` of the mesh's turn carried to all dofs (order 1
+    without one), the one derivation of the orbits, which the forms and
+    every solve read.  `turn_table`, `turned_dofs` and `turn_at` are the
+    int32 orbit lookup of the forms: turn s of representative number r is
+    turn_table[r, s] (a fixed dof at every s), and dof d turned s times,
+    0 <= s <= m, is turned_dofs[turn_at[d] + s].  V_0h (`zero_trace()`)
+    shares these four.  `turns_mesh` says whether the turn carries the
+    vertices onto each other (every form refuses a space without it).
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -108,10 +102,8 @@ class FeSpace:
         self.active = np.arange(self.n_full)
         self.n_dofs = self.n_full
         # the mesh rotation carried to the dofs: dof i turns into dof rotation[i]
-        self.rotation = None
-        if mesh.rotation is not None:
-            self.rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints
-        self.orbits = orbits, fixed, rep, shift = cyclic_orbits(self.rotation, self.dof_coords)
+        rotation = mesh.rotation if k == 1 or mesh.rotation is None else mesh.rotation_with_midpoints
+        self.orbits = orbits, fixed, rep, shift = cyclic_orbits(rotation, self.dof_coords)
         # the forms replicated by the turn (`_gram`) are this mesh's only if it turns its vertices
         m = orbits.shape[1]
         self.turns_mesh = True
@@ -150,9 +142,6 @@ class FeSpace:
         sub.active = np.setdiff1d(self.active, boundary, assume_unique=True)
         sub.n_dofs = int(sub.active.size)
         sub.dof_coords = self.dof_coords[sub.active]
-        if self.rotation is not None:
-            # a turn maps the boundary onto itself, so V_0h onto V_0h
-            sub.rotation = np.searchsorted(sub.active, self.rotation[sub.active]).astype(np.int32)
         return sub
 
     def basis_values(self, bary) -> np.ndarray:

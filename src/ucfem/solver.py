@@ -7,11 +7,8 @@ multiplier z_h (zero-trace space) through
     [ B            -A0  ] [z] = [ 0                   ]
 
 where S is the mesh-dependent regularization, M_omega the data-region
-mass, B the mixed stiffness and A0 the Dirichlet stiffness.  The saddle
-matrix is kept as these four forms (`sparse.Saddle`), each the rows of its
-orbit representatives (`sparse.FormMatrix`): the Fourier-mode blocks are
-built from those rows and the residual check applies K block by block and
-turn by turn, so neither K, S + M_omega nor any full-disk form is formed.
+mass, B the mixed stiffness and A0 the Dirichlet stiffness.  K is kept as
+these four forms (`sparse.Saddle`) and never formed.
 Testing the system with (u, -z) reproduces the squared stability norm
 (`fem.stability_terms` of K), which guarantees solvability and is checked
 numerically by `verify_positivity`; `solve_uc` returns the K it solved.
@@ -39,7 +36,16 @@ from .fem import (
 )
 from .fields import OscillatoryField
 from .mesh import ALL_REGIONS, Mesh, Region
-from .sparse import REL_TOL, CyclicModes, Saddle, SolverError, achieved_residual, compose_saddle, solve_direct
+from .sparse import (
+    REL_TOL,
+    CyclicModes,
+    Saddle,
+    SolverError,
+    achieved_residual,
+    compose_saddle,
+    orbit_index,
+    solve_direct,
+)
 
 
 @dataclass
@@ -80,20 +86,21 @@ def solve_poisson(space0: FeSpace, f) -> np.ndarray:
         raise ValueError("solve_poisson requires a Dirichlet space")
     A0 = assemble_stiffness(space0)
     b = assemble_load_region(space0, f, ALL_REGIONS)
-    return _solve_ordered(A0, b, space0.dof_coords, space0.rotation)[0]
+    return _solve_ordered(A0, b, space0)[0]
 
 
-def _solve_ordered(K, b, coords, rotation) -> tuple[np.ndarray, float]:
-    """x and its `achieved_residual` on K for K x = b, K (CSR or a `Saddle`)
-    commuting with the dof rotation (None: no symmetry): one `solve_direct`
-    of the excited Fourier modes, each in the nested-dissection order of its
-    representatives' points, recombined (`CyclicModes`), at the block
-    tolerance that keeps x within the contract on K.  x = 0 for b = 0.
-    SolverError if x misses the contract, as for a K that does not commute
-    with the rotation."""
+def _solve_ordered(K, b, *spaces) -> tuple[np.ndarray, float]:
+    """x and its `achieved_residual` on K for K x = b, K (CSR, a form or a
+    `Saddle`) over the dofs of `spaces`, each after those before it (V_0h,
+    or the saddle's primal and dual space): one `solve_direct` of the modes
+    the load excites on the spaces' orbits (`_orbits`, `CyclicModes`), at
+    the block tolerance that keeps x within the contract on K.  x = 0 for
+    b = 0.  SolverError if x misses the contract, as for a K that does not
+    commute with the turn."""
     if not b.any():
         return np.zeros(K.shape[0]), 0.0
-    modes = CyclicModes(K, b, coords, rotation)
+    coords = np.concatenate([space.dof_coords for space in spaces])
+    modes = CyclicModes(K, b, coords, _orbits(spaces))
     x = modes.recombine(solve_direct(modes.matrix, modes.rhs, rel_tol=modes.rel_tol))
     res = achieved_residual(K, x, b, modes.kmax)
     if not res <= REL_TOL:
@@ -104,13 +111,20 @@ def _solve_ordered(K, b, coords, rotation) -> tuple[np.ndarray, float]:
     return x, res
 
 
-def saddle_dofs(space: FeSpace, space0: FeSpace):
-    """The points and the rotation (None without one) of the saddle
-    unknowns [u; z], the primal dofs of space then the dual ones of space0."""
-    coords = np.concatenate([space.dof_coords, space0.dof_coords])
-    if space.rotation is None:
-        return coords, None
-    return coords, np.concatenate([space.rotation, space.n_dofs + space0.rotation])
+def _orbits(spaces):
+    """`sparse.orbit_index` of the unknowns of `spaces`, the active dofs of
+    each after those before it: each space's full-dof `orbits` tables mapped
+    through `active`, keeping the orbits and fixed dofs that map.  A turn
+    keeps the boundary, so an orbit is active whole or not at all."""
+    orbits, fixed, offset = [], [], 0
+    for space in spaces:
+        index = np.full(space.n_full, -1, dtype=np.int32)
+        index[space.active] = np.arange(offset, offset + space.n_dofs, dtype=np.int32)
+        turned, kept = index[space.orbits[0]], index[space.orbits[1]]
+        orbits.append(turned[turned[:, 0] >= 0])
+        fixed.append(kept[kept >= 0])
+        offset += space.n_dofs
+    return orbit_index(np.concatenate(orbits), np.concatenate(fixed))
 
 
 def make_perturbation(spec: PerturbationSpec, space: FeSpace, M_omega) -> Perturbation:
@@ -182,7 +196,7 @@ def solve_uc(
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + pert.load
 
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    x, res = _solve_ordered(K, rhs, *saddle_dofs(space, space0))
+    x, res = _solve_ordered(K, rhs, space, space0)
     return UcSolution(
         u=x[: space.n_dofs],
         z=x[space.n_dofs :],
@@ -208,7 +222,7 @@ def hminus1_residual(space0: FeSpace, u, A0, B) -> float:
     up to rounding.
     """
     r = B @ u
-    phi = _solve_ordered(A0, r, space0.dof_coords, space0.rotation)[0]
+    phi = _solve_ordered(A0, r, space0)[0]
     return float(np.sqrt(max(phi @ r, 0.0)))
 
 

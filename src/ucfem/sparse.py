@@ -9,18 +9,14 @@ m = 1), applied turn by turn and read at those rows alone; only its
 `matrix` replicates it.  The saddle matrix is never formed: `Saddle` keeps
 its four blocks, forms or plain CSR, applies them one by one and stacks
 slices of them into only the representatives' rows `CyclicModes` reads.
-`solve_direct` factors with SuperLU in the order it is given, without
-pivoting; callers order the system first with `nested_dissection`, whose
-separators are minimum vertex covers of the edges each cut crosses.  A
-pivoted SuperLU factorization with COLAMD ordering is the fallback.
-`CyclicModes` turns K x = b, for a K that commutes with a rotation of its
-unknowns, into one block-diagonal system of the Fourier modes the load
-excites, converted to CSC in one pass from the entries of all its blocks;
-it reads max|K| from the representatives' rows it builds.
-Every step is deterministic for identical inputs.
-Importing the module sets each OpenBLAS copy in the process to one thread
-(`_limit_openblas_threads`; README, Solver); a program that wants threaded
-BLAS for its own dense work raises the count again after the import.
+`CyclicModes` turns K x = b, for a K that commutes with a turn of its
+unknowns, given their orbit tables, into one block-diagonal system of the
+Fourier modes the load excites, which `solve_direct` factors unpivoted in
+`nested_dissection` order (pivoted in COLAMD order as a fallback).  Every
+step is deterministic for identical inputs.  Importing the module sets each
+OpenBLAS copy in the process to one thread (`_limit_openblas_threads`;
+README, Solver); a program that wants threaded BLAS for its own dense work
+raises the count again after the import.
 """
 
 from __future__ import annotations
@@ -353,32 +349,31 @@ def achieved_residual(K, x, b, kmax) -> float:
 LEAF_SIZE = 8
 
 
-def nested_dissection(coords, A) -> np.ndarray:
-    """Fill-reducing symmetric permutation p of A: factor A[p][:, p].
+def nested_dissection(coords, i, j) -> np.ndarray:
+    """Fill-reducing symmetric permutation p of a matrix A with the edges
+    (i[t], j[t]): factor A[p][:, p].  Only the edges with i < j are read,
+    in any order and repeats allowed, as a symmetric A's entries list them.
 
-    Geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973) of
-    A's graph, coords[i] being the point of unknown i.  Each part larger
-    than LEAF_SIZE is halved at its median along x or along y, whichever
-    cut has the smaller separator (the longer bounding-box side on a tie):
-    a minimum vertex cover of the edges that cross the cut (`_cut_cover`;
-    Ashcraft & Liu, SIMAX 19, 1998), numbered after both halves, which
-    lose its unknowns.  The half-0 endpoints alone also separate, but at
-    P2 they form a band about one element wide.  The factor of the full
-    k=2 level-3 saddle holds 0.97x the entries of SuperLU's minimum degree,
-    1.09x when each part is cut across its longer side down to leaves of 64.
-    Leaves and separators are numbered in coordinate order along their
-    last cut (a graph that is one leaf keeps its index order).  All parts
-    of one depth are split in one pass over the upper-triangle edge list
-    and one matching of the edges both cuts cross, so the cost is
-    O(nnz * depth) plus the matchings; only stable sorts and
-    deterministic graph searches are used, so the result is deterministic.
+    Geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973),
+    coords[u] being the point of unknown u.  Each part larger than
+    LEAF_SIZE is halved at its median along x or along y, whichever cut
+    has the smaller separator (the longer bounding-box side on a tie): a
+    minimum vertex cover of the edges that cross the cut (`_cut_cover`;
+    Ashcraft & Liu, SIMAX 19, 1998; the half-0 endpoints alone form a band
+    about one element wide at P2), numbered after both halves, which lose
+    its unknowns.  Leaves and separators are numbered in coordinate order
+    along their last cut (a one-leaf graph keeps its index order).  Each
+    depth splits all parts in one pass over the edges and one matching of
+    the edges both cuts cross: O(nnz * depth) plus the matchings.  Stable
+    sorts and deterministic graph searches make the result depend on the
+    edge set alone.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords, i, j = np.asarray(coords, dtype=float), np.asarray(i), np.asarray(j)
     n = coords.shape[0]
-    if coords.shape != (n, 2) or A.shape != (n, n):
-        raise ValueError(f"shape mismatch: coords{coords.shape}, A{A.shape}")
-    upper = sp.triu(A, k=1, format="coo")
-    ei, ej = upper.row.astype(np.int64), upper.col.astype(np.int64)
+    if coords.shape != (n, 2) or i.shape != j.shape or i.ndim != 1 or (i.size and max(i.max(), j.max()) >= n):
+        raise ValueError(f"shape mismatch: coords{coords.shape}, edges {i.shape} and {j.shape} over {n} unknowns")
+    keep = i < j
+    ei, ej = i[keep].astype(np.int64), j[keep].astype(np.int64)
     perm = np.empty(n, dtype=np.int64)
     part = np.zeros(n, dtype=np.int64)  # part of each unnumbered unknown, else -1
     half1 = np.zeros(n, dtype=np.uint8)  # bit 0: in half 1 of the cut along x, bit 1: along y
@@ -501,8 +496,7 @@ def cyclic_orbits(rotation, coords):
         raise ValueError(f"{n} unknowns exceed int32 indices")
     same = None if rotation is None else rotation == np.arange(n, dtype=np.int32)
     if same is None or same.all():
-        own = np.arange(n, dtype=np.int32)
-        return own[:, None], np.empty(0, dtype=np.int32), own, np.zeros(n, dtype=np.int32)
+        return orbit_index(np.arange(n, dtype=np.int32)[:, None], np.empty(0, dtype=np.int32))
     moved, fixed = np.flatnonzero(~same).astype(np.int32), np.flatnonzero(same).astype(np.int32)
     m, i = 1, rotation[moved[0]]
     while i != moved[0] and m <= n:
@@ -525,10 +519,16 @@ def cyclic_orbits(rotation, coords):
     seen[orbits] = seen[fixed] = True
     if orbits.size + fixed.size != n or not seen.all() or np.any(rotation[orbits[:, -1]] != orbits[:, 0]):
         raise ValueError("rotation is not a permutation whose moved cycles share one length")
+    return orbit_index(orbits, fixed)
+
+
+def orbit_index(orbits, fixed):
+    """(orbits, fixed, rep, shift) of tables holding each unknown once, rep and shift as in `cyclic_orbits`."""
+    n = orbits.size + fixed.size
     rep = np.empty(n, dtype=np.int32)
     shift = np.zeros(n, dtype=np.int32)
     rep[orbits] = np.arange(orbits.shape[0], dtype=np.int32)[:, None]
-    shift[orbits] = np.arange(m, dtype=np.int32)
+    shift[orbits] = np.arange(orbits.shape[1], dtype=np.int32)
     rep[fixed] = orbits.shape[0] + np.arange(fixed.size, dtype=np.int32)
     return orbits, fixed, rep, shift
 
@@ -536,37 +536,33 @@ def cyclic_orbits(rotation, coords):
 class CyclicModes:
     """K x = b as one block-diagonal system of the Fourier modes of the load.
 
-    A K that commutes with a rotation of its unknowns (P K P^T = K, see
-    `cyclic_orbits`) is block diagonal in the orbit Fourier basis: column
-    r of E_j holds exp(2 pi i j s / m) / sqrt(m) at the s-th turn of
-    representative r (a fixed unknown belongs to mode 0 alone, with
-    weight 1).  Block j, K_j = E_j^H K E_j, is built from the
-    representatives' rows of K, the only rows read, as the CSR K[rows]
-    returns: K is a CSR matrix, a `FormMatrix` or a `Saddle`.  Entry
-    (r, r') of block j is sum_t exp(2 pi i j t / m) K[r, turn^t r'].  For
-    real K and b, mode m - j is the conjugate of mode j, so only
-    j = 0..m/2 are solved and
+    `orbits` is the (orbits, fixed, rep, shift) of K's unknowns under a
+    turn of order m (`orbit_index`); of coords only the representatives'
+    points are read.  A K that commutes with the turn is block diagonal in
+    the orbit Fourier basis: column r of E_j holds exp(2 pi i j s / m) /
+    sqrt(m) at the s-th turn of representative r (a fixed unknown belongs
+    to mode 0 alone, with weight 1).  Block j, K_j = E_j^H K E_j, has the
+    entries sum_t exp(2 pi i j t / m) K[r, turn^t r'], read from the
+    representatives' rows K[reps] (K is a CSR matrix, a `FormMatrix` or a
+    `Saddle`).  For real K and b, mode m - j is the conjugate of mode j,
+    so only j = 0..m/2 are solved and
 
         x = sum_j c_j Re(E_j x_j),  c_j = 1 for j in {0, m/2}, else 2.
 
     A mode whose load norm sqrt(c_j) |E_j^H b| is below 1e-2 * REL_TOL *
     |b| is skipped, which leaves at most 1% of the residual contract per
-    mode.  `matrix` and `rhs` are the kept blocks, each in the
-    nested-dissection order of the representatives' points, stacked
-    diagonally; they are complex only when a mode other than 0 and m/2
-    is kept (blocks 0 and m/2 then hold real values).  The entries of
-    every kept block, each offset by the unknowns of the blocks before it,
-    are converted to CSC in one pass, however many blocks are kept; a
-    column holds its own block's entries alone, so its duplicates sum as
-    in that block by itself.  rotation None is the order-1 case: one
-    mode, E = identity, K itself.
-    Nothing here checks that K commutes with the rotation: a K that does
-    not gives an x that misses the residual contract on the full K, which
-    the caller checks (`achieved_residual` at `kmax`).
-
-    `kmax` is max|K| read from the representatives' rows: exact for a K
-    that commutes with the rotation, whose rows are their turns bit for
-    bit, and at most max|K| otherwise, which only makes the check stricter.
+    mode.  `matrix` and `rhs` are the kept blocks stacked diagonally, each
+    in the `nested_dissection` order of the representatives' points and of
+    the graph of their triplets (i, rep[col]), for which no matrix is
+    formed; they are complex only when a mode other than 0 and m/2 is
+    kept.  All blocks' entries, at their stacked positions, are converted
+    to CSC in one pass; a column holds its own block's entries alone, so
+    its duplicates sum as in that block.  At m = 1: one mode, E =
+    identity, K itself.  Nothing here checks that K commutes with the
+    turn: the caller checks x on the full K (`achieved_residual` at
+    `kmax`, max|K| over the representatives' rows: exact for a K that
+    commutes with the turn, at most max|K| otherwise, which only tightens
+    the check).
 
     `rel_tol` is the tolerance a `solve_direct` of `matrix` and `rhs` must
     meet for the recombined x to keep the contract on K, 0.5 REL_TOL
@@ -580,8 +576,8 @@ class CyclicModes:
     SuperLU keeps them so.
     """
 
-    def __init__(self, K, b, coords, rotation):
-        orbits, fixed, rep, shift = cyclic_orbits(rotation, coords)
+    def __init__(self, K, b, coords, orbits):
+        orbits, fixed, rep, shift = orbits
         nr, m = orbits.shape
         reps = np.concatenate([orbits[:, 0], fixed])
         self._orbits, self._fixed = orbits, fixed
@@ -600,7 +596,7 @@ class CyclicModes:
         data = rows.data * np.sqrt(size[i] / size[col])
         self.kmax = float(max(rows.data.max(initial=0.0), -rows.data.min(initial=0.0)))
         del rows
-        order = nested_dissection(coords[reps], sp.csr_matrix((data, (i, col)), shape=(reps.size, reps.size)))
+        order = nested_dissection(coords[reps], i, col)
         phase = np.exp(2j * np.pi * np.arange(m) / m)
 
         # each block's entries at its stacked positions, after the blocks before it

@@ -2,7 +2,8 @@
 
 Nothing in the package reads them: closed-form and quadrature norms of
 the harmonic monomials, a collapsed tensor rule on the reference
-triangle, a config printer and a mesh's interior edges.
+triangle, a config printer, a mesh's interior edges and the orbits of a
+solve's unknowns found by walking their rotation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from ucfem.geometry import Geometry
 from ucfem.harmonic import HarmonicMonomial, _norm_constant_3d
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Mesh, Region
 from ucfem.quadrature import TriangleRule, gauss_rule_01
+from ucfem.sparse import cyclic_orbits
 
 
 def harmonic_norm_closed(mono: HarmonicMonomial, rho: float) -> float:
@@ -35,6 +37,30 @@ def config_to_text(cfg: RunConfig) -> str:
 def interior_edges(mesh: Mesh) -> np.ndarray:
     """Indices of edges shared by exactly two triangles."""
     return np.nonzero(mesh.edge_counts == 2)[0]
+
+
+def stitched_rotation(*spaces):
+    """The rotation of the unknowns of `spaces`, the dofs of each after
+    those of the spaces before it (the saddle's [u; z] for the primal and
+    the dual space), or None on a mesh without a recorded rotation: the
+    mesh's turn carried to each space's dofs, renumbered through its
+    `active` dofs by a sorted search, offset by the dofs before it."""
+    mesh = spaces[0].mesh
+    if mesh.rotation is None:
+        return None
+    parts, offset = [], 0
+    for space in spaces:
+        turn = mesh.rotation if space.k == 1 else mesh.rotation_with_midpoints
+        parts.append(offset + np.searchsorted(space.active, turn[space.active]).astype(np.int32))
+        offset += space.n_dofs
+    return np.concatenate(parts)
+
+
+def stitched_orbits(*spaces):
+    """`cyclic_orbits` of the `stitched_rotation` of `spaces` at their dofs'
+    points: the orbits of a solve's unknowns, walked from the rotation."""
+    coords = np.concatenate([space.dof_coords for space in spaces])
+    return cyclic_orbits(stitched_rotation(*spaces), coords)
 
 
 def tri_rule_collapsed(degree: int) -> TriangleRule:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,20 +23,22 @@ def test_run_studies_converge_smoke(tmp_path):
 
 
 def test_fingerprint_smoke():
-    # two runs print the same hashes: a saddle and a Riesz line per level
+    # two runs print the same hashes: a saddle and a Riesz line per level,
+    # with and without the recorded rotation, then a Poisson line per level
     env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
     script = ROOT / "scripts" / "fingerprint.py"
     runs = [subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True) for _ in range(2)]
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     assert lines == runs[1].stdout.splitlines()
+    assert len(lines) == 52
     levels = {"k1_n4": range(1, 6), "k1_n3": range(1, 6), "k2_noise": range(1, 5)}
-    assert [line.split()[:3] for line in lines] == [
-        [name, f"level={level}", solve]
-        for name in levels
-        for level in levels[name]
-        for solve in ("saddle", "riesz")
+    levels.update({name: range(1, 5) for name in ("k1_noise_norot", "k2_noise_norot")})
+    want = [
+        [name, f"level={level}", solve] for name in levels for level in levels[name] for solve in ("saddle", "riesz")
     ]
+    want += [[f"poisson_k{k}", f"level={level}", "poisson"] for k in (1, 2) for level in range(1, 5)]
+    assert [line.split()[:3] for line in lines] == want
     assert all("matrix=" in line and "rel_tol=" in line for line in lines)
 
 
@@ -60,3 +63,17 @@ def test_failing_property_test_is_reported(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def test_mutants_patch_one_place_each():
+    # each mutant of scripts/mutation_check.py replaces a text that occurs
+    # exactly once in the package, in the file it names, by another
+    spec = importlib.util.spec_from_file_location("mutation_check", ROOT / "scripts" / "mutation_check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    sources = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src" / "ucfem").glob("*.py")}
+    assert len(check.MUTANTS) >= 12
+    for name, old, new, law in check.MUTANTS:
+        assert old != new and law
+        assert sum(text.count(old) for text in sources.values()) == 1, old
+        assert sources[ROOT / name].count(old) == 1, old

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from oracles import harmonic_norm_closed
+from oracles import harmonic_norm_closed, stitched_orbits, stitched_rotation
 from ucfem.config import PerturbationSpec
 from ucfem.fem import (
     assemble_gradient_jump,
@@ -21,11 +22,11 @@ from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh, refine_uniform
 from ucfem import solver
+import ucfem.sparse
 from ucfem.solver import (
     hminus1_residual,
     make_perturbation,
     solve_poisson,
-    saddle_dofs,
     solve_uc,
     verify_positivity,
 )
@@ -40,7 +41,7 @@ from ucfem.sparse import (
     cyclic_orbits,
 )
 from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
-from test_sparse import composed
+from test_sparse import composed, modes_args
 
 
 #: 1 - |x|^2, the f = 4 manufactured solution on the unit disk
@@ -140,12 +141,19 @@ def region_mass(space):
 
 
 def saddle_system(mesh, k, exact, perturbation=PerturbationSpec()):
-    """The `Saddle`, load, dof points and dof rotation of `solve_uc`."""
+    """The `Saddle`, load and spaces of `solve_uc`: K x = rhs over the dofs
+    of the primal space, then the dual one."""
     sol = solve_uc(mesh, k, exact, perturbation)
     space, space0 = sol.primal_space, sol.dual_space
     load = assemble_load_region(space, exact, Region.OMEGA_DATA) + sol.perturbation.load
     rhs = np.concatenate([load, np.zeros(space0.n_dofs)])
-    return (sol.K, rhs, *saddle_dofs(space, space0))
+    return sol.K, rhs, (space, space0)
+
+
+def saddle_modes_args(mesh, k, exact, perturbation=PerturbationSpec()):
+    """The arguments the saddle solve of `solve_uc` hands `CyclicModes`."""
+    K, rhs, spaces = saddle_system(mesh, k, exact, perturbation)
+    return modes_args(K, rhs, *spaces)
 
 
 NOISE = PerturbationSpec("nodal_noise", 1e-3, seed=5)
@@ -157,7 +165,8 @@ class TestCyclicModes:
         c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
         for level in (2, 3):
             mesh = build_disk_mesh(geometry, 8, level)
-            K, _, coords, rot = saddle_system(mesh, k, HarmonicMonomial(4))
+            K, _, spaces = saddle_system(mesh, k, HarmonicMonomial(4))
+            coords, rot = np.concatenate([space.dof_coords for space in spaces]), stitched_rotation(*spaces)
             assert np.abs(coords[rot] - coords @ np.array([[c, s], [-s, c]])).max() < 1e-14
             K = composed(K)
             assert abs(K[rot][:, rot] - K).max() == 0.0
@@ -172,7 +181,7 @@ class TestCyclicModes:
     def test_kept_modes(self, geometry, exact, perturbation, modes):
         # Re z^3 lives in modes +-3 of the 8 sectors; nodal noise in all
         mesh = build_disk_mesh(geometry, 8, 2)
-        split = CyclicModes(*saddle_system(mesh, 1, exact, perturbation))
+        split = CyclicModes(*saddle_modes_args(mesh, 1, exact, perturbation))
         assert split.modes == modes
         assert np.iscomplexobj(split.matrix.data)
 
@@ -180,10 +189,10 @@ class TestCyclicModes:
     def test_blocks_are_the_dense_mode_projections(self, geometry, k):
         # block j of the stacked matrix is E_j^H K E_j in the block's order,
         # nothing lies outside the blocks, and blocks 0 and m/2 are real
-        K, rhs, coords, rot = saddle_system(build_disk_mesh(geometry, 8, 1), k, ZeroField(), NOISE)
-        split = CyclicModes(K, rhs, coords, rot)
-        orbits, fixed, rep, shift = cyclic_orbits(rot, coords)
-        assert all(a.dtype == np.int32 for a in (orbits, fixed, rep, shift))
+        K, rhs, coords, (orbits, fixed, rep, shift) = args = saddle_modes_args(
+            build_disk_mesh(geometry, 8, 1), k, ZeroField(), NOISE
+        )
+        split = CyclicModes(*args)
         nr, m = orbits.shape
         assert split.modes == tuple(range(m // 2 + 1))
         A, dense = split.matrix, composed(K).toarray()
@@ -205,6 +214,57 @@ class TestCyclicModes:
         coo = A.tocoo()
         assert inside[coo.row, coo.col].all()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_solve_orbits_are_those_of_the_stitched_rotation(self, geometry, k, monkeypatch):
+        # each space's full-dof orbits mapped through its active dofs are the
+        # orbits found by walking the rotation of the unknowns, array for
+        # array and dtype for dtype: of the saddle's [u; z] and of V_0h alone
+        class Handed(Exception):
+            pass
+
+        def handed(K, b, coords, orbits):
+            raise Handed(coords, orbits)
+
+        monkeypatch.setattr(solver, "CyclicModes", handed)
+        meshes = [build_disk_mesh(geometry, 8, level) for level in range(4)]
+        meshes.append(jittered_disk_mesh(geometry, 2, seed=1, amplitude=1.0))
+        for mesh in meshes:
+            full = build_space(mesh, k)
+            for spaces in ((full, full.zero_trace()), (full.zero_trace(),)):
+                n = sum(space.n_dofs for space in spaces)
+                with pytest.raises(Handed) as caught:
+                    solver._solve_ordered(None, np.ones(n), *spaces)
+                coords, orbits = caught.value.args
+                assert np.array_equal(coords, np.concatenate([space.dof_coords for space in spaces]))
+                want = stitched_orbits(*spaces)
+                assert len(orbits) == 4
+                for got, ref in zip(orbits, want):
+                    assert got.dtype == ref.dtype == np.int32
+                    assert np.array_equal(got, ref), (mesh.level, len(spaces))
+                # unknown u is turn shift[u] of representative rep[u]; fixed ones come last
+                table, fixed, rep, shift = orbits
+                assert np.array_equal(table[rep[table], shift[table]], table)
+                assert np.array_equal(rep[fixed], table.shape[0] + np.arange(fixed.size)) and not shift[fixed].any()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_orders_the_representatives_graph(self, geometry, k, monkeypatch):
+        # the ordering reads the points of the representatives and the graph
+        # of their rows, each column taken to its representative
+        K, rhs, coords, (orbits, fixed, rep, shift) = args = saddle_modes_args(
+            build_disk_mesh(geometry, 8, 2), k, ZeroField(), NOISE
+        )
+        calls = []
+        order = ucfem.sparse.nested_dissection
+        monkeypatch.setattr(ucfem.sparse, "nested_dissection", lambda *graph: calls.append(graph) or order(*graph))
+        CyclicModes(*args)
+        reps = np.concatenate([orbits[:, 0], fixed])
+        rows = composed(K)[reps].tocoo()
+        want = sp.csr_matrix((np.ones(rows.nnz), (rows.row, rep[rows.col])), shape=(reps.size,) * 2)
+        ((got_coords, i, j),) = calls
+        assert np.array_equal(got_coords, coords[reps])
+        got = sp.csr_matrix((np.ones(i.size), (i, j)), shape=want.shape)
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+
     def test_orbits_refuse_more_unknowns_than_int32_indexes(self):
         # a broadcast view: 2^31 points without allocating them
         coords = np.broadcast_to(np.zeros(2), (2**31, 2))
@@ -215,26 +275,27 @@ class TestCyclicModes:
     def test_peak_memory_near_the_stacked_matrix(self, geometry, k, level):
         # the entries of all five blocks are converted in one pass, each list
         # of parts freed once joined and the joined entries once converted
-        args = saddle_system(build_disk_mesh(geometry, 8, level), k, ZeroField(), NOISE)
+        args = saddle_modes_args(build_disk_mesh(geometry, 8, level), k, ZeroField(), NOISE)
         split, peak = traced_peak(lambda: CyclicModes(*args))
         assert split.modes == (0, 1, 2, 3, 4)
         assert peak <= 3.0 * csr_bytes(split.matrix)
 
     def test_one_kept_mode_is_not_copied(self, geometry):
         # Re z^3 keeps mode 3 alone: the one conversion of its entries is the
-        # matrix, and the ordering of the mode-0 graph sets the peak
-        args = saddle_system(build_disk_mesh(geometry, 8, 5), 1, HarmonicMonomial(4))
+        # matrix, and the ordering of the mode-0 graph, read from the
+        # representatives' triplets without a matrix, sets the peak
+        args = saddle_modes_args(build_disk_mesh(geometry, 8, 5), 1, HarmonicMonomial(4))
         split, peak = traced_peak(lambda: CyclicModes(*args))
         assert split.modes == (3,)
-        assert peak <= 4.3 * csr_bytes(split.matrix)
+        assert peak <= 3.2 * csr_bytes(split.matrix)
 
     @pytest.mark.parametrize("k, level", [(1, 5), (2, 3)])
     def test_orbits_peak_memory_near_the_results(self, geometry, k, level):
         # an int32 comparison, the angle taken in place and a boolean
         # permutation check: no n-long int64 index or bincount
         space = build_space(build_disk_mesh(geometry, 8, level), k)
-        coords, rot = saddle_dofs(space, space.zero_trace())
-        out, peak = traced_peak(lambda: cyclic_orbits(rot, coords))
+        rot = space.mesh.rotation if k == 1 else space.mesh.rotation_with_midpoints
+        out, peak = traced_peak(lambda: cyclic_orbits(rot, space.dof_coords))
         assert peak <= 4.0 * sum(a.nbytes for a in out)
 
     @pytest.mark.parametrize("k, level, tol", [(1, 3, 1e-8), (2, 2, 1e-6)])
@@ -251,8 +312,8 @@ class TestCyclicModes:
         # no recorded rotation: one real mode holding the whole K
         mesh = jittered_disk_mesh(geometry, 2, seed=1, amplitude=1.0)
         assert mesh.rotation is None
-        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
-        split = CyclicModes(K, rhs, coords, rot)
+        K, rhs, coords, orbits = saddle_modes_args(mesh, 1, HarmonicMonomial(4))
+        split = CyclicModes(K, rhs, coords, orbits)
         assert split.modes == (0,)
         assert split.matrix.shape == K.shape and not np.iscomplexobj(split.matrix.data)
         x = split.recombine(spsolve(split.matrix, split.rhs))
@@ -263,30 +324,30 @@ class TestCyclicModes:
         # on the full K catches it
         mesh = jittered_disk_mesh(geometry, 2, seed=1, amplitude=1.0)
         with_turn = replace(mesh, rotation=build_disk_mesh(geometry, 8, 2).rotation)
-        K, rhs, coords, _ = saddle_system(mesh, 1, HarmonicMonomial(4))
-        turned = build_space(with_turn, 1)
-        rot = saddle_dofs(turned, turned.zero_trace())[1]
-        split = CyclicModes(K, rhs, coords, rot)
+        K, rhs, _ = saddle_system(mesh, 1, HarmonicMonomial(4))
+        full = build_space(with_turn, 1)
+        turned = full, full.zero_trace()
+        split = CyclicModes(*modes_args(K, rhs, *turned))
         # the sector-0 rows miss the largest |entry|: the read maximum is
         # below max|K|, which only tightens the check
         assert split.kmax < np.abs(composed(K).data).max()
         assert achieved_residual(K, split.recombine(spsolve(split.matrix, split.rhs)), rhs, split.kmax) > 1e-6
         with pytest.raises(SolverError, match="residual"):
-            solver._solve_ordered(K, rhs, coords, rot)
+            solver._solve_ordered(K, rhs, *turned)
 
     def test_recombined_residual_is_checked(self, geometry, monkeypatch):
         mesh = build_disk_mesh(geometry, 8, 2)
-        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
+        K, rhs, spaces = saddle_system(mesh, 1, HarmonicMonomial(4))
         monkeypatch.setattr(solver, "solve_direct", lambda A, b, rel_tol: np.zeros_like(b))
         with pytest.raises(SolverError, match="residual"):
-            solver._solve_ordered(K, rhs, coords, rot)
+            solver._solve_ordered(K, rhs, *spaces)
 
     def test_contract_is_one_in_ten_to_the_ten(self, geometry, monkeypatch):
         # block solutions off by a fixed vector that leaves the recombined x
         # at a relative residual of about 1e-8 on K: a contract looser than
         # 1e-10 would take it
-        K, rhs, coords, rot = saddle_system(build_disk_mesh(geometry, 8, 2), 1, HarmonicMonomial(4))
-        split = CyclicModes(K, rhs, coords, rot)
+        K, rhs, spaces = saddle_system(build_disk_mesh(geometry, 8, 2), 1, HarmonicMonomial(4))
+        split = CyclicModes(*modes_args(K, rhs, *spaces))
         y = spsolve(split.matrix, split.rhs)
         d = np.cos(np.arange(y.size)).astype(y.dtype)
         x, dx = split.recombine(y), split.recombine(d)
@@ -296,14 +357,14 @@ class TestCyclicModes:
         off = solver.solve_direct
         monkeypatch.setattr(solver, "solve_direct", lambda *args, **kwargs: off(*args, **kwargs) + d)
         with pytest.raises(SolverError, match="required 1.000e-10"):
-            solver._solve_ordered(K, rhs, coords, rot)
+            solver._solve_ordered(K, rhs, *spaces)
 
     @pytest.mark.parametrize("k, sectors", [(1, 8), (1, 16), (2, 8), (2, 16)])
     def test_block_tolerance_bounds_the_full_residual(self, geometry, k, sectors, monkeypatch):
         # block solutions whose residual sits at the block tolerance, moved
         # off the solve in random directions that keep modes 0 and m/2 real,
         # meet the contract on K without a second solve
-        K, rhs, coords, rot = saddle_system(build_disk_mesh(geometry, sectors, 3 - k), k, ZeroField(), NOISE)
+        K, rhs, spaces = saddle_system(build_disk_mesh(geometry, sectors, 3 - k), k, ZeroField(), NOISE)
         rng = np.random.default_rng(sectors + k)
         splits, tols = [], []
 
@@ -330,7 +391,7 @@ class TestCyclicModes:
         monkeypatch.setattr(solver, "solve_direct", at_tolerance)
         full_max = np.abs(composed(K).data).max()
         for _ in range(5):
-            x, res = solver._solve_ordered(K, rhs, coords, rot)
+            x, res = solver._solve_ordered(K, rhs, *spaces)
             assert res == achieved_residual(K, x, rhs, full_max) <= REL_TOL
         ratio = full_max / np.abs(splits[0].matrix.data).max()
         assert tols == [0.5 * REL_TOL * min(1.0, ratio)] * 5
@@ -348,7 +409,7 @@ class TestCyclicModes:
 
         monkeypatch.setattr(Saddle, "__getitem__", recorded)
         sol = solve_uc(build_disk_mesh(geometry, 8, 2), k, ZeroField(), NOISE)
-        orbits, fixed = cyclic_orbits(*saddle_dofs(sol.primal_space, sol.dual_space)[::-1])[:2]
+        orbits, fixed = solver._orbits((sol.primal_space, sol.dual_space))[:2]
         assert len(requests) == 1
         assert np.array_equal(requests[0], np.concatenate([orbits[:, 0], fixed]))
 
@@ -373,9 +434,9 @@ class TestCyclicModes:
 
     def test_zero_load_solves_nothing(self, geometry, monkeypatch):
         mesh = build_disk_mesh(geometry, 8, 2)
-        K, rhs, coords, rot = saddle_system(mesh, 1, HarmonicMonomial(4))
+        K, rhs, spaces = saddle_system(mesh, 1, HarmonicMonomial(4))
         monkeypatch.setattr(solver, "solve_direct", None)
-        x, res = solver._solve_ordered(K, np.zeros_like(rhs), coords, rot)
+        x, res = solver._solve_ordered(K, np.zeros_like(rhs), *spaces)
         assert x.shape == rhs.shape and not x.any() and res == 0.0
 
     def test_one_residual_per_solve(self, mesh_l2, monkeypatch):

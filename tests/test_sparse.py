@@ -9,10 +9,11 @@ import scipy.sparse.linalg as spla
 
 import nested_dissection_reference as reference
 import ucfem.sparse
+from ucfem import solver
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import Region, build_disk_mesh
-from ucfem.solver import hminus1_residual, saddle_dofs, solve_uc
+from ucfem.solver import hminus1_residual, solve_uc
 from ucfem.sparse import (
     LEAF_SIZE,
     CyclicModes,
@@ -56,21 +57,37 @@ def csr(block):
     return block.matrix if isinstance(block, FormMatrix) else block
 
 
-def representatives(space, space0):
-    """The saddle rows `CyclicModes` reads: the orbit representatives."""
-    orbits, fixed = cyclic_orbits(*saddle_dofs(space, space0)[::-1])[:2]
+def representatives(*spaces):
+    """The rows `CyclicModes` reads in a solve over the dofs of `spaces`:
+    the orbit representatives."""
+    orbits, fixed = solver._orbits(spaces)[:2]
     return np.concatenate([orbits[:, 0], fixed])
+
+
+def modes_args(K, b, *spaces):
+    """The arguments `_solve_ordered` hands `CyclicModes` for K x = b over
+    the dofs of `spaces`; without a space, the order-1 case at the origin."""
+    if not spaces:
+        coords = np.zeros((K.shape[0], 2))
+        return K, b, coords, cyclic_orbits(None, coords)
+    return K, b, np.concatenate([space.dof_coords for space in spaces]), solver._orbits(spaces)
+
+
+def edges(A):
+    """The graph of A's stored entries as `nested_dissection` takes it."""
+    coo = sp.coo_matrix(A)
+    return coo.row, coo.col
 
 
 def all_rows(K):
     return K[np.arange(K.shape[0])]
 
 
-def kmax(K, coords=None, rotation=None):
-    """max|K| as a solve reads it, `CyclicModes.kmax`: over the rows of the
-    representatives of `rotation`, every row without one."""
-    n = K.shape[0]
-    return CyclicModes(K, np.ones(n), np.zeros((n, 2)) if coords is None else coords, rotation).kmax
+def kmax(K, *spaces):
+    """max|K| as a solve over the dofs of `spaces` reads it,
+    `CyclicModes.kmax`: over the rows of their orbit representatives, every
+    row without a space."""
+    return CyclicModes(*modes_args(K, np.ones(K.shape[0]), *spaces)).kmax
 
 
 def view_reps(form):
@@ -170,17 +187,16 @@ class TestComposeSaddle:
         space0 = space.zero_trace()
         K = saddle(space, space0)
         want = composed(K)
-        orbits, fixed = ucfem.sparse.cyclic_orbits(*saddle_dofs(space, space0)[::-1])[:2]
         rng = np.random.default_rng(k)
         n = K.shape[0]
         for rows in (
-            np.concatenate([orbits[:, 0], fixed]),
+            representatives(space, space0),
             rng.permutation(n)[: n // 3],
             np.array([n - 1, 0, space.n_dofs, space.n_dofs - 1]),
             np.arange(n),
         ):
             assert_same_csr(K[rows], want[rows])
-        assert kmax(K, *saddle_dofs(space, space0)) == np.abs(want.data).max()
+        assert kmax(K, space, space0) == np.abs(want.data).max()
         for _ in range(3):
             x = rng.standard_normal(n)
             assert np.abs(K @ x - want @ x).max() <= 1e-15 * np.abs(want @ x).max()
@@ -190,10 +206,9 @@ class TestComposeSaddle:
         space = build_space(mesh_l2, 1)
         K = saddle(space, space.zero_trace())
         heavy = compose_saddle(K.S, 1e3 * K.M_omega, K.B, K.A0)
-        coords = saddle_dofs(space, space.zero_trace())[0]
-        heavy_max = kmax(heavy, coords)
+        heavy_max = kmax(heavy)
         assert heavy_max == np.abs(composed(heavy).data).max() > np.abs(K.S.data).max()
-        assert kmax(composed(heavy), coords) == heavy_max
+        assert kmax(composed(heavy)) == heavy_max
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_max_abs_over_empty_and_unsummed_rows(self, sign):
@@ -260,7 +275,7 @@ class TestRepRowForms:
         rng = np.random.default_rng(1)
         for rows in (rng.permutation(reps), rng.choice(reps, reps.size // 3, replace=False), mixed):
             assert_same_csr(K[rows], want[rows])
-        assert kmax(K, *saddle_dofs(*spaces)) == np.abs(want.data).max()
+        assert kmax(K, *spaces) == np.abs(want.data).max()
         for form in (K.S, K.M_omega, K.B, K.A0, K.B.T):
             rows = rng.permutation(view_reps(form))
             assert_same_csr(form[rows], form.matrix[rows])
@@ -460,25 +475,39 @@ class TestNestedDissection:
 
     def test_is_permutation(self, system):
         coords, K = system
-        p = nested_dissection(coords, K)
+        p = nested_dissection(coords, *edges(K))
         assert K.shape[0] > LEAF_SIZE
         assert np.array_equal(np.sort(p), np.arange(K.shape[0]))
 
     def test_deterministic(self, system):
         coords, K = system
-        assert np.array_equal(nested_dissection(coords, K), nested_dissection(coords, K))
+        assert np.array_equal(nested_dissection(coords, *edges(K)), nested_dissection(coords, *edges(K)))
+
+    def test_edge_order_repeats_and_orientation_change_nothing(self, system):
+        # the saddle graph's edges in both orientations, with the diagonal
+        # and a third of them once more, shuffled: the permutation of the
+        # deduplicated upper triangle
+        coords, K = system
+        upper = sp.triu(K, k=1, format="coo")
+        i, j = edges(K)
+        rng = np.random.default_rng(4)
+        again = rng.choice(i.size, i.size // 3, replace=False)
+        i, j = np.concatenate([i, j[again]]), np.concatenate([j, i[again]])
+        shuffle = rng.permutation(i.size)
+        want = nested_dissection(coords, upper.row, upper.col)
+        assert np.array_equal(nested_dissection(coords, i[shuffle], j[shuffle]), want)
 
     def test_small_graph_kept_in_order(self):
         # a single leaf is numbered in index order
         A = sp.eye(LEAF_SIZE, format="csr")
         coords = np.random.default_rng(0).uniform(size=(LEAF_SIZE, 2))
-        assert np.array_equal(nested_dissection(coords, A), np.arange(LEAF_SIZE))
+        assert np.array_equal(nested_dissection(coords, *edges(A)), np.arange(LEAF_SIZE))
 
     def test_graph_without_edges_has_no_separators(self):
         # no edge crosses a cut, so every split leaves two halves only
         n = 4 * LEAF_SIZE
         coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-        assert np.array_equal(nested_dissection(coords, sp.eye(n, format="csr")), np.arange(n))
+        assert np.array_equal(nested_dissection(coords, *edges(sp.eye(n))), np.arange(n))
 
     def test_separator_numbered_after_halves(self):
         # a path graph on a line: the one cut edge is covered equally well
@@ -487,7 +516,7 @@ class TestNestedDissection:
         n = 2 * LEAF_SIZE
         A = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
         coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-        p = nested_dissection(coords, A)
+        p = nested_dissection(coords, *edges(A))
         assert p[-1] == n // 2 - 1
         assert np.array_equal(p[: n // 2 - 1], np.arange(n // 2 - 1))
         assert np.array_equal(p[n // 2 - 1 : -1], np.arange(n // 2, n))
@@ -502,7 +531,7 @@ class TestNestedDissection:
         for i in range(hub - 4, hub - 1):
             A[i, hub] = A[hub, i] = 1.0
         coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-        p = nested_dissection(coords, A.tocsr())
+        p = nested_dissection(coords, *edges(A))
         assert p[-1] == hub
         assert np.array_equal(p[:hub], np.arange(hub))
         assert np.array_equal(p[hub:-1], np.arange(hub + 1, n))
@@ -516,7 +545,7 @@ class TestNestedDissection:
         A = sp.block_diag([np.ones((m, m)), np.ones((m, m))], format="lil")
         A[0, m] = A[m, 0] = 1.0
         coords = np.stack([np.tile(np.arange(m, dtype=float), 2), np.repeat([0.0, 1.0], m)], axis=1)
-        assert np.array_equal(nested_dissection(coords, A.tocsr()), np.r_[1 : 2 * m, 0])
+        assert np.array_equal(nested_dissection(coords, *edges(A)), np.r_[1 : 2 * m, 0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cut_cover_is_minimum(self, seed):
@@ -544,7 +573,7 @@ class TestNestedDissection:
         space = build_space(mesh, 2)
         space0 = space.zero_trace()
         K = all_rows(saddle(space, space0))
-        p = nested_dissection(np.concatenate([space.dof_coords, space0.dof_coords]), K)
+        p = nested_dissection(np.concatenate([space.dof_coords, space0.dof_coords]), *edges(K))
         symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         ordered = spla.splu(sp.csc_matrix(K[p][:, p]), permc_spec="NATURAL", **symmetric)
         mmd = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", **symmetric)
@@ -552,7 +581,9 @@ class TestNestedDissection:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            nested_dissection(np.zeros((3, 2)), sp.eye(4, format="csr"))
+            nested_dissection(np.zeros((3, 2)), *edges(sp.eye(4)))
+        with pytest.raises(ValueError):
+            nested_dissection(np.zeros((3, 2)), np.arange(3), np.arange(2))
 
     def test_permutation_is_the_reference_ordering(self, geometry, monkeypatch):
         # the orderings the saddle and A0 solves ask for, a mesh without a
@@ -561,9 +592,9 @@ class TestNestedDissection:
         graphs = []
         order = ucfem.sparse.nested_dissection
 
-        def recorded(coords, A):
-            graphs.append((coords, A))
-            return order(coords, A)
+        def recorded(coords, i, j):
+            graphs.append((coords, i, j))
+            return order(coords, i, j)
 
         monkeypatch.setattr(ucfem.sparse, "nested_dissection", recorded)
         meshes = [(k, build_disk_mesh(geometry, 8, level)) for k, top in ((1, 4), (2, 3)) for level in range(1, top + 1)]
@@ -575,9 +606,11 @@ class TestNestedDissection:
         side = np.arange(12.0)
         points = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
         twins = sp.kron(sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(144, 144)), np.ones((2, 2)), format="csr")
-        graphs.append((np.repeat(points, 2, axis=0), twins))
-        for coords, A in graphs:
-            assert np.array_equal(order(coords, A), reference.nested_dissection(coords, A))
+        graphs.append((np.repeat(points, 2, axis=0), *edges(twins)))
+        for coords, i, j in graphs:
+            n = coords.shape[0]
+            A = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+            assert np.array_equal(order(coords, i, j), reference.nested_dissection(coords, A))
 
     def test_less_fill_than_colamd(self, geometry):
         # 0.66x (0.73x when every part is cut across its longer side)
@@ -586,7 +619,7 @@ class TestNestedDissection:
         space0 = space.zero_trace()
         K = all_rows(saddle(space, space0))
         coords = np.concatenate([space.dof_coords, space0.dof_coords])
-        p = nested_dissection(coords, K)
+        p = nested_dissection(coords, *edges(K))
         ordered = spla.splu(
             sp.csc_matrix(K[p][:, p]),
             permc_spec="NATURAL",
