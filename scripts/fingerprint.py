@@ -12,13 +12,17 @@ the first 16 hex digits of the SHA-256 of each of: the `CyclicModes`
 `matrix` (data, indices and indptr, with their dtypes), `rhs`,
 `rel_tol.hex()`, `kmax.hex()` and `modes`, then the solution: u, z and
 solve_residual on the saddle line, residual_hminus1 on the Riesz line, u
-on the Poisson line.  Run it in each checkout and diff the output:
+on the Poisson line.  A third line per configuration and level hashes
+what the solve's primal space and forms give without a solve: the load
+over omega, the four `error_norms` of u over B (inner omega), and
+s(u_I, u_I) and |u_I|^2_omega of the nodal interpolant u_I of the exact
+field, the quantities of the energy-balance ladder.  Run it in each
+checkout and diff the output:
 
     python3 scripts/fingerprint.py > fingerprint.txt
     diff fingerprint.txt ../other/fingerprint.txt
 
-Only these solves are covered: the study outputs and the load and
-error-norm assembly are not.
+The study outputs are not covered.
 """
 
 import hashlib
@@ -33,9 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ucfem import solver, studies  # noqa: E402
 from ucfem.config import build_config  # noqa: E402
-from ucfem.fem import build_space  # noqa: E402
+from ucfem.fem import assemble_load_region, build_space, error_norms, interpolate_nodal  # noqa: E402
 from ucfem.fields import ConstantField  # noqa: E402
-from ucfem.mesh import build_disk_mesh  # noqa: E402
+from ucfem.mesh import B_REGIONS, Region, build_disk_mesh  # noqa: E402
 
 #: nodal noise on zero data, the entries of a configuration but its order k
 NOISE = {
@@ -80,6 +84,16 @@ def modes_fields(modes) -> str:
     )
 
 
+def forms_fields(sol, exact) -> str:
+    space, K = sol.primal_space, sol.K
+    load = assemble_load_region(space, exact, Region.OMEGA_DATA)
+    norms = vars(error_norms(space, sol.u, exact, B_REGIONS, inner=[Region.OMEGA_DATA]))
+    norms = " ".join(float(v).hex() for v in norms.values())
+    u_i = interpolate_nodal(space, exact)
+    s_ii, m_ii = (float(u_i @ (form.matrix @ u_i)) for form in (K.S, K.M_omega))
+    return f"load={digest(load)} norms={digest(norms)} s_ii={digest(s_ii.hex())} m_ii={digest(m_ii.hex())}"
+
+
 def main() -> int:
     made = []
 
@@ -105,6 +119,7 @@ def main() -> int:
                 f"z={digest(sol.z)} solve_residual={digest(sol.solve_residual.hex())}"
             )
             print(f"{name} level={level} riesz {modes_fields(riesz)} residual_hminus1={digest(res.hex())}")
+            print(f"{name} level={level} forms {forms_fields(sol, exact)}")
     cfg = build_config({})
     for name, k, levels in POISSON:
         for level in levels:

@@ -104,6 +104,12 @@ MUTANTS = (
         "order = nested_dissection(coords[reps], i, i)",
         "the mode blocks are ordered by the representatives' graph",
     ),
+    (
+        "src/ucfem/fem.py",
+        "rep_dof = shift == 0",
+        "rep_dof = shift == 1",
+        "every form is computed on all elements that hold a representative dof",
+    ),
 )
 
 #: the Tier-1 command (ROADMAP.md), stopped at the first failure, without

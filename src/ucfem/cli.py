@@ -256,31 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_alpha = sub.add_parser("alpha", help="print the stability exponents")
     p_alpha.add_argument("--alpha1", type=float, help="rate exponent for alpha_tilde")
     p_alpha.add_argument("--alpha2", type=float, help="sensitivity exponent for alpha_tilde")
+    p_alpha.set_defaults(run=_cmd_alpha)
 
     p_tb = sub.add_parser("three-ball", help="ratio table over n and test exponents")
     p_tb.add_argument("--n-max", type=int, default=50)
+    p_tb.set_defaults(run=_cmd_three_ball)
 
-    sub.add_parser("mesh", help="write the mesh file for the configured level")
-    sub.add_parser("poisson", help="well-posed baseline solve with diagnostics")
-    sub.add_parser("uc", help="single unique continuation solve with diagnostics")
-    sub.add_parser("converge", help="h-refinement convergence study")
-    sub.add_parser("perturb", help="perturbation sensitivity study")
-    sub.add_parser("stagnate", help="stagnation study with the max(h, h_min) variant")
-    sub.add_parser("selftest", help="run the invariant suite")
+    sub.add_parser("mesh", help="write the mesh file for the configured level").set_defaults(run=_cmd_mesh)
+    sub.add_parser("poisson", help="well-posed baseline solve with diagnostics").set_defaults(run=_cmd_poisson)
+    sub.add_parser("uc", help="single unique continuation solve with diagnostics").set_defaults(run=_cmd_uc)
+    for name, runner, help_text in (
+        ("converge", studies.run_convergence_study, "h-refinement convergence study"),
+        ("perturb", studies.run_perturbation_study, "perturbation sensitivity study"),
+        ("stagnate", studies.run_stagnation_study, "stagnation study with the max(h, h_min) variant"),
+    ):
+        sub.add_parser(name, help=help_text).set_defaults(run=partial(_run_study, runner=runner, name=name))
+    sub.add_parser("selftest", help="run the invariant suite").set_defaults(run=_cmd_selftest)
     return parser
-
-
-_COMMANDS = {
-    "alpha": _cmd_alpha,
-    "three-ball": _cmd_three_ball,
-    "mesh": _cmd_mesh,
-    "poisson": _cmd_poisson,
-    "uc": _cmd_uc,
-    "converge": partial(_run_study, runner=studies.run_convergence_study, name="converge"),
-    "perturb": partial(_run_study, runner=studies.run_perturbation_study, name="perturb"),
-    "stagnate": partial(_run_study, runner=studies.run_stagnation_study, name="stagnate"),
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -292,7 +284,7 @@ def main(argv=None) -> int:
         print(f"error=config {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return args.run(args, cfg)
     except SolverError as exc:
         print(f"error=solver {exc}", file=sys.stderr)
         return 3

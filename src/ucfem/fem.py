@@ -20,14 +20,15 @@ of the zero-trace space V_0h (`FeSpace.zero_trace`).
 Every form commutes with the turn by 2 pi / m that a disk mesh records
 (`Mesh.rotation`), so only the rows of the orbit representatives
 (`FeSpace.orbits`: sector 0 and the fixed centre) are computed, from D
-over the elements and faces that hold one, a fixed row only at
-representative and fixed columns.  Each entry and its transpose, in
-another representative's row, become their mean ((a + b) / 2 is the same
-float in either order), and a fixed row is spread over the turns of its
-columns.  Each assembler returns these rows, a `sparse.FormMatrix` (the
-cyclic-symmetry method, D. L. Thomas, IJNME 14, 1979), so every form is
-exactly symmetric and rotation invariant, P A P^T == A bit for bit, with
-a stored pattern closed under transpose and rotation.  A mesh without a
+over the elements that hold one (`FeSpace.near`) and their faces, a
+fixed row only at representative and fixed columns.  Each entry and its
+transpose, in another representative's row, become their mean ((a + b)
+/ 2 is the same float in either order), and a fixed row is spread over
+the turns of its columns.  Each assembler returns these rows, a
+`sparse.FormMatrix` (the cyclic-symmetry method, D. L. Thomas, IJNME 14,
+1979), so every form is exactly symmetric and rotation invariant,
+P A P^T == A bit for bit, with a stored pattern closed under transpose
+and rotation.  A mesh without a
 recorded rotation is the m = 1 case, whose rows are the whole form.
 
 Each form takes the smallest rule exact for its polynomial integrand:
@@ -42,7 +43,7 @@ degrees over det = 2 * signed area.  Every basis gradient, P2 cell
 Laplacian and face-point barycentric is built from them.  A space keeps
 only det; the gradients (`FeSpace.grad_lam`) and the element diameters are
 computed for the elements a form or norm asks for, mostly the eighth that
-hold a representative dof.
+hold a representative dof (`FeSpace.near`).
 """
 
 from __future__ import annotations
@@ -77,9 +78,11 @@ class FeSpace:
     every solve read.  `turn_table`, `turned_dofs` and `turn_at` are the
     int32 orbit lookup of the forms: turn s of representative number r is
     turn_table[r, s] (a fixed dof at every s), and dof d turned s times,
-    0 <= s <= m, is turned_dofs[turn_at[d] + s].  V_0h (`zero_trace()`)
-    shares these four.  `turns_mesh` says whether the turn carries the
-    vertices onto each other (every form refuses a space without it).
+    0 <= s <= m, is turned_dofs[turn_at[d] + s].  `near` marks the elements
+    that hold a representative dof (all without a turn), the ones every
+    form is computed on.  V_0h (`zero_trace()`) shares these five.
+    `turns_mesh` says whether the turn carries the vertices onto each other
+    (every form refuses a space without it).
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -115,6 +118,10 @@ class FeSpace:
         if self.turned_dofs.size > np.iinfo(np.int32).max:  # rep * 2m + shift in int32
             raise ValueError(f"{self.n_full} dofs exceed the int32 orbit lookup")
         self.turn_at = rep * (2 * m) + shift
+        rep_dof = shift == 0
+        self.near = rep_dof[self.full_map[:, 0]]
+        for dofs in self.full_map.T[1:]:
+            self.near |= rep_dof[dofs]
         self.det = 2.0 * mesh.signed_areas
 
     def grad_lam(self, elements) -> np.ndarray:
@@ -128,8 +135,8 @@ class FeSpace:
 
     def zero_trace(self) -> FeSpace:
         """V_0h, the dofs off the polygonal boundary, as a view of this full
-        space: mesh, full_map, det and the orbit lookup are shared, not
-        copied."""
+        space: mesh, full_map, det, the orbit lookup and `near` are shared,
+        not copied."""
         if self.dirichlet:
             return self
         mesh = self.mesh
@@ -216,21 +223,12 @@ def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
     return sp.csr_matrix((d.ravel(), idx, ndl * np.arange(nrows + 1)), shape=(nrows, n_full))
 
 
-def _near_reps(space: FeSpace) -> np.ndarray:
-    """Per element, whether it holds a representative dof (see `_gram`)."""
-    rep = space.orbits[3] == 0
-    near = rep[space.full_map[:, 0]]
-    for dofs in space.full_map.T[1:]:
-        near |= rep[dofs]
-    return near
-
-
 def _gram(space: FeSpace, D) -> FormMatrix:
     """The form D^T D over the full dofs, kept as the rows of the orbit
     representatives, row r holding row turn_table[r, 0] (module docstring);
-    D holds the rows of the elements and faces `_near_reps` keeps, each with
-    a dof once.  The caller passes D without keeping it: it is freed after
-    the product."""
+    D holds the rows of the elements of `space.near` and of the faces next
+    to them, each with a dof once.  The caller passes D without keeping it:
+    it is freed after the product."""
     orbits, _, rep, shift = space.orbits
     nr, m = orbits.shape
     if not space.turns_mesh:
@@ -265,7 +263,7 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
     col = space_row if space_col is None else space_col
     _same_discretization(space_row, col)
     rule = quadrature.tri_rule(2 * space_row.k - 2)
-    elements = np.flatnonzero(_near_reps(space_row))
+    elements = np.flatnonzero(space_row.near)
     g = space_row.phys_grads(elements, rule.points)  # (nel, nq, ndl, 2)
     scale, emap = np.abs(space_row.det[elements]), space_row.full_map[elements]
     form = _gram(space_row, _operator(g, rule.weights, scale, emap, space_row.n_full))
@@ -278,7 +276,7 @@ def assemble_stiffness(space_row: FeSpace, space_col: FeSpace | None = None) -> 
 
 def _mass_operator(space: FeSpace, elements) -> sp.csr_matrix:
     rule = quadrature.tri_rule(2 * space.k)
-    elements = elements[_near_reps(space)[elements]]
+    elements = elements[space.near[elements]]
     vals = space.basis_values(rule.points)[None, :, :, None]  # (1, nq, ndl, 1)
     scale, emap = np.abs(space.det[elements]), space.full_map[elements]
     return _operator(vals, rule.weights, scale, emap, space.n_full)
@@ -294,7 +292,7 @@ def assemble_region_mass(space: FeSpace, region) -> FormMatrix:
 
 def _jump_operator(space: FeSpace) -> sp.csr_matrix:
     mesh = space.mesh
-    near, (t0, t1) = _near_reps(space), mesh.edge_tris.T
+    near, (t0, t1) = space.near, mesh.edge_tris.T
     # the interior faces next to a kept element; slot 1 of a boundary edge is -1
     interior = np.flatnonzero((mesh.edge_counts == 2) & (near[t0] | near[t1]))
     tq, wq = quadrature.gauss_rule_01(space.k)
@@ -338,7 +336,7 @@ def assemble_gradient_jump(space: FeSpace) -> FormMatrix:
 def _cell_operator(space: FeSpace) -> sp.csr_matrix:
     if space.k == 1:
         return sp.csr_matrix((0, space.n_full))  # P1 Laplacians vanish: no rows
-    elements = np.flatnonzero(_near_reps(space))
+    elements = np.flatnonzero(space.near)
     # Lap(lambda_i (2 lambda_i - 1)) = 4 |grad lambda_i|^2 and
     # Lap(4 lambda_a lambda_b) = 8 grad lambda_a . grad lambda_b
     g = space.grad_lam(elements)

@@ -3,21 +3,28 @@
 Nothing in the package reads them: closed-form and quadrature norms of
 the harmonic monomials, a collapsed tensor rule on the reference
 triangle, a config printer, a mesh's interior edges and the orbits of a
-solve's unknowns found by walking their rotation.
+solve's unknowns found by walking their rotation.  The helpers after
+them are shared by several test modules: a traced allocation peak, a
+jittered disk mesh, a saddle system composed with sp.bmat and the
+arguments a solve hands `CyclicModes`.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
 
+from ucfem import solver
 from ucfem.config import RunConfig, config_echo
 from ucfem.geometry import Geometry
 from ucfem.harmonic import HarmonicMonomial, _norm_constant_3d
-from ucfem.mesh import ALL_REGIONS, B_REGIONS, Mesh, Region
+from ucfem.mesh import ALL_REGIONS, B_REGIONS, Mesh, Region, build_disk_mesh, mesh_from_arrays
 from ucfem.quadrature import TriangleRule, gauss_rule_01
-from ucfem.sparse import cyclic_orbits
+from ucfem.sparse import FormMatrix, cyclic_orbits
 
 
 def harmonic_norm_closed(mono: HarmonicMonomial, rho: float) -> float:
@@ -134,3 +141,62 @@ def ball_norm_sq_quadrature(
     seg_part = float(np.einsum("q,cq,c->", wq, radial, span))
 
     return tri_part + seg_part
+
+
+def traced_peak(fn):
+    """fn() and the peak of what Python and numpy allocate while it runs,
+    in bytes above what was allocated before it (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(A):
+    """The bytes of a CSR/CSC matrix's data, indices and indptr."""
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+def jittered_disk_mesh(geometry, level, seed, amplitude):
+    """Disk mesh with every non-boundary vertex moved by at most `amplitude`
+    times a fifth of the smallest triangle height: a displacement that keeps
+    every triangle positively oriented."""
+    mesh = build_disk_mesh(geometry, 8, level)
+    v, t = mesh.vertices, mesh.triangles
+    longest = np.max(
+        [np.linalg.norm(v[t[:, i]] - v[t[:, (i + 1) % 3]], axis=1) for i in range(3)], axis=0
+    )
+    reach = 0.2 * (2.0 * mesh.signed_areas / longest).min()
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-1.0, 1.0, v.shape)
+    shift *= amplitude * reach / np.maximum(np.linalg.norm(shift, axis=1), 1.0)[:, None]
+    shift[mesh.boundary_vertices] = 0.0
+    return mesh_from_arrays(v + shift, t, mesh.region_tag, mesh.level, mesh.vertex_circle)
+
+
+def composed(K):
+    """The matrix of the `Saddle` K composed with sp.bmat from its
+    materialized forms, sorted: the reference its rows, products and
+    maximum are tested against."""
+    S, M, B, A0 = (csr(block) for block in (K.S, K.M_omega, K.B, K.A0))
+    full = sp.bmat([[S + M, B.T], [B, -A0]], format="csr")
+    full.sort_indices()
+    return full
+
+
+def csr(block):
+    """A `Saddle` block as CSR: a form materialized, a CSR block itself."""
+    return block.matrix if isinstance(block, FormMatrix) else block
+
+
+def modes_args(K, b, *spaces):
+    """The arguments `_solve_ordered` hands `CyclicModes` for K x = b over
+    the dofs of `spaces`; without a space, the order-1 case at the origin."""
+    if not spaces:
+        coords = np.zeros((K.shape[0], 2))
+        return K, b, coords, cyclic_orbits(None, coords)
+    return K, b, np.concatenate([space.dof_coords for space in spaces]), solver._orbits(spaces)

@@ -1,6 +1,4 @@
-import gc
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interior_edges, tri_rule_collapsed
+from oracles import csr_bytes, interior_edges, jittered_disk_mesh, traced_peak, tri_rule_collapsed
 from ucfem import quadrature
 from ucfem.fem import (
     ASSEMBLY_RULE,
@@ -36,24 +34,6 @@ from ucfem.mesh import (
 )
 from ucfem.solver import solve_poisson, verify_positivity
 from ucfem.sparse import compose_saddle
-
-
-def traced_peak(fn):
-    """fn() and the peak of what Python and numpy allocate while it runs,
-    in bytes above what was allocated before it (tracemalloc)."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def csr_bytes(A):
-    """The bytes of a CSR/CSC matrix's data, indices and indptr."""
-    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 class TestSpaces:
@@ -99,6 +79,22 @@ class TestSpaces:
 
         with pytest.raises(ValueError):
             solve_poisson(build_space(mesh, 1), ConstantField(4.0))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_near_marks_the_elements_that_hold_a_representative(self, geometry, k):
+        # every form is computed on `near`, derived once per space and shared by V_0h
+        for level in range(4):
+            mesh = build_disk_mesh(geometry, 8, level)
+            space = build_space(mesh, k)
+            shift = space.orbits[3]
+            oracle = [any(shift[d] == 0 for d in dofs) for dofs in space.full_map]
+            assert space.near.dtype == bool
+            assert np.array_equal(space.near, oracle)
+            assert not space.near.all()
+            assert space.zero_trace().near is space.near
+            # without a recorded rotation every dof is its own representative
+            unturned = mesh_from_arrays(mesh.vertices, mesh.triangles, mesh.region_tag, level, mesh.vertex_circle)
+            assert build_space(unturned, k).near.all()
 
     def test_grad_lam_is_rows_of_the_full_mesh_formula(self, geometry):
         # computed per call for the asked elements, bit for bit the rows of
@@ -373,23 +369,6 @@ class TestTripleNorm:
         one = triple_norm(u, z, K)
         ten = triple_norm(10 * u, 10 * z, K)
         assert abs(ten - 10 * one) < 1e-10 * one
-
-
-def jittered_disk_mesh(geometry, level, seed, amplitude):
-    """Disk mesh with every non-boundary vertex moved by at most `amplitude`
-    times a fifth of the smallest triangle height: a displacement that keeps
-    every triangle positively oriented."""
-    mesh = build_disk_mesh(geometry, 8, level)
-    v, t = mesh.vertices, mesh.triangles
-    longest = np.max(
-        [np.linalg.norm(v[t[:, i]] - v[t[:, (i + 1) % 3]], axis=1) for i in range(3)], axis=0
-    )
-    reach = 0.2 * (2.0 * mesh.signed_areas / longest).min()
-    rng = np.random.default_rng(seed)
-    shift = rng.uniform(-1.0, 1.0, v.shape)
-    shift *= amplitude * reach / np.maximum(np.linalg.norm(shift, axis=1), 1.0)[:, None]
-    shift[mesh.boundary_vertices] = 0.0
-    return mesh_from_arrays(v + shift, t, mesh.region_tag, mesh.level, mesh.vertex_circle)
 
 
 class TestAssemblyProperties:

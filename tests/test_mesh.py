@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import jittered_disk_mesh
 from ucfem.geometry import Geometry
 from ucfem.mesh import (
     Region,
@@ -16,7 +17,6 @@ from ucfem.mesh import (
     validate,
     write_mesh,
 )
-from test_fem import jittered_disk_mesh
 
 MESH_ARRAYS = (
     "vertices",

@@ -23,23 +23,24 @@ def test_run_studies_converge_smoke(tmp_path):
 
 
 def test_fingerprint_smoke():
-    # two runs print the same hashes: a saddle and a Riesz line per level,
-    # with and without the recorded rotation, then a Poisson line per level
+    # two runs print the same hashes: a saddle, a Riesz and a forms line per
+    # level, with and without the recorded rotation, then a Poisson line per level
     env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
     script = ROOT / "scripts" / "fingerprint.py"
     runs = [subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True) for _ in range(2)]
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     assert lines == runs[1].stdout.splitlines()
-    assert len(lines) == 52
+    assert len(lines) == 74
     levels = {"k1_n4": range(1, 6), "k1_n3": range(1, 6), "k2_noise": range(1, 5)}
     levels.update({name: range(1, 5) for name in ("k1_noise_norot", "k2_noise_norot")})
-    want = [
-        [name, f"level={level}", solve] for name in levels for level in levels[name] for solve in ("saddle", "riesz")
-    ]
+    solves = ("saddle", "riesz", "forms")
+    want = [[name, f"level={level}", solve] for name in levels for level in levels[name] for solve in solves]
     want += [[f"poisson_k{k}", f"level={level}", "poisson"] for k in (1, 2) for level in range(1, 5)]
     assert [line.split()[:3] for line in lines] == want
-    assert all("matrix=" in line and "rel_tol=" in line for line in lines)
+    for line in lines:
+        fields = ("load=", "norms=", "s_ii=", "m_ii=") if line.split()[2] == "forms" else ("matrix=", "rel_tol=")
+        assert all(field in line for field in fields), line
 
 
 def test_failing_property_test_is_reported(tmp_path):

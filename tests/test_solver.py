@@ -6,7 +6,16 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from oracles import harmonic_norm_closed, stitched_orbits, stitched_rotation
+from oracles import (
+    composed,
+    csr_bytes,
+    harmonic_norm_closed,
+    jittered_disk_mesh,
+    modes_args,
+    stitched_orbits,
+    stitched_rotation,
+    traced_peak,
+)
 from ucfem.config import PerturbationSpec
 from ucfem.fem import (
     assemble_gradient_jump,
@@ -40,8 +49,6 @@ from ucfem.sparse import (
     compose_saddle,
     cyclic_orbits,
 )
-from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
-from test_sparse import composed, modes_args
 
 
 #: 1 - |x|^2, the f = 4 manufactured solution on the unit disk

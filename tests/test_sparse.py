@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import nested_dissection_reference as reference
+from oracles import composed, csr, csr_bytes, jittered_disk_mesh, modes_args, traced_peak
 import ucfem.sparse
 from ucfem import solver
 from ucfem.fem import assemble_region_mass, assemble_stabilization, assemble_stiffness, build_space
@@ -17,15 +18,12 @@ from ucfem.solver import hminus1_residual, solve_uc
 from ucfem.sparse import (
     LEAF_SIZE,
     CyclicModes,
-    FormMatrix,
     SolverError,
     _cut_cover,
     compose_saddle,
-    cyclic_orbits,
     nested_dissection,
     solve_direct,
 )
-from test_fem import csr_bytes, jittered_disk_mesh, traced_peak
 
 
 def assembled_forms(space, space0):
@@ -42,35 +40,11 @@ def saddle(space, space0):
     return compose_saddle(*(form.matrix for form in assembled_forms(space, space0)))
 
 
-def composed(K):
-    """The matrix of the `Saddle` K composed with sp.bmat from its
-    materialized forms, sorted: the reference its rows, products and
-    maximum are tested against."""
-    S, M, B, A0 = (csr(block) for block in (K.S, K.M_omega, K.B, K.A0))
-    full = sp.bmat([[S + M, B.T], [B, -A0]], format="csr")
-    full.sort_indices()
-    return full
-
-
-def csr(block):
-    """A `Saddle` block as CSR: a form materialized, a CSR block itself."""
-    return block.matrix if isinstance(block, FormMatrix) else block
-
-
 def representatives(*spaces):
     """The rows `CyclicModes` reads in a solve over the dofs of `spaces`:
     the orbit representatives."""
     orbits, fixed = solver._orbits(spaces)[:2]
     return np.concatenate([orbits[:, 0], fixed])
-
-
-def modes_args(K, b, *spaces):
-    """The arguments `_solve_ordered` hands `CyclicModes` for K x = b over
-    the dofs of `spaces`; without a space, the order-1 case at the origin."""
-    if not spaces:
-        coords = np.zeros((K.shape[0], 2))
-        return K, b, coords, cyclic_orbits(None, coords)
-    return K, b, np.concatenate([space.dof_coords for space in spaces]), solver._orbits(spaces)
 
 
 def edges(A):
