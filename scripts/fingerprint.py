@@ -12,7 +12,8 @@ the first 16 hex digits of the SHA-256 of each of: the `CyclicModes`
 `matrix` (data, indices and indptr, with their dtypes), `rhs`,
 `rel_tol.hex()`, `kmax.hex()` and `modes`, then the solution: u, z and
 solve_residual on the saddle line, residual_hminus1 on the Riesz line, u
-on the Poisson line.  A third line per configuration and level hashes
+and its four `error_norms` against the exact solution r3^2 - |x|^2 on the
+Poisson line.  A third line per configuration and level hashes
 what the solve's primal space and forms give without a solve: the load
 over omega, the four `error_norms` of u over B (inner omega), and
 s(u_I, u_I) and |u_I|^2_omega of the nodal interpolant u_I of the exact
@@ -38,8 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ucfem import solver, studies  # noqa: E402
 from ucfem.config import build_config  # noqa: E402
 from ucfem.fem import assemble_load_region, build_space, error_norms, interpolate_nodal  # noqa: E402
-from ucfem.fields import ConstantField  # noqa: E402
-from ucfem.mesh import B_REGIONS, Region, build_disk_mesh  # noqa: E402
+from ucfem.fields import QuadraticField  # noqa: E402
+from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh  # noqa: E402
 
 #: nodal noise on zero data, the entries of a configuration but its order k
 NOISE = {
@@ -53,6 +54,7 @@ NOISE = {
 CONFIGS = (
     ("k1_n4", {"k": "1", "exact.n": "4"}, range(1, 6), True),
     ("k1_n3", {"k": "1", "exact.n": "3"}, range(1, 6), True),
+    ("k2_n4", {"k": "2", "exact.n": "4"}, range(1, 5), True),
     ("k2_noise", {"k": "2", **NOISE}, range(1, 5), True),
     ("k1_noise_norot", {"k": "1", **NOISE}, range(1, 5), False),
     ("k2_noise_norot", {"k": "2", **NOISE}, range(1, 5), False),
@@ -84,14 +86,17 @@ def modes_fields(modes) -> str:
     )
 
 
+def norms_digest(err) -> str:
+    return digest(" ".join(float(v).hex() for v in vars(err).values()))
+
+
 def forms_fields(sol, exact) -> str:
     space, K = sol.primal_space, sol.K
     load = assemble_load_region(space, exact, Region.OMEGA_DATA)
-    norms = vars(error_norms(space, sol.u, exact, B_REGIONS, inner=[Region.OMEGA_DATA]))
-    norms = " ".join(float(v).hex() for v in norms.values())
+    norms = norms_digest(error_norms(space, sol.u, exact, B_REGIONS, inner=[Region.OMEGA_DATA]))
     u_i = interpolate_nodal(space, exact)
     s_ii, m_ii = (float(u_i @ (form.matrix @ u_i)) for form in (K.S, K.M_omega))
-    return f"load={digest(load)} norms={digest(norms)} s_ii={digest(s_ii.hex())} m_ii={digest(m_ii.hex())}"
+    return f"load={digest(load)} norms={norms} s_ii={digest(s_ii.hex())} m_ii={digest(m_ii.hex())}"
 
 
 def main() -> int:
@@ -121,13 +126,15 @@ def main() -> int:
             print(f"{name} level={level} riesz {modes_fields(riesz)} residual_hminus1={digest(res.hex())}")
             print(f"{name} level={level} forms {forms_fields(sol, exact)}")
     cfg = build_config({})
+    paraboloid = QuadraticField(cfg.geometry.r3**2, c=-1.0)
     for name, k, levels in POISSON:
         for level in levels:
             made.clear()
             space0 = build_space(build_disk_mesh(cfg.geometry, cfg.sectors, level), k).zero_trace()
-            u = solver.solve_poisson(space0, ConstantField(4.0))
+            u = solver.solve_poisson(space0, QuadraticField(4.0))
             (poisson,) = made
-            print(f"{name} level={level} poisson {modes_fields(poisson)} u={digest(u)}")
+            norms = norms_digest(error_norms(space0, u, paraboloid, ALL_REGIONS))
+            print(f"{name} level={level} poisson {modes_fields(poisson)} u={digest(u)} norms={norms}")
     return 0
 
 

@@ -110,6 +110,7 @@ MUTANTS = (
         "rep_dof = shift == 1",
         "every form is computed on all elements that hold a representative dof",
     ),
+    ("src/ucfem/fields.py", "2.0 * self.c * x", "self.c * x", "the gradient of c|x|^2 is 2c x"),
 )
 
 #: the Tier-1 command (ROADMAP.md), stopped at the first failure, without

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fem, harmonic, mesh as meshmod, quadrature, studies
 from .config import ConfigError, RunConfig, build_config, parse_entries
-from .fields import AffineField, ConstantField, RadialQuadratic
+from .fields import QuadraticField
 from .geometry import Geometry
 from .solver import solve_poisson, solve_uc, verify_positivity
 from .sparse import SolverError
@@ -102,9 +102,8 @@ def _cmd_poisson(args, cfg: RunConfig) -> int:
     level = cfg.levels[-1]
     msh = meshmod.build_disk_mesh(cfg.geometry, cfg.sectors, level=level)
     space0 = fem.build_space(msh, cfg.k).zero_trace()
-    uh = solve_poisson(space0, ConstantField(4.0))
-
-    exact = RadialQuadratic(cfg.geometry.r3**2, -1.0)
+    uh = solve_poisson(space0, QuadraticField(4.0))
+    exact = QuadraticField(cfg.geometry.r3**2, c=-1.0)
     err = fem.error_norms(space0, uh, exact, meshmod.ALL_REGIONS)
     print(
         f"poisson level={level} k={cfg.k} dofs={space0.n_dofs} h={msh.h:.6e} "
@@ -188,7 +187,7 @@ def _selftest_checks(cfg: RunConfig):
             space = fem.build_space(msh, k)
             space0 = space.zero_trace()
             B = fem.assemble_stiffness(space0, space)
-            u_i = fem.interpolate_nodal(space, AffineField(0.3, -1.0, 2.0))
+            u_i = fem.interpolate_nodal(space, QuadraticField(0.3, -1.0, 2.0))
             # every row of the full form turns a stored row, so max|G| bounds max|B|
             bound = 1e-12 * np.abs(B.G.data).max() * np.abs(u_i).max()
             if np.abs(B @ u_i).max() > bound:

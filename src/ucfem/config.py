@@ -138,6 +138,11 @@ _CONSTRAINTS = (
         lambda mode, value: mode != "value" or value > 0,
     ),
     (("hmin.scale",), "scale >= 0", lambda scale: scale >= 0),
+    (
+        ("rate_window", "levels"),
+        "an explicit window holds >= 2 levels",
+        lambda window, levels: not window or sum(window[0] <= lv <= window[1] for lv in levels) >= 2,
+    ),
 )
 
 

@@ -55,7 +55,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .fields import _field_gradient, _field_values
 from .mesh import Mesh, element_diameters
 from .sparse import FormMatrix, cyclic_orbits
 
@@ -378,7 +377,7 @@ def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:
     rule = ASSEMBLY_RULE
     vals = space.basis_values(rule.points)
     pts = space.phys_points(elements, rule.points)
-    gv = _field_values(g, pts.reshape(-1, 2)).reshape(elements.size, -1)
+    gv = g.value(pts.reshape(-1, 2)).reshape(elements.size, -1)
     contrib = (gv * rule.weights) @ vals * space.det[elements][:, None]
     out = np.bincount(space.full_map[elements].ravel(), contrib.ravel(), minlength=space.n_full)
     return out[space.active]
@@ -386,7 +385,7 @@ def assemble_load_region(space: FeSpace, g, region) -> np.ndarray:
 
 def interpolate_nodal(space: FeSpace, f) -> np.ndarray:
     """Coefficients of the nodal interpolant: f evaluated at the dof nodes."""
-    return _field_values(f, space.dof_coords)
+    return f.value(space.dof_coords)
 
 
 @dataclass(frozen=True)
@@ -410,18 +409,17 @@ def error_norms(space: FeSpace, coeffs, exact, region, inner=()) -> ErrorNorms:
     elements = mesh.region_elements(region)
     pts = space.phys_points(elements, rule.points)  # (nel, nq, 2)
     det = space.det[elements]
-    sq = (_field_values(exact, pts.reshape(-1, 2)).reshape(pts.shape[:2]) - uh[elements]) ** 2 @ rule.weights
+    sq = (exact.value(pts.reshape(-1, 2)).reshape(pts.shape[:2]) - uh[elements]) ** 2 @ rule.weights
     at_inner = np.isin(elements, mesh.region_elements(inner))
     l2sq, inner_sq, uh_sq = det @ sq, det[at_inner] @ sq[at_inner], space.det @ (uh**2 @ rule.weights)
 
-    ge = _field_gradient(exact, pts.reshape(-1, 2))
-    if ge is None:
+    if not hasattr(exact, "gradient"):
         h1sq = float("nan")
     else:
         # a P1 gradient is constant per element: take it at one point only
         g = space.phys_grads(elements, rule.points[: 1 if space.k == 1 else None])
         gh = (full[space.full_map[elements]][:, None, None, :] @ g)[:, :, 0]  # (nel, 1 | nq, 2)
-        diff = ge.reshape(pts.shape) - gh
+        diff = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape) - gh
         h1sq = float(det @ ((diff * diff).sum(axis=2) @ rule.weights))
     return ErrorNorms(*(np.sqrt(max(float(v), 0.0)) for v in (l2sq, h1sq, inner_sq, uh_sq)))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, config_echo
 from .fem import error_norms, interpolate_nodal, triple_norm
-from .fields import ZeroField
+from .fields import QuadraticField
 from .harmonic import HarmonicMonomial, monomial_sobolev_norm, optimal_alpha
 from .mesh import (
     B_REGIONS,
@@ -108,7 +108,7 @@ class ConvergenceReport:
 
 def exact_field_from_config(cfg: RunConfig):
     if cfg.exact.kind == "zero":
-        return ZeroField()
+        return QuadraticField()
     return HarmonicMonomial(n=cfg.exact.n, part=cfg.exact.part, dim=2)
 
 

@@ -133,7 +133,7 @@ def test_criterion_3_exponent_arithmetic():
 
 def test_criterion_4_poisson_baseline():
     from ucfem.fem import error_norms
-    from ucfem.fields import ConstantField, RadialQuadratic
+    from ucfem.fields import QuadraticField
     from ucfem.mesh import ALL_REGIONS, refine_uniform
     from ucfem.solver import solve_poisson
 
@@ -143,8 +143,8 @@ def test_criterion_4_poisson_baseline():
     points = []
     for level in range(2, 6):
         space0 = build_space(mesh, 1).zero_trace()
-        u = solve_poisson(space0, ConstantField(4.0))
-        err = error_norms(space0, u, RadialQuadratic(1.0, -1.0), ALL_REGIONS).h1_semi
+        u = solve_poisson(space0, QuadraticField(4.0))
+        err = error_norms(space0, u, QuadraticField(1.0, c=-1.0), ALL_REGIONS).h1_semi
         points.append((mesh.h, err))
         if level < 5:
             mesh = refine_uniform(mesh, geo)

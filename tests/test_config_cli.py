@@ -94,6 +94,8 @@ class TestParseConfig:
             ("hmin.mode = bogus", "hmin.mode"),
             ("k = x", "k"),
             ("rate_window = 4..2", "rate_window"),
+            ("levels = 1..2\nrate_window = 8", "rate_window"),
+            ("rate_window = 7..8\nlevels = 8", "levels"),
         ],
     )
     def test_violation_names_its_key(self, line, key):
@@ -186,6 +188,7 @@ class TestParseConfig:
     ):
         assume(hmin_mode != "value" or hmin_value > 0)
         assume(mode != "none" or epsilon == 0)
+        assume(window == "auto" or sum(min(window) <= lv <= max(window) for lv in levels) >= 2)
         window_text = window if window == "auto" else ",".join(map(str, sorted(set(window))))
         text = (
             f"geometry.r1 = {r1!r}\n"
@@ -262,6 +265,13 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["--set", "geometry.r2 = 2.0", "alpha"]) == 2
         assert "error=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window, levels", [("7..8", "1..2"), ("2..2", "1..3")])
+    def test_window_that_fits_nothing_is_a_config_error(self, capsys, window, levels):
+        assert main(["--set", f"rate_window={window}", "--set", f"levels={levels}", "converge"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error=config rate_window, levels: ")
 
     def test_non_finite_radius_is_a_config_error(self, capsys):
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ucfem.fem import (
     interpolate_nodal,
     triple_norm,
 )
-from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
+from ucfem.fields import QuadraticField
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import (
     ALL_REGIONS,
@@ -78,7 +79,7 @@ class TestSpaces:
         assert space0.grad_lam(elements).tobytes() == space.grad_lam(elements).tobytes()
 
         with pytest.raises(ValueError):
-            solve_poisson(build_space(mesh, 1), ConstantField(4.0))
+            solve_poisson(build_space(mesh, 1), QuadraticField(4.0))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_near_marks_the_elements_that_hold_a_representative(self, geometry, k):
@@ -211,7 +212,7 @@ class TestStabilization:
     def test_affine_reduces_to_tikhonov(self, mesh_l2):
         # jumps and element Laplacians of a globally affine field vanish
         space = build_space(mesh_l2, 1)
-        w = interpolate_nodal(space, AffineField(1.0, 2.0, -0.5))
+        w = interpolate_nodal(space, QuadraticField(1.0, 2.0, -0.5))
         S = assemble_stabilization(space, mesh_l2.h).matrix
         M = assemble_region_mass(space, ALL_REGIONS).matrix
         lhs = w @ (S @ w)
@@ -220,7 +221,7 @@ class TestStabilization:
 
     def test_k2_laplacian_part_value(self, mesh_l2):
         space = build_space(mesh_l2, 2)
-        f = lambda p: np.asarray(p)[:, 0] ** 2
+        f = SimpleNamespace(value=lambda p: np.asarray(p)[:, 0] ** 2)
         c = interpolate_nodal(space, f)
         L = assemble_cell_laplacian(space).matrix
         expected = (element_diameters(mesh_l2) ** 2 * 4.0 * mesh_l2.signed_areas).sum()
@@ -228,7 +229,7 @@ class TestStabilization:
 
     def test_jump_annihilates_global_polynomials(self, mesh_l2):
         # degree <= k fields are C^1 across faces, so the penalty sees nothing
-        for k, field in ((1, AffineField(0.3, -1.0, 2.0)), (2, HarmonicMonomial(3))):
+        for k, field in ((1, QuadraticField(0.3, -1.0, 2.0)), (2, HarmonicMonomial(3))):
             space = build_space(mesh_l2, k)
             c = interpolate_nodal(space, field)
             J = assemble_gradient_jump(space).matrix
@@ -265,7 +266,7 @@ class TestStabilization:
 class TestLoads:
     def test_constant_load_sums_to_region_area(self, mesh_l2):
         space = build_space(mesh_l2, 1)
-        load = assemble_load_region(space, ConstantField(1.0), [Region.OMEGA_DATA])
+        load = assemble_load_region(space, QuadraticField(1.0), [Region.OMEGA_DATA])
         omega_area = mesh_l2.signed_areas[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         assert abs(load.sum() - omega_area) < 1e-13
 
@@ -273,23 +274,24 @@ class TestLoads:
         # (1, phi_i) = sum_j (phi_j, phi_i): the load and mass assemblies agree
         space = build_space(base_mesh, 1)
         M = assemble_region_mass(space, B_REGIONS).matrix
-        load = assemble_load_region(space, ConstantField(1.0), B_REGIONS)
+        load = assemble_load_region(space, QuadraticField(1.0), B_REGIONS)
         assert np.allclose(load, np.asarray(M.sum(axis=1)).ravel(), atol=1e-14)
 
     def test_odd_integrand_cancels(self, mesh_l2):
         space = build_space(mesh_l2, 1)
-        load = assemble_load_region(space, lambda p: np.asarray(p)[:, 0], ALL_REGIONS)
+        x = SimpleNamespace(value=lambda p: np.asarray(p)[:, 0])
+        load = assemble_load_region(space, x, ALL_REGIONS)
         assert abs(load.sum()) < 1e-13
 
 
 class TestInterpolationAndNorms:
     def test_constant_interpolates_to_ones(self, base_mesh):
         space = build_space(base_mesh, 2)
-        assert np.array_equal(interpolate_nodal(space, ConstantField(1.0)), np.ones(89))
+        assert np.array_equal(interpolate_nodal(space, QuadraticField(1.0)), np.ones(89))
 
     def test_p1_reproduces_affine(self, mesh_l2):
         space = build_space(mesh_l2, 1)
-        field = AffineField(0.7, -0.2, 1.1)
+        field = QuadraticField(0.7, -0.2, 1.1)
         c = interpolate_nodal(space, field)
         err = error_norms(space, c, field, ALL_REGIONS)
         assert err.l2 < 1e-12
@@ -305,7 +307,7 @@ class TestInterpolationAndNorms:
 
     def test_zero_coeffs_against_one_gives_area(self, mesh_l2):
         space = build_space(mesh_l2, 1)
-        err = error_norms(space, np.zeros(space.n_dofs), ConstantField(1.0), ALL_REGIONS)
+        err = error_norms(space, np.zeros(space.n_dofs), QuadraticField(1.0), ALL_REGIONS)
         assert abs(err.l2**2 - mesh_l2.signed_areas.sum()) < 1e-12
 
     def test_interpolation_error_second_order(self, geometry, mesh_l2):
@@ -324,13 +326,13 @@ class TestInterpolationAndNorms:
     def test_wrong_length_coefficients_rejected(self, mesh_l2):
         space = build_space(mesh_l2, 1)
         with pytest.raises(ValueError, match=f"expected {space.n_dofs} coefficients"):
-            error_norms(space, np.zeros(space.n_dofs + 1), ConstantField(1.0), ALL_REGIONS)
+            error_norms(space, np.zeros(space.n_dofs + 1), QuadraticField(1.0), ALL_REGIONS)
 
     def test_region_l2_norm_constant(self, mesh_l2):
         space = build_space(mesh_l2, 1)
         omega_area = mesh_l2.signed_areas[mesh_l2.region_tag == Region.OMEGA_DATA].sum()
         zeros = np.zeros(space.n_dofs)
-        got = error_norms(space, zeros, ConstantField(2.0), [Region.OMEGA_DATA]).l2
+        got = error_norms(space, zeros, QuadraticField(2.0), [Region.OMEGA_DATA]).l2
         assert abs(got - 2.0 * math.sqrt(omega_area)) < 1e-13
 
 
@@ -353,7 +355,7 @@ class TestTripleNorm:
 
     def test_affine_closed_form(self, mesh_l2):
         space, space0, K = self._saddle(mesh_l2)
-        u = interpolate_nodal(space, AffineField(0.5, 1.0, 0.0))
+        u = interpolate_nodal(space, QuadraticField(0.5, 1.0, 0.0))
         Mall = assemble_region_mass(space, ALL_REGIONS).matrix
         expected = math.sqrt(
             mesh_l2.h**2 * (u @ (Mall @ u)) + u @ (K.M_omega @ u)
@@ -404,7 +406,7 @@ class TestAssemblyProperties:
             quad = c[3] * x * x + c[4] * x * y + c[5] * y * y if k == 2 else 0.0
             return c[0] + c[1] * x + c[2] * y + quad
 
-        assert np.abs(jump @ interpolate_nodal(space, poly)).max() <= 1e-12
+        assert np.abs(jump @ interpolate_nodal(space, SimpleNamespace(value=poly))).max() <= 1e-12
 
         space0 = space.zero_trace()
         assert verify_positivity(space, space0, trials=3, seed=seed) <= 1e-12
@@ -593,7 +595,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
     space = build_space(mesh, k)
     coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
     coeffs = np.random.default_rng(k).uniform(-1.0, 1.0, space.n_dofs)
-    with_gradient = RadialQuadratic(0.3, -1.0)
+    with_gradient = QuadraticField(0.3, c=-1.0)
     rule = tri_rule_collapsed(4)
     areas = mesh.signed_areas
 
@@ -615,7 +617,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
         got = error_norms(space, coeffs, with_gradient, region)
         assert abs(got.l2 - want_l2) <= 1e-13 * want_l2
         assert abs(got.h1_semi - want_h1) <= 1e-13 * want_h1
-        no_gradient = error_norms(space, coeffs, with_gradient.value, region)
+        no_gradient = error_norms(space, coeffs, SimpleNamespace(value=with_gradient.value), region)
         assert abs(no_gradient.l2 - want_l2) <= 1e-13 * want_l2
         assert math.isnan(no_gradient.h1_semi)
 
@@ -623,10 +625,10 @@ def test_error_norms_match_per_element_loop(geometry, k):
     got = error_norms(space, coeffs, with_gradient, B_REGIONS, inner=[Region.OMEGA_DATA])
     want_l2 = per_element(with_gradient, mesh.region_elements([Region.OMEGA_DATA]))[0]
     assert abs(got.l2_inner - want_l2) <= 1e-13 * want_l2
-    want_l2 = per_element(ZeroField(), mesh.region_elements(ALL_REGIONS))[0]
+    want_l2 = per_element(QuadraticField(), mesh.region_elements(ALL_REGIONS))[0]
     assert abs(got.l2_uh - want_l2) <= 1e-13 * want_l2
     assert got.l2_inner == error_norms(space, coeffs, with_gradient, [Region.OMEGA_DATA]).l2
-    assert got.l2_uh == error_norms(space, coeffs, ZeroField(), ALL_REGIONS).l2
+    assert got.l2_uh == error_norms(space, coeffs, QuadraticField(), ALL_REGIONS).l2
 
 
 @pytest.mark.parametrize("k", [1, 2])

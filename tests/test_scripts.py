@@ -31,15 +31,16 @@ def test_fingerprint_smoke():
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     assert lines == runs[1].stdout.splitlines()
-    assert len(lines) == 74
-    levels = {"k1_n4": range(1, 6), "k1_n3": range(1, 6), "k2_noise": range(1, 5)}
-    levels.update({name: range(1, 5) for name in ("k1_noise_norot", "k2_noise_norot")})
+    assert len(lines) == 86
+    levels = {"k1_n4": range(1, 6), "k1_n3": range(1, 6)}
+    levels.update({name: range(1, 5) for name in ("k2_n4", "k2_noise", "k1_noise_norot", "k2_noise_norot")})
     solves = ("saddle", "riesz", "forms")
     want = [[name, f"level={level}", solve] for name in levels for level in levels[name] for solve in solves]
     want += [[f"poisson_k{k}", f"level={level}", "poisson"] for k in (1, 2) for level in range(1, 5)]
     assert [line.split()[:3] for line in lines] == want
+    fields_of = {"forms": ("load=", "norms=", "s_ii=", "m_ii="), "poisson": ("matrix=", "rel_tol=", "u=", "norms=")}
     for line in lines:
-        fields = ("load=", "norms=", "s_ii=", "m_ii=") if line.split()[2] == "forms" else ("matrix=", "rel_tol=")
+        fields = fields_of.get(line.split()[2], ("matrix=", "rel_tol="))
         assert all(field in line for field in fields), line
 
 

@@ -27,7 +27,7 @@ from ucfem.fem import (
     interpolate_nodal,
     stability_terms,
 )
-from ucfem.fields import AffineField, ConstantField, RadialQuadratic, ZeroField
+from ucfem.fields import QuadraticField
 from ucfem.harmonic import HarmonicMonomial
 from ucfem.mesh import ALL_REGIONS, B_REGIONS, Region, build_disk_mesh, refine_uniform
 from ucfem import solver
@@ -52,26 +52,26 @@ from ucfem.sparse import (
 
 
 #: 1 - |x|^2, the f = 4 manufactured solution on the unit disk
-PARABOLOID = RadialQuadratic(1.0, -1.0)
-RADIUS_SQUARED = RadialQuadratic(0.0, 1.0)
+PARABOLOID = QuadraticField(1.0, c=-1.0)
+RADIUS_SQUARED = QuadraticField(0.0, c=1.0)
 
 
 class TestPoisson:
     def test_zero_load_gives_zero(self, mesh_l2):
         space0 = build_space(mesh_l2, 1).zero_trace()
-        u = solve_poisson(space0, ZeroField())
+        u = solve_poisson(space0, QuadraticField())
         assert np.array_equal(u, np.zeros(space0.n_dofs))
 
     def test_requires_dirichlet_space(self, mesh_l2):
         with pytest.raises(ValueError):
-            solve_poisson(build_space(mesh_l2, 1), ConstantField(4.0))
+            solve_poisson(build_space(mesh_l2, 1), QuadraticField(4.0))
 
     def test_first_order_h1_rate(self, geometry, mesh_l2):
         mesh = mesh_l2
         errs, hs = [], []
         for _ in range(3):
             space0 = build_space(mesh, 1).zero_trace()
-            u = solve_poisson(space0, ConstantField(4.0))
+            u = solve_poisson(space0, QuadraticField(4.0))
             errs.append(error_norms(space0, u, PARABOLOID, ALL_REGIONS).h1_semi)
             hs.append(mesh.h)
             mesh = refine_uniform(mesh, geometry)
@@ -85,7 +85,7 @@ class TestPoisson:
         errs = []
         for _ in range(3):
             space0 = build_space(mesh, 2).zero_trace()
-            u = solve_poisson(space0, ConstantField(4.0))
+            u = solve_poisson(space0, QuadraticField(4.0))
             errs.append(error_norms(space0, u, PARABOLOID, B_REGIONS).l2)
             mesh = refine_uniform(mesh, geometry)
         for coarse, fine in zip(errs, errs[1:]):
@@ -102,7 +102,7 @@ class TestHminus1Residual:
         # a(u, v) = 0 for affine u and zero-trace v
         space = build_space(mesh_l2, 1)
         space0 = space.zero_trace()
-        u = interpolate_nodal(space, AffineField(1.0, -2.0, 0.5))
+        u = interpolate_nodal(space, QuadraticField(1.0, -2.0, 0.5))
         assert hminus1_residual(space0, u, *stiffness_pair(space, space0)) < 1e-10
 
     def test_cross_oracle_quadratic_k2(self, mesh_l2):
@@ -114,7 +114,7 @@ class TestHminus1Residual:
         u = interpolate_nodal(space, RADIUS_SQUARED)
         A0, B = stiffness_pair(space, space0)
         got = hminus1_residual(space0, u, A0, B)
-        phi = solve_poisson(space0, ConstantField(-4.0))
+        phi = solve_poisson(space0, QuadraticField(-4.0))
         want = math.sqrt(phi @ (A0 @ phi))
         assert abs(got - want) < 1e-8 * want
 
@@ -124,7 +124,7 @@ class TestHminus1Residual:
         u = interpolate_nodal(space, RADIUS_SQUARED)
         A0, B = stiffness_pair(space, space0)
         got = hminus1_residual(space0, u, A0, B)
-        phi = solve_poisson(space0, ConstantField(-4.0))
+        phi = solve_poisson(space0, QuadraticField(-4.0))
         want = math.sqrt(phi @ (A0 @ phi))
         gap = error_norms(space, u, RADIUS_SQUARED, ALL_REGIONS).h1_semi
         assert abs(got - want) <= gap
@@ -182,7 +182,7 @@ class TestCyclicModes:
         "exact, perturbation, modes",
         [
             (HarmonicMonomial(4), PerturbationSpec(), (3,)),
-            (ZeroField(), NOISE, (0, 1, 2, 3, 4)),
+            (QuadraticField(), NOISE, (0, 1, 2, 3, 4)),
         ],
     )
     def test_kept_modes(self, geometry, exact, perturbation, modes):
@@ -197,7 +197,7 @@ class TestCyclicModes:
         # block j of the stacked matrix is E_j^H K E_j in the block's order,
         # nothing lies outside the blocks, and blocks 0 and m/2 are real
         K, rhs, coords, (orbits, fixed, rep, shift) = args = saddle_modes_args(
-            build_disk_mesh(geometry, 8, 1), k, ZeroField(), NOISE
+            build_disk_mesh(geometry, 8, 1), k, QuadraticField(), NOISE
         )
         split = CyclicModes(*args)
         nr, m = orbits.shape
@@ -258,7 +258,7 @@ class TestCyclicModes:
         # the ordering reads the points of the representatives and the graph
         # of their rows, each column taken to its representative
         K, rhs, coords, (orbits, fixed, rep, shift) = args = saddle_modes_args(
-            build_disk_mesh(geometry, 8, 2), k, ZeroField(), NOISE
+            build_disk_mesh(geometry, 8, 2), k, QuadraticField(), NOISE
         )
         calls = []
         order = ucfem.sparse.nested_dissection
@@ -282,7 +282,7 @@ class TestCyclicModes:
     def test_peak_memory_near_the_stacked_matrix(self, geometry, k, level):
         # the entries of all five blocks are converted in one pass, each list
         # of parts freed once joined and the joined entries once converted
-        args = saddle_modes_args(build_disk_mesh(geometry, 8, level), k, ZeroField(), NOISE)
+        args = saddle_modes_args(build_disk_mesh(geometry, 8, level), k, QuadraticField(), NOISE)
         split, peak = traced_peak(lambda: CyclicModes(*args))
         assert split.modes == (0, 1, 2, 3, 4)
         assert peak <= 3.0 * csr_bytes(split.matrix)
@@ -308,7 +308,7 @@ class TestCyclicModes:
     @pytest.mark.parametrize("k, level, tol", [(1, 3, 1e-8), (2, 2, 1e-6)])
     def test_mode_solve_matches_order_one_solve(self, geometry, k, level, tol):
         mesh = build_disk_mesh(geometry, 8, level)
-        cases = ((HarmonicMonomial(4), PerturbationSpec()), (ZeroField(), NOISE))
+        cases = ((HarmonicMonomial(4), PerturbationSpec()), (QuadraticField(), NOISE))
         for exact, perturbation in cases:
             modes = solve_uc(mesh, k, exact, perturbation)
             full = solve_uc(replace(mesh, rotation=None), k, exact, perturbation)
@@ -371,7 +371,7 @@ class TestCyclicModes:
         # block solutions whose residual sits at the block tolerance, moved
         # off the solve in random directions that keep modes 0 and m/2 real,
         # meet the contract on K without a second solve
-        K, rhs, spaces = saddle_system(build_disk_mesh(geometry, sectors, 3 - k), k, ZeroField(), NOISE)
+        K, rhs, spaces = saddle_system(build_disk_mesh(geometry, sectors, 3 - k), k, QuadraticField(), NOISE)
         rng = np.random.default_rng(sectors + k)
         splits, tols = [], []
 
@@ -415,7 +415,7 @@ class TestCyclicModes:
             return rows_of(K, rows)
 
         monkeypatch.setattr(Saddle, "__getitem__", recorded)
-        sol = solve_uc(build_disk_mesh(geometry, 8, 2), k, ZeroField(), NOISE)
+        sol = solve_uc(build_disk_mesh(geometry, 8, 2), k, QuadraticField(), NOISE)
         orbits, fixed = solver._orbits((sol.primal_space, sol.dual_space))[:2]
         assert len(requests) == 1
         assert np.array_equal(requests[0], np.concatenate([orbits[:, 0], fixed]))
@@ -433,7 +433,7 @@ class TestCyclicModes:
         splits = []
         split_of = solver.CyclicModes
         monkeypatch.setattr(solver, "CyclicModes", lambda *args: splits.append(split_of(*args)) or splits[-1])
-        sol = solve_uc(mesh, k, ZeroField(), NOISE)
+        sol = solve_uc(mesh, k, QuadraticField(), NOISE)
         hminus1_residual(sol.dual_space, sol.u, sol.K.A0, sol.K.B)
         assert len(splits) == 2
         assert splits[0].kmax == np.abs(composed(sol.K).data).max()
@@ -527,7 +527,7 @@ def real_part_norm_sq(mono, rho):
 
 class TestSolveUc:
     def test_affine_error_decreases(self, geometry):
-        exact = AffineField(0.0, 1.0, 0.0)
+        exact = QuadraticField(0.0, 1.0, 0.0)
         mesh = build_disk_mesh(geometry, 8, 2)
         errs = []
         for _ in range(3):
@@ -545,8 +545,8 @@ class TestSolveUc:
         # with zero exact solution the scheme maps the perturbation linearly
         base = PerturbationSpec(mode=mode, epsilon=1e-3)
         doubled = PerturbationSpec(mode=mode, epsilon=2e-3)
-        u1 = solve_uc(mesh_l2, 1, ZeroField(), base).u
-        u2 = solve_uc(mesh_l2, 1, ZeroField(), doubled).u
+        u1 = solve_uc(mesh_l2, 1, QuadraticField(), base).u
+        u2 = solve_uc(mesh_l2, 1, QuadraticField(), doubled).u
         assert np.allclose(u2, 2.0 * u1, rtol=1e-9, atol=1e-16)
 
     def test_k2_quadratic_error_decreases(self, geometry):
@@ -595,7 +595,7 @@ class TestSolveUc:
         mesh = build_disk_mesh(geometry, 8, 1)
         for _ in range(3):
             sol = solve_uc(mesh, 1, exact)
-            norm_uh = error_norms(sol.primal_space, sol.u, ZeroField(), ALL_REGIONS).l2
+            norm_uh = error_norms(sol.primal_space, sol.u, QuadraticField(), ALL_REGIONS).l2
             assert norm_uh <= limit
             mesh = refine_uniform(mesh, geometry)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import ball_norm_sq_quadrature, config_to_text, harmonic_norm_closed
 from ucfem.config import parse_config
 from ucfem.fem import error_norms
-from ucfem.fields import AffineField
+from ucfem.fields import QuadraticField
 from ucfem.harmonic import HarmonicMonomial, optimal_alpha
 from ucfem.mesh import build_disk_mesh
 from ucfem.studies import (
@@ -253,7 +253,7 @@ def test_affine_near_exact_at_level_3(geometry):
     from ucfem.mesh import B_REGIONS
     from ucfem.solver import solve_uc
 
-    exact = AffineField(0.0, 1.0, 0.0)
+    exact = QuadraticField(0.0, 1.0, 0.0)
     mesh = build_disk_mesh(geometry, 8, 3)
     sol = solve_uc(mesh, 1, exact)
     err = error_norms(sol.primal_space, sol.u, exact, B_REGIONS).l2
