@@ -111,6 +111,24 @@ MUTANTS = (
         "every form is computed on all elements that hold a representative dof",
     ),
     ("src/ucfem/fields.py", "2.0 * self.c * x", "self.c * x", "the gradient of c|x|^2 is 2c x"),
+    (
+        "src/ucfem/fem.py",
+        "turns[m - shift[c], i]",
+        "turns[shift[c], i]",
+        "an entry's transpose sits at the representative turned back",
+    ),
+    (
+        "src/ucfem/sparse.py",
+        "skip = np.sqrt(share) < 1e-2 * REL_TOL",
+        "skip = np.sqrt(share) < 1e2 * REL_TOL",
+        "a mode is skipped only below 1e-2 REL_TOL of the load",
+    ),
+    (
+        "src/ucfem/sparse.py",
+        "x = x + lu.solve(b - K @ x)",
+        "x = x",
+        "a solve that misses the contract is refined once",
+    ),
 )
 
 #: the Tier-1 command (ROADMAP.md), stopped at the first failure, without

@@ -24,12 +24,12 @@ over the elements that hold one (`FeSpace.near`) and their faces, a
 fixed row only at representative and fixed columns.  Each entry and its
 transpose, in another representative's row, become their mean ((a + b)
 / 2 is the same float in either order), and a fixed row is spread over
-the turns of its columns.  Each assembler returns these rows, a
-`sparse.FormMatrix` (the cyclic-symmetry method, D. L. Thomas, IJNME 14,
-1979), so every form is exactly symmetric and rotation invariant,
-P A P^T == A bit for bit, with a stored pattern closed under transpose
-and rotation.  A mesh without a
-recorded rotation is the m = 1 case, whose rows are the whole form.
+the turns of its columns (`FeSpace.turns`).  Each assembler returns
+these rows, a `sparse.FormMatrix` (the cyclic-symmetry method, D. L.
+Thomas, IJNME 14, 1979), so every form is exactly symmetric and rotation
+invariant, P A P^T == A bit for bit, with a stored pattern closed under
+transpose and rotation.  A mesh without a recorded rotation is the m = 1
+case, whose rows are the whole form.
 
 Each form takes the smallest rule exact for its polynomial integrand:
 tri_rule(2k-2) for the stiffness and tri_rule(2k) for the mass, the k-point
@@ -74,12 +74,12 @@ class FeSpace:
     here); `expand_coeffs` pads the others with zero.  `orbits` is
     `sparse.cyclic_orbits` of the mesh's turn carried to all dofs (order 1
     without one), the one derivation of the orbits, which the forms and
-    every solve read.  `turn_table`, `turned_dofs` and `turn_at` are the
-    int32 orbit lookup of the forms: turn s of representative number r is
-    turn_table[r, s] (a fixed dof at every s), and dof d turned s times,
-    0 <= s <= m, is turned_dofs[turn_at[d] + s].  `near` marks the elements
+    every solve read.  `turns` (2m, R) and `turn_at` are the int32 orbit
+    lookup of the forms: rows s and s + m of `turns` hold turn s of the
+    representatives, then the fixed dofs, and dof d turned s times, 0 <= s
+    <= m, is turns.ravel()[turn_at[d] + s * R].  `near` marks the elements
     that hold a representative dof (all without a turn), the ones every
-    form is computed on.  V_0h (`zero_trace()`) shares these five.
+    form is computed on.  V_0h (`zero_trace()`) shares these four.
     `turns_mesh` says whether the turn carries the vertices onto each other
     (every form refuses a space without it).
     """
@@ -112,11 +112,10 @@ class FeSpace:
         if m > 1:
             z = mesh.vertices @ np.array([1.0, 1.0j]) / np.abs(mesh.vertices).max()
             self.turns_mesh = abs(z[mesh.rotation] - z * np.exp(2j * np.pi / m)).max() <= 1e-9
-        self.turn_table = np.vstack([orbits, np.repeat(fixed[:, None], m, axis=1)])
-        self.turned_dofs = np.tile(self.turn_table, 2).ravel()
-        if self.turned_dofs.size > np.iinfo(np.int32).max:  # rep * 2m + shift in int32
+        self.turns = np.tile(np.hstack([orbits.T, np.repeat(fixed[None], m, axis=0)]), (2, 1))
+        if self.turns.size > np.iinfo(np.int32).max:  # shift * R + rep + s * R in int32
             raise ValueError(f"{self.n_full} dofs exceed the int32 orbit lookup")
-        self.turn_at = rep * (2 * m) + shift
+        self.turn_at = shift * self.turns.shape[1] + rep
         rep_dof = shift == 0
         self.near = rep_dof[self.full_map[:, 0]]
         for dofs in self.full_map.T[1:]:
@@ -224,7 +223,7 @@ def _operator(phi, weights, scale, emap, n_full) -> sp.csr_matrix:
 
 def _gram(space: FeSpace, D) -> FormMatrix:
     """The form D^T D over the full dofs, kept as the rows of the orbit
-    representatives, row r holding row turn_table[r, 0] (module docstring);
+    representatives, row r holding row turns[0, r] (module docstring);
     D holds the rows of the elements of `space.near` and of the faces next
     to them, each with a dof once.  The caller passes D without keeping it:
     it is freed after the product."""
@@ -232,22 +231,22 @@ def _gram(space: FeSpace, D) -> FormMatrix:
     nr, m = orbits.shape
     if not space.turns_mesh:
         raise ValueError(f"the mesh rotation does not turn its vertices by 2 pi / {m}")
-    table, turned, at = space.turn_table, space.turned_dofs, space.turn_at
+    turns = space.turns
 
     # the representatives' rows; a fixed one only at representative columns,
     # as its other columns are their turns
-    G = (D.T.tocsr()[table[:, 0]] @ D).tocoo()
+    G = (D.T.tocsr()[turns[0]] @ D).tocoo()
     del D
     keep = (G.row < nr) | (shift[G.col] == 0)
     i, c, v = G.row[keep], G.col[keep], G.data[keep]
     # entry (i, c) and its transpose, entry (rep[c], representative i turned
     # back shift[c] times), both become their mean: a + b == b + a exactly
-    i, c = np.r_[i, rep[c]], np.r_[c, turned[at[table[i, 0]] + m - shift[c]]]
-    G = sp.csr_matrix((np.r_[v, v] * 0.5, (i, c)), shape=(len(table), space.n_full)).tocoo()
-    # a fixed row in full: each moved column at every turn
+    i, c = np.r_[i, rep[c]], np.r_[c, turns[m - shift[c], i]]
+    G = sp.csr_matrix((np.r_[v, v] * 0.5, (i, c)), shape=(turns.shape[1], space.n_full)).tocoo()
+    # a fixed row (shift-0 columns alone) in full: each moved column at every turn
     spread = (G.row >= nr) & (rep[G.col] < nr)
     i = np.r_[G.row[~spread], np.repeat(G.row[spread], m)]
-    c = np.r_[G.col[~spread], turned[at[G.col[spread], None] + np.arange(m)].ravel()]
+    c = np.r_[G.col[~spread], turns[:m, rep[G.col[spread]]].T.ravel()]
     v = np.r_[G.data[~spread], np.repeat(G.data[spread], m)]
     return FormMatrix(sp.csr_matrix((v, (i, c)), shape=G.shape), space)
 

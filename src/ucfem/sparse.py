@@ -89,10 +89,10 @@ class FormMatrix:
     as G, the rows of its orbit representatives.
 
     F is symmetric and commutes with the dof rotation of `space` (a
-    `fem.FeSpace`; its n_full, orbits, turn_table, turned_dofs and turn_at
-    are read; see `fem._gram`): row r of G is row turn_table[r, 0] of F,
-    and row u of F is row rep[u] of G with each column c turned shift[u]
-    times, to turned_dofs[turn_at[c] + shift[u]] (the cyclic-symmetry
+    `fem.FeSpace`; its n_full, orbits, turns and turn_at are read; see
+    `fem._gram`): row r of G, of its R rows, is row turns[0, r] of F, and
+    row u of F is row rep[u] of G with each column c turned shift[u]
+    times, to turns.ravel()[turn_at[c] + shift[u] * R] (the cyclic-symmetry
     method, D. L. Thomas, IJNME 14, 1979).  On a mesh without a recorded
     rotation m = 1: one turn, no fixed row, and G holds F's rows in order.
     `rows` and `cols` are the dofs of the view, ascending (the zero-trace
@@ -129,16 +129,16 @@ class FormMatrix:
             full = np.zeros(G.shape[1], dtype=x.dtype)
             full[self.cols] = x
             x = full
-        m = space.orbits[0].shape[1]
-        # x turned s times is x[turned_dofs[turn_at + s]], and row table[r, s]
-        # of F is row r of G applied to it: G, each column c moved to turn_at[c],
-        # applied to the slice s.. of x[turned_dofs].  A fixed row is written
-        # at every turn, last at s = 0 as G's row applied to x itself
-        twice = x[space.turned_dofs]
-        moved = sp.csr_matrix((G.data, space.turn_at[G.indices], G.indptr), shape=(G.shape[0], twice.size - m + 1))
+        m, R = space.orbits[0].shape[1], G.shape[0]
+        # x turned s times is x[turns.ravel()[turn_at + s * R]], and row
+        # turns[s, r] of F is row r of G applied to it: G, each column c moved
+        # to turn_at[c], applied to the window s * R.. of x[turns].  A fixed
+        # row is written at every turn, last at s = 0 as G's row applied to x
+        twice = x[space.turns].ravel()
+        moved = sp.csr_matrix((G.data, space.turn_at[G.indices], G.indptr), shape=(R, m * R))
         y = np.empty(G.shape[1], dtype=np.result_type(G.dtype, x.dtype))
         for s in reversed(range(m)):
-            y[space.turn_table[:, s]] = moved @ twice[s : s + moved.shape[1]]
+            y[space.turns[s]] = moved @ twice[s * R : (s + m) * R]
         return y if self.rows is None else y[self.rows]
 
     def __getitem__(self, rows):
@@ -152,9 +152,9 @@ class FormMatrix:
     @property
     def matrix(self) -> sp.csr_matrix:
         G, space = self.G, self.space
-        table = space.turn_table
+        turns, R = space.turns, G.shape[0]
         # row u is row rep[u] of G with its columns turned shift[u] times: turn s
-        # writes every row of G into rows table[:, s], a fixed row last at
+        # writes every row of G into rows turns[s], a fixed row last at
         # s = 0 with its own columns, so no temporary is longer than G
         length = np.diff(G.indptr)
         indptr = np.zeros(space.n_full + 1, dtype=np.int32)
@@ -163,10 +163,10 @@ class FormMatrix:
         cols = space.turn_at[G.indices]
         # entry e of row r of G is entry e - G.indptr[r] of its rows in F
         offset = np.arange(G.nnz, dtype=np.int32) - np.repeat(G.indptr[:-1], length)
-        for s in reversed(range(table.shape[1])):
-            dest = np.repeat(indptr[table[:, s]], length)
+        for s in reversed(range(turns.shape[0] // 2)):
+            dest = np.repeat(indptr[turns[s]], length)
             dest += offset
-            indices[dest] = space.turned_dofs[cols + s]
+            indices[dest] = turns.ravel()[cols + s * R]
             data[dest] = G.data
         mat = sp.csr_matrix((data, indices, indptr), shape=(space.n_full, space.n_full))
         mat.sort_indices()

@@ -72,14 +72,33 @@ class TestSpaces:
         assert space0.dirichlet and not space.dirichlet
         assert space0.zero_trace() is space0
         # the A0 and B views index full-dof rows, so V_0h keeps the full
-        # space's orbits and turn tables
-        for name in ("mesh", "full_map", "det", "orbits", "turn_table", "turned_dofs", "turn_at"):
+        # space's orbits and turn lookup
+        for name in ("mesh", "full_map", "det", "orbits", "turns", "turn_at"):
             assert getattr(space0, name) is getattr(space, name)
         elements = np.arange(0, mesh.n_triangles, 3)
         assert space0.grad_lam(elements).tobytes() == space.grad_lam(elements).tobytes()
 
         with pytest.raises(ValueError):
             solve_poisson(build_space(mesh, 1), QuadraticField(4.0))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_turns_hold_each_dof_turned_sector_by_sector(self, geometry, k):
+        # entry turn_at[d] + s * R of the flat table is dof d moved s times by
+        # the mesh's turn, for s = 0..m; the table is its first m rows twice
+        for level in range(4):
+            mesh = build_disk_mesh(geometry, 8, level)
+            space = build_space(mesh, k)
+            rotation = mesh.rotation if k == 1 else mesh.rotation_with_midpoints
+            turns, flat = space.turns, space.turns.ravel()
+            m, R = turns.shape[0] // 2, turns.shape[1]
+            assert (m, R) == (8, space.orbits[0].shape[0] + space.orbits[1].size)
+            assert turns.dtype == space.turn_at.dtype == np.int32
+            assert np.shares_memory(flat, turns)
+            moved = np.arange(space.n_full)
+            for s in range(m + 1):
+                assert np.array_equal(flat[space.turn_at + s * R], moved), (level, s)
+                moved = rotation[moved]
+            assert np.array_equal(turns[m:], turns[:m])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_near_marks_the_elements_that_hold_a_representative(self, geometry, k):
@@ -595,11 +614,13 @@ def test_error_norms_match_per_element_loop(geometry, k):
     space = build_space(mesh, k)
     coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
     coeffs = np.random.default_rng(k).uniform(-1.0, 1.0, space.n_dofs)
+    # 0.3 - |x|^2, whose gradient -2x the oracle takes in closed form, not
+    # from the field
     with_gradient = QuadraticField(0.3, c=-1.0)
     rule = tri_rule_collapsed(4)
     areas = mesh.signed_areas
 
-    def per_element(field, elements):
+    def per_element(field, elements, gradient=lambda x: -2.0 * x):
         l2sq = h1sq = 0.0
         for e in elements:
             dofs = space.full_map[e]
@@ -608,7 +629,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
                 x = lam @ mesh.vertices[mesh.triangles[e]]
                 val, grad, _ = basis(x)
                 l2sq += 2 * areas[e] * w * (field.value(x[None])[0] - val @ coeffs[dofs]) ** 2
-                diff = field.gradient(x[None])[0] - grad.T @ coeffs[dofs]
+                diff = gradient(x) - grad.T @ coeffs[dofs]
                 h1sq += 2 * areas[e] * w * (diff @ diff)
         return math.sqrt(l2sq), math.sqrt(h1sq)
 
@@ -625,7 +646,7 @@ def test_error_norms_match_per_element_loop(geometry, k):
     got = error_norms(space, coeffs, with_gradient, B_REGIONS, inner=[Region.OMEGA_DATA])
     want_l2 = per_element(with_gradient, mesh.region_elements([Region.OMEGA_DATA]))[0]
     assert abs(got.l2_inner - want_l2) <= 1e-13 * want_l2
-    want_l2 = per_element(QuadraticField(), mesh.region_elements(ALL_REGIONS))[0]
+    want_l2 = per_element(QuadraticField(), mesh.region_elements(ALL_REGIONS), np.zeros_like)[0]
     assert abs(got.l2_uh - want_l2) <= 1e-13 * want_l2
     assert got.l2_inner == error_norms(space, coeffs, with_gradient, [Region.OMEGA_DATA]).l2
     assert got.l2_uh == error_norms(space, coeffs, QuadraticField(), ALL_REGIONS).l2

@@ -192,6 +192,19 @@ class TestCyclicModes:
         assert split.modes == modes
         assert np.iscomplexobj(split.matrix.data)
 
+    def test_mode_kept_above_the_skip_threshold(self, geometry):
+        # Re z^3 plus a pure mode-1 load v, whose share c_1 |E_1^H v|^2 is
+        # |v|^2: mode 1 is kept at 10 times the threshold 1e-2 REL_TOL |b|
+        # and skipped at a tenth of it
+        K, rhs, coords, orbits = saddle_modes_args(build_disk_mesh(geometry, 8, 2), 1, HarmonicMonomial(4))
+        table = orbits[0]
+        m = table.shape[1]
+        v = np.zeros_like(rhs)
+        v[table] = np.sin(np.arange(table.shape[0]))[:, None] * np.cos(2 * np.pi * np.arange(m) / m)
+        for factor, modes in ((10.0, (1, 3)), (0.1, (3,))):
+            b = rhs + v * (factor * 1e-2 * REL_TOL * np.linalg.norm(rhs) / np.linalg.norm(v))
+            assert CyclicModes(K, b, coords, orbits).modes == modes, factor
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_blocks_are_the_dense_mode_projections(self, geometry, k):
         # block j of the stacked matrix is E_j^H K E_j in the block's order,

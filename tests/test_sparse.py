@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,34 @@ class TestSolveDirect:
         monkeypatch.setattr(ucfem.sparse.spla, "splu", OffLU)
         with pytest.raises(SolverError, match="required 1.000e-10"):
             solve_direct(A0, b)
+
+    def test_refinement_step_meets_the_contract(self, mesh_l2, monkeypatch):
+        # an LU whose first solve misses the contract by about 10 times: the
+        # refinement step meets it, with no pivoted fallback, whose warning
+        # is an error here
+        space0 = build_space(mesh_l2, 1).zero_trace()
+        A0 = assemble_stiffness(space0).matrix
+        b = np.sin(np.arange(space0.n_dofs) * 0.37)
+        kmax, x = np.abs(A0.data).max(), spla.spsolve(A0.tocsc(), b)
+        d = np.cos(np.arange(b.size))
+        d *= 1e-9 * (kmax * np.linalg.norm(x) + np.linalg.norm(b)) / np.linalg.norm(A0 @ d)
+        assert ucfem.sparse.achieved_residual(A0, x + d, b, kmax) == pytest.approx(1e-9, rel=0.1)
+        splu, solves = spla.splu, []
+
+        class OffLU:
+            def __init__(self, *args, **kwargs):
+                self.lu = splu(*args, **kwargs)
+                self.perm_r = self.lu.perm_r
+
+            def solve(self, rhs):
+                solves.append(rhs)
+                return self.lu.solve(rhs) + (d if len(solves) == 1 else 0.0)
+
+        monkeypatch.setattr(ucfem.sparse.spla, "splu", OffLU)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = solve_direct(A0, b)
+        assert ucfem.sparse.achieved_residual(A0, x, b, kmax) <= 1e-10
 
     def test_deterministic(self, mesh_l2):
         space0 = build_space(mesh_l2, 1).zero_trace()

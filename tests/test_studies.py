@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ class TestConvergenceStudy:
             "triple_norm",
             "residual_hminus1",
         }
+
+    def test_onset_data_rederived_at_levels_1_to_4(self):
+        # the committed k=1 Re z^3 study, re-run from the config its JSON
+        # records over its first four levels
+        stored = json.loads((Path(__file__).parents[1] / "data/onset_k1_n3/converge.json").read_text())
+        config = dict(stored["config"], levels="1..4")
+        report = run_convergence_study(parse_config("".join(f"{k} = {v}\n" for k, v in config.items())))
+        got = json.loads(report_to_json(report))
+        assert got["columns"] == stored["columns"]
+        assert len(got["rows"]) == 4
+        for row, want in zip(got["rows"], stored["rows"]):
+            for column, value in want.items():
+                assert row[column] == pytest.approx(value, rel=1e-9, abs=0.0), (row["level"], column)
 
     def test_deterministic_output(self):
         cfg = parse_config("levels = 1..2\n")
